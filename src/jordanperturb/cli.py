@@ -175,9 +175,7 @@ def load_problem(path: str):
 def _parse_cluster(spec: str, reduced):
     """Cluster selector: 'idx:N' picks the N-th eigenvalue cluster of S_rho
     in deterministic order; 'val:RE,IM:RADIUS' picks by value."""
-    from .expansion import _cluster_bases
-
-    bases, _ = _cluster_bases(reduced)
+    bases = reduced.clusters
     if spec.startswith("idx:"):
         try:
             n = int(spec[4:])

@@ -10,7 +10,7 @@ class NonConvergence(JordanPerturbError):
 
 
 class NoConvergence(JordanPerturbError):
-    """A fixed-point iteration failed to reach the requested tolerance."""
+    """An iterative refinement (Newton or fixed-point) failed to reach the requested tolerance."""
 
 
 class ClusterSplitFailure(JordanPerturbError):

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import core_linalg as cl
 from .errors import ClusterNotSeparated, MatrixRootFailure, NotSimple
-from .pencil import ReducedPencil, scalar_roots
+from .pencil import CLUSTER_GAP_REL, ReducedPencil, scalar_roots
 from .structure import CanonicalPair, JordanStructure
 
 __all__ = [
@@ -31,6 +31,7 @@ __all__ = [
     "OrderEntry",
     "eigenvalue_expansions",
     "select_subspace",
+    "branch_bases",
     "subspace_expansion",
     "eigenvector_expansion",
     "h_order_table",
@@ -40,10 +41,6 @@ __all__ = [
     "gtilde_matrix",
     "CLUSTER_GAP_REL",
 ]
-
-# Relative gap (times the spectral radius of S_rho) below which two
-# eigenvalues of S_rho are treated as one cluster.
-CLUSTER_GAP_REL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -66,44 +63,23 @@ class EigenvalueExpansion:
 
 
 @dataclass(frozen=True)
-class _ClusterBasis:
-    """Schur data of one eigenvalue cluster of S_rho."""
-
-    gamma: complex
-    count: int
-    q: np.ndarray = field(repr=False)     # right basis: S q = q s11
-    s11: np.ndarray = field(repr=False)
-    qt: np.ndarray = field(repr=False)    # left basis: qt S = s11 qt, qt q = I
-
-
-@dataclass(frozen=True)
 class SubspaceSelection:
     """A separated set of Theta_rho eigenvalues and its subspace data.
 
     ``phi`` stacks ``Q1 Omega^j`` for j = 0..rho-1 and spans the selected
     invariant subspace of Theta_rho; ``chosen`` records (cluster, branch)
-    pairs, one per diagonal block of Omega.
+    pairs into ``ReducedPencil.clusters``, one per diagonal block of Omega.
     """
 
     rho: int
     q1: np.ndarray = field(repr=False)
     omega: np.ndarray = field(repr=False)
     phi: np.ndarray = field(repr=False)
-    clusters: tuple = field(repr=False)   # all _ClusterBasis of S_rho
     chosen: tuple = ()                    # ((cluster_index, branch), ...)
 
     @property
     def r(self) -> int:
         return self.q1.shape[1]
-
-    def root_values(self) -> np.ndarray:
-        """The selected mu values, one per chosen (cluster, branch), with
-        multiplicity equal to each cluster size."""
-        vals = []
-        for ci, b in self.chosen:
-            cb = self.clusters[ci]
-            vals.extend([scalar_roots(cb.gamma, self.rho)[b]] * cb.count)
-        return np.asarray(vals, dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -141,66 +117,7 @@ class EigenvectorExpansion:
     order_table: tuple = ()
 
 
-def _cluster(vals: np.ndarray, tol: float) -> list[list[int]]:
-    """Group indices of nearly-equal eigenvalues (union-find by distance)."""
-    n = vals.size
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(vals[i] - vals[j]) <= tol:
-                parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    reps = sorted(groups.values(), key=lambda g: (np.angle(vals[g[0]]), abs(vals[g[0]])))
-    return reps
-
-
-def _cluster_bases(reduced: ReducedPencil, gap_tol_rel: float = CLUSTER_GAP_REL):
-    """All eigenvalue clusters of S_rho with right/left Schur bases."""
-    s = reduced.s_rho
-    if s.shape[0] == 0:
-        return (), 0.0
-    vals = cl.eig(s)[0]
-    scale = max(float(np.abs(vals).max()), 1e-300)
-    tol = gap_tol_rel * scale
-    groups = _cluster(vals, tol)
-    bases = []
-    for g in groups:
-        members = vals[g]
-        rep = complex(members.mean())
-
-        def inside(lam, members=members, tol=tol):
-            return bool(np.min(np.abs(members - lam)) <= 10 * tol)
-
-        q_full, t_full, r = cl.ordered_schur(s, inside)
-        if r != len(g):
-            raise ClusterNotSeparated(
-                f"Schur reordering selected {r} eigenvalues for a cluster of {len(g)}"
-            )
-        q = q_full[:, :r]
-        s11 = t_full[:r, :r]
-        t12 = t_full[:r, r:]
-        t22 = t_full[r:, r:]
-        if t22.shape[0]:
-            rr = cl.solve_sylvester(s11, t22, t12)
-            qt = np.hstack([cl.eye(r), -rr]) @ q_full.conj().T
-        else:
-            qt = q_full.conj().T
-        bases.append(_ClusterBasis(gamma=rep, count=r, q=q, s11=s11, qt=qt))
-    return tuple(bases), tol
-
-
-def eigenvalue_expansions(
-    reduced: ReducedPencil, gap_tol_rel: float = CLUSTER_GAP_REL
-) -> list[EigenvalueExpansion]:
+def eigenvalue_expansions(reduced: ReducedPencil) -> list[EigenvalueExpansion]:
     """One expansion per eigenvalue of S_rho, with multiplicity.
 
     Simple eigenvalues (cluster of size one) get the sharp next-order
@@ -208,9 +125,8 @@ def eigenvalue_expansions(
     """
     rho = reduced.rho
     lam0 = reduced.structure.lambda0
-    bases, _ = _cluster_bases(reduced, gap_tol_rel)
     out = []
-    for cb in bases:
+    for cb in reduced.clusters:
         simple = cb.count == 1
         exp = EigenvalueExpansion(
             rho=rho,
@@ -259,12 +175,7 @@ def _branch_rotation(gamma: complex, rho: int, root_index: int) -> complex:
     return np.exp(2j * np.pi * rots[root_index] / rho)
 
 
-def select_subspace(
-    reduced: ReducedPencil,
-    cluster,
-    root_index=0,
-    gap_tol_rel: float = CLUSTER_GAP_REL,
-) -> SubspaceSelection:
+def select_subspace(reduced: ReducedPencil, cluster, root_index=0) -> SubspaceSelection:
     """Select eigenvalues of Theta_rho that are separated from the rest.
 
     Parameters
@@ -292,8 +203,7 @@ def select_subspace(
         If a triangular root cannot be formed (singular S11).
     """
     rho = reduced.rho
-    s_rho_dim = reduced.s_rho.shape[0]
-    bases, tol = _cluster_bases(reduced, gap_tol_rel)
+    bases = reduced.clusters
     selected = [i for i, cb in enumerate(bases) if cluster(cb.gamma)]
 
     if isinstance(root_index, (int, np.integer)):
@@ -325,30 +235,36 @@ def select_subspace(
             np.asarray(sel_vals)[:, None] - np.asarray(other_vals)[None, :]
         ).min()
         root_scale = max(max(abs(v) for v in sel_vals + other_vals), 1e-300)
-        if gap <= gap_tol_rel * root_scale:
+        if gap <= CLUSTER_GAP_REL * root_scale:
             raise ClusterNotSeparated(
                 f"selected and unselected Theta eigenvalues separated by only {gap:.3e}"
             )
 
-    q_parts, omega_parts = [], []
-    for ci, b in chosen:
-        cb = bases[ci]
-        rot = _branch_rotation(cb.gamma, rho, b)
-        omega_parts.append(_matrix_root(cb.s11, rho, rot))
-        q_parts.append(cb.q)
-    if q_parts:
-        q1 = np.hstack(q_parts)
-        omega = cl.as_matrix(blk_diag(omega_parts))
-    else:
-        q1 = cl.zeros(s_rho_dim, 0)
-        omega = cl.zeros(0, 0)
-
-    phi = np.vstack([q1 @ np.linalg.matrix_power(omega, j) for j in range(rho)]) if q1.shape[1] else cl.zeros(rho * s_rho_dim, 0)
-    sel = SubspaceSelection(
-        rho=rho, q1=q1, omega=omega, phi=phi, clusters=bases, chosen=tuple(chosen)
-    )
+    q1, omega, _ = branch_bases(reduced, chosen)
+    phi = np.vstack([q1 @ np.linalg.matrix_power(omega, j) for j in range(rho)])
+    sel = SubspaceSelection(rho=rho, q1=q1, omega=omega, phi=phi, chosen=tuple(chosen))
     _check_selection(reduced, sel)
     return sel
+
+
+def branch_bases(reduced: ReducedPencil, pairs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Q, Omega, Qt) of a list of (cluster, branch) pairs of S_rho.
+
+    Each pair contributes its cluster's right basis Q_i, the triangular
+    rho-th root of S11_i on that branch as a diagonal block of Omega, and
+    its left basis Qt_i; so S_rho Q = Q Omega^rho and Qt S_rho = Omega^rho Qt.
+    """
+    s_dim = reduced.s_rho.shape[0]
+    if not pairs:
+        return cl.zeros(s_dim, 0), cl.zeros(0, 0), cl.zeros(0, s_dim)
+    rho = reduced.rho
+    qs, oms, qts = [], [], []
+    for ci, b in pairs:
+        cb = reduced.clusters[ci]
+        qs.append(cb.q)
+        oms.append(_matrix_root(cb.s11, rho, _branch_rotation(cb.gamma, rho, b)))
+        qts.append(cb.qt)
+    return np.hstack(qs), blk_diag(oms), np.vstack(qts)
 
 
 def blk_diag(blocks) -> np.ndarray:
@@ -479,7 +395,6 @@ def subspace_expansion(
     sel: SubspaceSelection,
     pair: CanonicalPair | None = None,
     xi: np.ndarray | None = None,
-    include_x_full: bool = True,
 ) -> SubspaceExpansion:
     """Constant term and order table of the perturbed invariant subspace.
 
@@ -491,10 +406,8 @@ def subspace_expansion(
         pair = reduced.pair
     xt = xi_tilde(pair, reduced.rho, xi, col=1)
     h0 = xt @ eigvec_stack(reduced) @ sel.q1
-    x_full = None
-    if include_x_full:
-        base = gtilde_matrix(reduced)
-        x_full = base if xi is None else cl.as_matrix(xi) @ base
+    base = gtilde_matrix(reduced)
+    x_full = base if xi is None else cl.as_matrix(xi) @ base
     return SubspaceExpansion(
         rho=reduced.rho,
         lambda0=reduced.structure.lambda0,
@@ -511,7 +424,6 @@ def eigenvector_expansion(
     root_index: int,
     pair: CanonicalPair | None = None,
     xi: np.ndarray | None = None,
-    gap_tol_rel: float = CLUSTER_GAP_REL,
 ) -> EigenvectorExpansion:
     """Constant eigenvector term for a simple gamma of S_rho.
 
@@ -521,7 +433,7 @@ def eigenvector_expansion(
     """
     if pair is None:
         pair = reduced.pair
-    bases, _ = _cluster_bases(reduced, gap_tol_rel)
+    bases = reduced.clusters
     if not 0 <= which < len(bases):
         raise ValueError(f"which={which} outside 0..{len(bases) - 1}")
     cb = bases[which]

@@ -23,16 +23,19 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, field
+from functools import cached_property
+
 import numpy as np
 import scipy.linalg as la
 
 from . import core_linalg as cl
-from .errors import SingularW
+from .errors import ClusterNotSeparated, SingularW
 from .structure import GENERIC_THRESHOLD, CanonicalPair, JordanStructure, block, w_matrix
 
 __all__ = [
     "ScalingPair",
     "AssembledPencil",
+    "ClusterBasis",
     "ReducedPencil",
     "scalar_roots",
     "sort_complex",
@@ -40,7 +43,12 @@ __all__ = [
     "reduce_pencil",
     "theta_spectrum",
     "finite_pencil_eigs",
+    "CLUSTER_GAP_REL",
 ]
+
+# Relative gap (times the spectral radius of S_rho) below which two
+# eigenvalues of S_rho are treated as one cluster.
+CLUSTER_GAP_REL = 1e-6
 
 
 def sort_complex(values) -> np.ndarray:
@@ -227,6 +235,40 @@ def assemble_pencil(pair: CanonicalPair, rho: int, validate: bool = True) -> Ass
 
 
 @dataclass(frozen=True)
+class ClusterBasis:
+    """Schur data of one eigenvalue cluster of S_rho."""
+
+    gamma: complex
+    count: int
+    q: np.ndarray = field(repr=False)     # right basis: S q = q s11
+    s11: np.ndarray = field(repr=False)
+    qt: np.ndarray = field(repr=False)    # left basis: qt S = s11 qt, qt q = I
+    tol: float                            # absolute clustering radius on Lambda(S_rho)
+
+
+def _cluster(vals: np.ndarray, tol: float) -> list[list[int]]:
+    """Group indices of nearly-equal eigenvalues (union-find by distance)."""
+    n = vals.size
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(vals[i] - vals[j]) <= tol:
+                parent[find(i)] = find(j)
+    groups: dict[int, list[int]] = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    reps = sorted(groups.values(), key=lambda g: (np.angle(vals[g[0]]), abs(vals[g[0]])))
+    return reps
+
+
+@dataclass(frozen=True)
 class ReducedPencil:
     """Output of the permutation + elimination stage for one rho.
 
@@ -297,6 +339,50 @@ class ReducedPencil:
     def hat_eu(self) -> np.ndarray:
         """Permuted mu-error block: Pi_L E_U Pi_R G."""
         return self.pi_l @ self.assembled.eu @ self.pi_r @ self.g
+
+    @cached_property
+    def clusters(self) -> tuple[ClusterBasis, ...]:
+        """All eigenvalue clusters of S_rho with right/left Schur bases,
+        sorted by argument then modulus; computed once per pencil."""
+        s = self.s_rho
+        if s.shape[0] == 0:
+            return ()
+        vals = cl.eig(s)[0]
+        scale = max(float(np.abs(vals).max()), 1e-300)
+        tol = CLUSTER_GAP_REL * scale
+        bases = []
+        for g in _cluster(vals, tol):
+            members = vals[g]
+            rep = complex(members.mean())
+
+            def inside(lam, members=members, tol=tol):
+                return bool(np.min(np.abs(members - lam)) <= 10 * tol)
+
+            q_full, t_full, r = cl.ordered_schur(s, inside)
+            if r != len(g):
+                raise ClusterNotSeparated(
+                    f"Schur reordering selected {r} eigenvalues for a cluster of {len(g)}"
+                )
+            q = q_full[:, :r]
+            s11 = t_full[:r, :r]
+            t12 = t_full[:r, r:]
+            t22 = t_full[r:, r:]
+            if t22.shape[0]:
+                rr = cl.solve_sylvester(s11, t22, t12)
+                qt = np.hstack([cl.eye(r), -rr]) @ q_full.conj().T
+            else:
+                qt = q_full.conj().T
+            bases.append(ClusterBasis(gamma=rep, count=r, q=q, s11=s11, qt=qt, tol=tol))
+        return tuple(bases)
+
+    @cached_property
+    def theta_perturbation(self):
+        """The first-order perturbation of Theta_rho and the X blocks behind
+        it (:func:`jordanperturb.first_order.theta_perturbation`), computed
+        once per pencil and shared by every expansion built on it."""
+        from . import first_order
+
+        return first_order.theta_perturbation(self)
 
     def identity_residual(self, z: float, mu: complex) -> float:
         """Residual of Pi_L L (z mu I - (N + z^rho D)) R Pi_R G = mu U-hat(z) - V-hat(z)."""

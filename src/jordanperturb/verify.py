@@ -15,12 +15,9 @@ validated against the oracle to machine precision.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from . import core_linalg as cl
 from .errors import CardinalityMismatch, InsufficientSamples, NoConvergence
@@ -31,12 +28,7 @@ from .expansion import (
     select_subspace,
     x_order_table,
 )
-from .first_order import (
-    complement_pair,
-    first_order_expansion,
-    solve_riccati,
-    theta_perturbation,
-)
+from .first_order import complement_pair, first_order_expansion, solve_riccati
 from .pencil import assemble_pencil, reduce_pencil, sort_complex
 from .structure import CanonicalPair
 
@@ -129,35 +121,26 @@ def oracle_eigs(a, d, t: float, lambda0: complex, radius_exponent: float, radius
 
 
 def match_eigenvalues(predicted, observed):
-    """Minimum-cost perfect matching between two equal-length eigenvalue lists.
+    """Minimum-cost matching of every predicted eigenvalue to a distinct
+    observed one; the observed list may be longer.
 
     Returns (pairs, max_error) with pairs as (predicted_index,
-    observed_index) tuples.  Raises :class:`CardinalityMismatch` on unequal
-    lengths.
+    observed_index) tuples.  Raises :class:`CardinalityMismatch` when there
+    are fewer observations than predictions.
     """
     p = np.asarray(predicted, dtype=np.complex128).ravel()
     o = np.asarray(observed, dtype=np.complex128).ravel()
-    if p.size != o.size:
-        raise CardinalityMismatch(f"{p.size} predictions vs {o.size} observations")
+    if p.size > o.size:
+        raise CardinalityMismatch(f"{p.size} predictions vs only {o.size} observations")
     if p.size == 0:
         return [], 0.0
+    # scipy.optimize costs about a third of the package import; load it on use.
+    from scipy.optimize import linear_sum_assignment
+
     cost = np.abs(p[:, None] - o[None, :])
     rows, cols = linear_sum_assignment(cost)
     pairs = list(zip(rows.tolist(), cols.tolist()))
     return pairs, float(cost[rows, cols].max())
-
-
-def _match_subset(predicted, observed) -> float:
-    """Max matched distance of predictions into a (possibly larger) observed set."""
-    p = np.asarray(predicted, dtype=np.complex128).ravel()
-    o = np.asarray(observed, dtype=np.complex128).ravel()
-    if p.size == 0:
-        return 0.0
-    if p.size > o.size:
-        raise CardinalityMismatch(f"{p.size} predictions vs only {o.size} observations")
-    cost = np.abs(p[:, None] - o[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].max())
 
 
 def slope_fit(
@@ -217,19 +200,6 @@ def _fit_or_floor(samples, claimed, scale, quantity, note="", slack=DEFAULT_SLAC
         )
 
 
-def _pmap(fn, items):
-    """Ordered map with optional threading capped by JORDANPERTURB_THREADS."""
-    try:
-        workers = int(os.environ.get("JORDANPERTURB_THREADS", "1"))
-    except ValueError:
-        workers = 1
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items))
-
-
 def _subspace_coupling(theta_hat, sel, comp, tol_rel=1e-13, max_iter=100):
     """Exact invariant-subspace continuation of the selected block inside
     Theta-hat: returns (y, rep) with Theta-hat (phi + phi_c y) =
@@ -268,8 +238,6 @@ def verify_all(
     *,
     perturb_h1: float = 0.0,
     swap_root: bool = False,
-    include_order_tables: bool = True,
-    include_riccati: bool = True,
 ) -> list[ConvergenceReport]:
     """Run every verifiable claim for one (pair, rho) over a t-sweep.
 
@@ -310,7 +278,7 @@ def verify_all(
     a_mat = pair.a_matrix()
     d_mat = pair.d11
 
-    observed = _pmap(lambda t: cl.eig(a_mat + t * d_mat)[0], ts)
+    observed = [cl.eig(a_mat + t * d_mat)[0] for t in ts]
 
     reports: list[ConvergenceReport] = []
 
@@ -325,7 +293,7 @@ def verify_all(
         samples = []
         for t, obs in zip(ts, observed):
             preds = np.repeat(exp.predict(t), count)
-            samples.append((t, _match_subset(preds, obs)))
+            samples.append((t, match_eigenvalues(preds, obs)[1]))
         if exp.simple:
             claimed, note = 2.0 / rho, ""
         else:
@@ -372,76 +340,63 @@ def verify_all(
         )
 
     # --- (iii) per-block order tables from the exact small-z solutions.
-    if include_order_tables or include_riccati:
-        sel0 = select_subspace(
-            reduced,
-            lambda lam, g=clusters[0][0].gamma: abs(lam - g) < 1e-6 * max(1.0, abs(g)),
-            0,
+    sel0 = select_subspace(
+        reduced,
+        lambda lam, g=clusters[0][0].gamma: abs(lam - g) < 1e-6 * max(1.0, abs(g)),
+        0,
+    )
+    comp0 = complement_pair(reduced, sel0)
+
+    def solve_point(t):
+        z = t ** (1.0 / rho)
+        try:
+            ric = solve_riccati(assembled, reduced, z)
+            h, _ = exact_subspace_basis(ric, sel0, comp0)
+        except NoConvergence:
+            return None
+        return z, ric, h
+
+    points = [p for p in map(solve_point, ts) if p is not None]
+    if not points:
+        return reports
+
+    base = gtilde_matrix(reduced)
+    idx = pair.index
+    q1, om = sel0.q1, sel0.omega
+    xdev, hdev = [], []
+    for z, ric, h in points:
+        xdev.append(ric.invariant_matrix() - base)
+        hrow = h - base @ sel0.phi
+        for ell in range(2, rho + 1):
+            rows = idx.rows(rho, ell)
+            hrow[rows, :] -= z ** (ell - 1) * (q1 @ np.linalg.matrix_power(om, ell - 1))
+        hdev.append(hrow)
+    for entry in x_order_table(st, rho):
+        rows = idx.rows(entry.block, entry.subrow)
+        samples = [(z**rho, cl.frob(dev[rows, :])) for (z, _, _), dev in zip(points, xdev)]
+        reports.append(
+            _fit_or_floor(
+                samples, float(entry.exponent), scale,
+                f"X[rho={rho},i={entry.block},l={entry.subrow}]", entry.note,
+            )
         )
-        comp0 = complement_pair(reduced, sel0)
-
-        def solve_point(t):
-            z = t ** (1.0 / rho)
-            try:
-                ric = solve_riccati(assembled, reduced, z)
-                h, _ = exact_subspace_basis(ric, sel0, comp0)
-            except NoConvergence:
-                return None
-            return z, ric, h
-
-        points = [p for p in _pmap(solve_point, ts) if p is not None]
-
-        if include_order_tables and points:
-            base = gtilde_matrix(reduced)
-            idx = pair.index
-            q1, om = sel0.q1, sel0.omega
-            x_tab = x_order_table(st, rho)
-            h_tab = h_order_table(st, rho)
-            xdev, hdev = [], []
-            for z, ric, h in points:
-                xdev.append(ric.invariant_matrix() - base)
-                hrow = h - base @ sel0.phi
-                for ell in range(2, rho + 1):
-                    rows = idx.rows(rho, ell)
-                    hrow[rows, :] -= z ** (ell - 1) * (
-                        q1 @ np.linalg.matrix_power(om, ell - 1)
-                    )
-                hdev.append(hrow)
-            for entry in x_tab:
-                rows = idx.rows(entry.block, entry.subrow)
-                samples = [
-                    (z**rho, cl.frob(dev[rows, :])) for (z, _, _), dev in zip(points, xdev)
-                ]
-                reports.append(
-                    _fit_or_floor(
-                        samples, float(entry.exponent), scale,
-                        f"X[rho={rho},i={entry.block},l={entry.subrow}]", entry.note,
-                    )
-                )
-            if sel0.r:
-                for entry in h_tab:
-                    rows = idx.rows(entry.block, entry.subrow)
-                    samples = [
-                        (z**rho, cl.frob(dev[rows, :])) for (z, _, _), dev in zip(points, hdev)
-                    ]
-                    reports.append(
-                        _fit_or_floor(
-                            samples, float(entry.exponent), scale,
-                            f"H[rho={rho},i={entry.block},l={entry.subrow}]", entry.note,
-                        )
-                    )
-
-        # --- (iv) exact Theta-hat vs its first-order model, slope 2 in z.
-        if include_riccati and points:
-            tp = theta_perturbation(reduced)
-            samples = [
-                (z, cl.frob(ric.theta_hat - reduced.theta - z * tp.delta_coef))
-                for z, ric, _ in points
-            ]
+    if sel0.r:
+        for entry in h_order_table(st, rho):
+            rows = idx.rows(entry.block, entry.subrow)
+            samples = [(z**rho, cl.frob(dev[rows, :])) for (z, _, _), dev in zip(points, hdev)]
             reports.append(
                 _fit_or_floor(
-                    samples, 2.0, scale, f"riccati-delta[rho={rho}]", "error measured against z",
+                    samples, float(entry.exponent), scale,
+                    f"H[rho={rho},i={entry.block},l={entry.subrow}]", entry.note,
                 )
             )
 
+    # --- (iv) exact Theta-hat vs its first-order model, slope 2 in z.
+    delta_coef = reduced.theta_perturbation.delta_coef
+    samples = [
+        (z, cl.frob(ric.theta_hat - reduced.theta - z * delta_coef)) for z, ric, _ in points
+    ]
+    reports.append(
+        _fit_or_floor(samples, 2.0, scale, f"riccati-delta[rho={rho}]", "error measured against z")
+    )
     return reports

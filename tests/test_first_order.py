@@ -14,12 +14,17 @@ from jordanperturb import (
     solve_riccati,
     theta_perturbation,
 )
-from jordanperturb import core_linalg as cl
+import jordanperturb.core_linalg
+import jordanperturb.first_order
 from jordanperturb.errors import NoConvergence, NotSemisimple
 from jordanperturb.expansion import eigvec_stack, xi_tilde
-from jordanperturb.first_order import _bhat
-from jordanperturb.structure import block
 
+from closed_forms import (
+    closed_form_delta_coef,
+    closed_form_x_blocks,
+    hatb_terms,
+    semisimple_delta11,
+)
 from conftest import SUITE_SIZES, fit_slope, random_pair
 
 
@@ -97,6 +102,24 @@ class TestComplementPair:
         assert np.linalg.norm(comp.q2t @ rp.s_rho - omc_r @ comp.q2t) < 1e-10
 
 
+def assert_matches_closed_form(rp, tol=1e-12):
+    """The recursion's first-order data equals the closed-form displays (rho >= 2)."""
+    if rp.rho < 2:
+        return
+    tp = theta_perturbation(rp)
+    x1c, x2c, _, c_hat, _ = closed_form_x_blocks(rp)
+    expected = {
+        "x1_coef": x1c,
+        "x2_coef": x2c,
+        "c_hat": c_hat,
+        "delta_coef": closed_form_delta_coef(rp, x1c, x2c),
+    }
+    for name, ref in expected.items():
+        got = getattr(tp, name)
+        assert got.shape == ref.shape, name
+        assert np.linalg.norm(got - ref) <= tol * max(1.0, np.linalg.norm(ref)), name
+
+
 class TestFirstOrderClosedForms:
     def kron_first_order(self, rp):
         """Independent route: solve both first-order Sylvester systems densely."""
@@ -133,12 +156,13 @@ class TestFirstOrderClosedForms:
             scale = max(1.0, np.linalg.norm(x2o))
             assert np.linalg.norm(tp.x1_coef - x1o) <= 1e-10 * scale
             assert np.linalg.norm(tp.x2_coef - x2o) <= 1e-10 * scale
+            assert_matches_closed_form(rp)
 
     @pytest.mark.parametrize("sizes", [(1, 2), (2, 1), (1, 0, 1), (1, 1)])
     def test_delta_display_structure(self, sizes):
         # for rho >= 2, delta_coef has nonzeros only at blocks (rho-1, 1)
         # and (rho, 2) of Theta coordinates, and those equal the corrected
-        # B-hat blocks; the (rho, 2) composite is re-derived here.
+        # B-hat blocks of the closed-form oracle.
         pair = random_pair(sizes, seed=2)
         st = pair.structure
         for rho in [r for r in st.valid_rhos() if r >= 2]:
@@ -152,23 +176,13 @@ class TestFirstOrderClosedForms:
             outside = dc.copy()
             outside[mask] = 0.0
             assert np.linalg.norm(outside) <= 1e-12 * max(1.0, np.linalg.norm(dc))
+            terms = hatb_terms(rp)
             # (rho-1, 1) block is B-hat_{rho-1,1}^{(rho,rho)}
             b1 = dc[(rho - 2) * s_r : (rho - 1) * s_r, :s_r]
-            assert np.allclose(b1, _bhat(rp, rho, rho, rho - 1), atol=1e-12)
-            # (rho, 2) composite, transcribed independently
+            assert np.allclose(b1, terms["b_prev1_rho_rho"], atol=1e-12)
+            # (rho, 2) block is the composite B-hat_{rho,2}^{(rho,rho)}
             b2 = dc[(rho - 1) * s_r :, s_r : 2 * s_r]
-            comp2 = block(pair, rho, rho, rho, 2).astype(complex).copy()
-            if st.s(rho - 1):
-                s_prev = rp.s_blocks[rho - 2]
-                bh = _bhat(rp, rho - 1, rho, rho - 1)
-                comp2 += s_prev @ np.linalg.solve(rp.s_rho.T, bh.T).T
-            if st.k > rho:
-                comp2 += rp.w_cross @ tp.c_hat
-                tail = np.hstack(
-                    [block(pair, rho, q, rho, 2) for q in range(rho + 1, st.k + 1)]
-                )
-                comp2 += tail @ rp.g_blocks[rho - 1]
-            assert np.allclose(b2, comp2, atol=1e-10)
+            assert np.allclose(b2, terms["b_rho2_rho_rho"], atol=1e-10)
 
     def test_zero_d11_gives_zero_perturbation(self):
         st = JordanStructure(0.0, (0, 0, 0, 1))
@@ -232,12 +246,12 @@ class TestFirstOrderExpansion:
                 )
                 mid_parts = []
                 if st.s(rho - 1):
-                    bh = _bhat(rp, rho - 1, rho, rho - 1)
+                    bh = hatb_terms(rp)["b_prev1_prev_rho"]
                     mid_parts.append(np.linalg.solve(rp.s_rho.T, bh.T).T)
                 mid_parts.append(np.zeros((st.s(rho), st.s(rho)), dtype=complex))
                 shat = st.shat(rho + 1)
                 if shat:
-                    mid_parts.append(fo.c_cor)
+                    mid_parts.append(closed_form_x_blocks(rp)[4])  # C-cor
                 mid = np.vstack(mid_parts)
                 term1 = xi_tilde(pair, rho - 1, col=1) @ mid @ sel.q1 @ sel.omega
                 h1_display = term1 + term23
@@ -304,6 +318,36 @@ class TestFirstOrderExpansion:
                 space = np.hstack([p for p in parts if p.size])
                 assert proj_resid(space, fo.h1) <= 1e-10 * max(1.0, np.linalg.norm(fo.h1))
 
+    def test_pencil_data_computed_once(self, monkeypatch):
+        # repeated expansions on one pencil compute the Theta perturbation
+        # once and the S_rho clusters (one ordered Schur form each) once
+        calls = {"theta": 0, "schur": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            jordanperturb.first_order, "theta_perturbation", counted("theta", theta_perturbation)
+        )
+        monkeypatch.setattr(
+            jordanperturb.core_linalg,
+            "ordered_schur",
+            counted("schur", jordanperturb.core_linalg.ordered_schur),
+        )
+        pair = random_pair((0, 2), seed=1)
+        rp = reduce_pencil(assemble_pencil(pair, 2))
+        for _ in range(2):
+            for e in eigenvalue_expansions(rp):
+                for root in range(2):
+                    sel = select_subspace(rp, lambda g, e=e: abs(g - e.gamma) < 1e-9, root)
+                    first_order_expansion(rp, sel, complement_pair(rp, sel))
+        assert calls["theta"] == 1
+        assert calls["schur"] == len(rp.clusters) == 2
+
     def test_two_block_mixed_delta11_against_oracle(self):
         # sizes (1,2), rho=2: lambda(t) - l0 - t^(1/2) mu ~ t * delta
         pair = random_pair((1, 2), seed=3)
@@ -357,6 +401,30 @@ class TestSemisimple:
             mu * np.eye(comp.omega_c.shape[0]) - comp.omega_c, fo.delta21
         )
         assert np.allclose(fo.y, y_closed, atol=1e-10)
+
+    @pytest.mark.parametrize("sizes", SUITE_SIZES + [None])
+    def test_delta11_closed_form(self, sizes):
+        # on every branch of every cluster, Delta11 equals the scalar closed
+        # form (rho mu^(rho-2))^{-1} Qt (Bhat_{rho-1,1} + Bhat_{rho,2}) Q;
+        # sizes None forces S_2 = 9 I, one gamma of multiplicity two
+        if sizes is None:
+            d = np.zeros((4, 4), dtype=complex)
+            d[2:4, 0:2] = 9.0 * np.eye(2)
+            pair = CanonicalPair(JordanStructure(0.0, (0, 2)), d)
+        else:
+            pair = random_pair(sizes, seed=1)
+        checked = 0
+        for rho in [r for r in pair.structure.valid_rhos() if r >= 2]:
+            rp = reduce_pencil(assemble_pencil(pair, rho))
+            for cb in rp.clusters:
+                for root in range(rho):
+                    fo = semisimple_expansion(rp, cb.gamma, root, pair)
+                    closed = semisimple_delta11(rp, cb, fo.omega[0, 0])
+                    assert np.linalg.norm(closed - fo.delta11) <= 1e-12 * max(
+                        1.0, np.linalg.norm(closed)
+                    )
+                    checked += 1
+        assert checked
 
     def test_not_semisimple_raises(self):
         # S_2 = J_2(9): algebraic 2, geometric 1
@@ -486,6 +554,7 @@ class TestDeepStructures:
             scale = max(1.0, np.linalg.norm(x2o))
             assert np.linalg.norm(tp.x1_coef - x1o) <= 1e-10 * scale
             assert np.linalg.norm(tp.x2_coef - x2o) <= 1e-10 * scale
+            assert_matches_closed_form(rp)
 
     @pytest.mark.parametrize("sizes", DEEP_SIZES)
     def test_delta_consistency_slope_two(self, sizes):
