@@ -11,7 +11,6 @@ and then measures each block with the exact small-z solver.
 import numpy as np
 
 import jordanperturb as jp
-from jordanperturb.expansion import gtilde_matrix
 from jordanperturb.verify import exact_subspace_basis
 
 st = jp.JordanStructure(0.0, (1, 2))
@@ -36,7 +35,7 @@ for e in sub.order_table:
 
 comp = jp.complement_pair(reduced, sel)
 idx = pair.index
-base = gtilde_matrix(reduced)
+base = reduced.x0  # the constant basis X0 of the reduced pencil
 
 print("\nmeasured block norms of the exact basis (riccati route):")
 ts = np.geomspace(1e-3, 1e-7, 5)

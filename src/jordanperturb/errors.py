@@ -13,10 +13,6 @@ class NoConvergence(JordanPerturbError):
     """An iterative refinement (Newton or fixed-point) failed to reach the requested tolerance."""
 
 
-class ClusterSplitFailure(JordanPerturbError):
-    """Selected and unselected eigenvalues are too close to reorder a Schur form."""
-
-
 class SpectraOverlap(JordanPerturbError):
     """Sylvester solve rejected: the two coefficient spectra (nearly) intersect."""
 

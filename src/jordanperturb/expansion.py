@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import core_linalg as cl
-from .errors import ClusterNotSeparated, MatrixRootFailure, NotSimple
+from .errors import ClusterNotSeparated, NotSimple
 from .pencil import CLUSTER_GAP_REL, ReducedPencil, scalar_roots
 from .structure import CanonicalPair, JordanStructure
 
@@ -35,10 +35,6 @@ __all__ = [
     "subspace_expansion",
     "eigenvector_expansion",
     "h_order_table",
-    "x_order_table",
-    "eigvec_stack",
-    "xi_tilde",
-    "gtilde_matrix",
     "CLUSTER_GAP_REL",
 ]
 
@@ -141,40 +137,6 @@ def eigenvalue_expansions(reduced: ReducedPencil) -> list[EigenvalueExpansion]:
     return out
 
 
-def _matrix_root(s11: np.ndarray, rho: int, branch_rotation: complex) -> np.ndarray:
-    """Triangular rho-th root on a chosen branch: rotation times the
-    principal fractional power (exact for the 1x1 case)."""
-    r = s11.shape[0]
-    if r == 0:
-        return cl.zeros(0, 0)
-    sigma = cl.smallest_singular_value(s11)
-    if sigma < 1e-14 * max(1.0, cl.frob(s11)):
-        raise MatrixRootFailure("S11 is numerically singular; no invertible rho-th root")
-    if r == 1:
-        root = np.array([[complex(s11[0, 0]) ** (1.0 / rho)]])
-    else:
-        import scipy.linalg as la
-
-        root = la.fractional_matrix_power(s11, 1.0 / rho).astype(np.complex128)
-    omega = branch_rotation * root
-    res = cl.frob(np.linalg.matrix_power(omega, rho) - s11) / max(1.0, cl.frob(s11))
-    if res > 1e-10:
-        raise MatrixRootFailure(f"matrix root residual {res:.3e} too large")
-    return omega
-
-
-def _branch_rotation(gamma: complex, rho: int, root_index: int) -> complex:
-    """Rotation e^(2 pi i b / rho) whose root lands at position root_index
-    of the argument-sorted root list."""
-    if not 0 <= root_index < rho:
-        raise ValueError(f"root_index={root_index} outside 0..{rho - 1}")
-    principal = complex(gamma) ** (1.0 / rho)
-    rots = sorted(
-        range(rho), key=lambda b: np.angle(principal * np.exp(2j * np.pi * b / rho))
-    )
-    return np.exp(2j * np.pi * rots[root_index] / rho)
-
-
 def select_subspace(reduced: ReducedPencil, cluster, root_index=0) -> SubspaceSelection:
     """Select eigenvalues of Theta_rho that are separated from the rest.
 
@@ -257,14 +219,12 @@ def branch_bases(reduced: ReducedPencil, pairs) -> tuple[np.ndarray, np.ndarray,
     s_dim = reduced.s_rho.shape[0]
     if not pairs:
         return cl.zeros(s_dim, 0), cl.zeros(0, 0), cl.zeros(0, s_dim)
-    rho = reduced.rho
-    qs, oms, qts = [], [], []
-    for ci, b in pairs:
-        cb = reduced.clusters[ci]
-        qs.append(cb.q)
-        oms.append(_matrix_root(cb.s11, rho, _branch_rotation(cb.gamma, rho, b)))
-        qts.append(cb.qt)
-    return np.hstack(qs), blk_diag(oms), np.vstack(qts)
+    bases = [(reduced.clusters[ci], b) for ci, b in pairs]
+    return (
+        np.hstack([cb.q for cb, _ in bases]),
+        blk_diag([cb.omega(b) for cb, b in bases]),
+        np.vstack([cb.qt for cb, _ in bases]),
+    )
 
 
 def blk_diag(blocks) -> np.ndarray:
@@ -290,83 +250,15 @@ def _check_selection(reduced: ReducedPencil, sel: SubspaceSelection):
         raise AssertionError("phi lost full column rank")
 
 
-def xi_tilde(pair: CanonicalPair, rho: int, xi: np.ndarray | None = None, col: int = 1) -> np.ndarray:
-    """Columns [Xi_{rho,col} Xi_{rho+1,col} ... Xi_{k,col}] of xi.
+def h_order_table(structure: JordanStructure, rho: int, full: bool = False) -> tuple[OrderEntry, ...]:
+    """Claimed decay exponents for the blocks H_i of the subspace basis, or
+    with ``full`` for the blocks of the full basis X.
 
-    ``col = 1`` gives the eigenvector columns; ``col = 2`` the first
-    generalized eigenvectors (blocks of size 1 contribute nothing).
-    """
-    st = pair.structure
-    if xi is None:
-        xi = cl.eye(st.dim)
-    parts = []
-    for i in range(rho, st.k + 1):
-        if col <= i:
-            parts.append(xi[:, pair.index.cols(i, col)])
-    if not parts:
-        return cl.zeros(xi.shape[0], 0)
-    return np.hstack(parts)
-
-
-def eigvec_stack(reduced: ReducedPencil) -> np.ndarray:
-    """[I_{s_rho}; G_rho^(rho)]: pencil eigenvector coordinates over XiTilde_rho."""
-    s_rho = reduced.structure.s(reduced.rho)
-    return np.vstack([cl.eye(s_rho), reduced.g_blocks[reduced.rho - 1]])
-
-
-def gtilde_matrix(reduced: ReducedPencil) -> np.ndarray:
-    """Constant term of the full invariant-subspace basis: m x (rho s_rho), with I_{s_rho}
-    (resp. G_{i rho}) in the first column block of each row group i >= rho."""
-    st = reduced.structure
-    rho = reduced.rho
-    s_rho = st.s(rho)
-    out = cl.zeros(st.dim, rho * s_rho)
-    idx = reduced.pair.index
-    if s_rho == 0:
-        return out
-    out[idx.rows(rho, 1), :s_rho] = np.eye(s_rho)
-    for i in range(rho + 1, st.k + 1):
-        out[idx.rows(i, 1), :s_rho] = reduced.g_sub(i, rho)
-    return out
-
-
-def h_order_table(structure: JordanStructure, rho: int) -> tuple[OrderEntry, ...]:
-    """Claimed decay exponents for the blocks H_i of the subspace basis.
-
-    For i = rho the exponents bound the residual after subtracting the
-    explicit terms Q1 (t^(1/rho) Omega)^(l-1).
-    """
-    entries = []
-    for i in range(1, structure.k + 1):
-        if structure.s(i) == 0:
-            continue
-        if i < rho:
-            for ell in range(1, i + 1):
-                entries.append(
-                    OrderEntry(i, ell, Fraction(rho - (i - ell + 1), rho))
-                )
-        elif i == rho:
-            for ell in range(1, rho + 1):
-                entries.append(
-                    OrderEntry(i, ell, Fraction(ell, rho), note="after explicit term")
-                )
-        else:
-            for ell in range(1, i + 1):
-                if ell <= 2:
-                    e = Fraction(1, rho)
-                elif ell <= rho:
-                    e = Fraction(ell - 1, rho)
-                else:
-                    e = Fraction(1)
-                entries.append(OrderEntry(i, ell, e))
-    return tuple(entries)
-
-
-def x_order_table(structure: JordanStructure, rho: int) -> tuple[OrderEntry, ...]:
-    """Claimed decay exponents for the blocks of the full basis X.
-
-    The i = rho block is exactly diag(0, t^(1/rho) I, ..., t^(1-1/rho) I) on
-    top of the constant part, so its rows carry exact exponents.
+    The two tables differ only in block i = rho.  For H its exponents bound
+    the residual after subtracting the explicit terms Q1 (t^(1/rho)
+    Omega)^(l-1).  For X that block is exactly diag(0, t^(1/rho) I, ...,
+    t^(1-1/rho) I) on top of the constant part, so its rows from 2 on carry
+    exact exponents.
     """
     entries = []
     for i in range(1, structure.k + 1):
@@ -375,9 +267,12 @@ def x_order_table(structure: JordanStructure, rho: int) -> tuple[OrderEntry, ...
         if i < rho:
             for ell in range(1, i + 1):
                 entries.append(OrderEntry(i, ell, Fraction(rho - (i - ell + 1), rho)))
-        elif i == rho:
+        elif i == rho and full:
             for ell in range(2, rho + 1):
                 entries.append(OrderEntry(i, ell, Fraction(ell - 1, rho), note="exact"))
+        elif i == rho:
+            for ell in range(1, rho + 1):
+                entries.append(OrderEntry(i, ell, Fraction(ell, rho), note="after explicit term"))
         else:
             for ell in range(1, i + 1):
                 if ell <= 2:
@@ -398,20 +293,17 @@ def subspace_expansion(
 ) -> SubspaceExpansion:
     """Constant term and order table of the perturbed invariant subspace.
 
-    ``h0 = XiTilde_rho [I; G_rho] Q1`` may be column-rank deficient even
-    though the exact perturbed basis has full rank; no rank invariant is
-    asserted on it.
+    ``h0 = X0 Phi`` (``xi X0 Phi`` for a general problem), where X0 is the
+    pencil's constant basis ``ReducedPencil.x0``; it equals
+    ``XiTilde_rho [I; G_rho] Q1`` and may be column-rank deficient even
+    though the exact perturbed basis has full rank, so no rank invariant is
+    asserted on it.  ``pair`` is not read: the pencil carries its pair.
     """
-    if pair is None:
-        pair = reduced.pair
-    xt = xi_tilde(pair, reduced.rho, xi, col=1)
-    h0 = xt @ eigvec_stack(reduced) @ sel.q1
-    base = gtilde_matrix(reduced)
-    x_full = base if xi is None else cl.as_matrix(xi) @ base
+    x_full = reduced.x0 if xi is None else cl.as_matrix(xi) @ reduced.x0
     return SubspaceExpansion(
         rho=reduced.rho,
         lambda0=reduced.structure.lambda0,
-        h0=h0,
+        h0=x_full @ sel.phi,
         omega=sel.omega,
         order_table=h_order_table(reduced.structure, reduced.rho),
         x_full=x_full,
@@ -428,23 +320,23 @@ def eigenvector_expansion(
     """Constant eigenvector term for a simple gamma of S_rho.
 
     ``which`` indexes the argument-sorted eigenvalue clusters of S_rho; the
-    chosen cluster must be simple.  Returns ``XiTilde_rho [phi; G phi]`` and
-    the fractional-order table of the correction blocks.
+    chosen cluster must be simple.  Returns ``X0 Phi`` (``xi X0 Phi`` for a
+    general problem), which equals ``XiTilde_rho [phi; G phi]``, and the
+    fractional-order table of the correction blocks.  ``pair`` is not read:
+    the pencil carries its pair.
     """
-    if pair is None:
-        pair = reduced.pair
     bases = reduced.clusters
     if not 0 <= which < len(bases):
         raise ValueError(f"which={which} outside 0..{len(bases) - 1}")
     cb = bases[which]
     if cb.count != 1:
         raise NotSimple(f"gamma={cb.gamma:.6g} has multiplicity {cb.count}")
-    mu = scalar_roots(cb.gamma, reduced.rho)[root_index]
-    phi_vec = cb.q
-    constant = xi_tilde(pair, reduced.rho, xi, col=1) @ eigvec_stack(reduced) @ phi_vec
+    mu = complex(scalar_roots(cb.gamma, reduced.rho)[root_index])
+    phi = np.vstack([cb.q * mu**j for j in range(reduced.rho)])
+    x_full = reduced.x0 if xi is None else cl.as_matrix(xi) @ reduced.x0
     return EigenvectorExpansion(
         gamma=cb.gamma,
-        mu=complex(mu),
-        constant=constant,
+        mu=mu,
+        constant=x_full @ phi,
         order_table=h_order_table(reduced.structure, reduced.rho),
     )

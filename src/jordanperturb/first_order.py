@@ -102,9 +102,9 @@ class RiccatiSolution:
         """X-tilde = R(z) Pi_R G [X1; I; X2], satisfying
         (N + z^rho D11) X-tilde = X-tilde (z Theta-hat)."""
         r = self.reduced
-        n2 = r.n2
-        stack = np.vstack([self.x1, cl.eye(n2), self.x2])
-        return r.assembled.scaling.r_matrix(self.z) @ (r.pi_r @ r.g @ stack)
+        stack = np.vstack([self.x1, cl.eye(r.n2), self.x2])
+        zc = np.asarray(self.z, dtype=np.complex128)
+        return (zc ** r.assembled.scaling.right_exponents)[:, None] * r.lift(stack)
 
 
 def complement_pair(reduced: ReducedPencil, sel: SubspaceSelection) -> ComplementPair:
@@ -200,31 +200,6 @@ def _nilpotent_sylvester_right(v33, u33, theta, rhs):
     return acc
 
 
-def _recursion_x_blocks(reduced: ReducedPencil):
-    """First-order X blocks (X1, X2) at any rho, from the two structured
-    Sylvester systems of the reduced pencil,
-
-        V11 X1 - X1 Theta = -E12,      V33 X2 - U33 X2 Theta = F32 Theta - E32,
-
-    where E = Pi_L V_1 Pi_R G is the z^1 coefficient of V-hat(z) and
-    F = Pi_L E_U Pi_R G that of U-hat(z).  V11 is nilpotent and the pencil
-    (U33, V33) has only infinite eigenvalues, so both Neumann series
-    terminate."""
-    v1h = reduced.hat_v1()
-    euh = reduced.hat_eu()
-    g1, g2, g3 = reduced.g1, reduced.g2, reduced.g3
-    theta = reduced.theta
-    v11 = reduced.v_hat[g1, g1]
-    v33 = reduced.v_hat[g3, g3]
-    u33 = reduced.u_hat[g3, g3]
-    e12 = v1h[g1, g2]
-    e32 = v1h[g3, g2]
-    eu32 = euh[g3, g2]
-    x1c = _nilpotent_sylvester_left(v11, theta, e12)
-    x2c = _nilpotent_sylvester_right(v33, u33, theta, -(e32 - eu32 @ theta))
-    return x1c, x2c
-
-
 @dataclass(frozen=True)
 class ThetaPerturbation:
     """Selection-independent first-order data: Theta-hat(z) = Theta + z*delta_coef + O(z^2),
@@ -240,25 +215,35 @@ class ThetaPerturbation:
 def theta_perturbation(reduced: ReducedPencil) -> ThetaPerturbation:
     """First-order perturbation of Theta_rho and the X blocks behind it.
 
-    One path at every rho: X1 and X2 from the structured Sylvester solves,
-    then delta_coef = E22 + V21 X1 + V23 X2.  ``ReducedPencil.theta_perturbation``
-    holds the result computed once per pencil.
+    One path at every rho: X1 and X2 from the two structured Sylvester
+    systems of the reduced pencil,
+
+        V11 X1 - X1 Theta = -E12,      V33 X2 - U33 X2 Theta = F32 Theta - E32,
+
+    where E = Pi_L V_1 Pi_R G is the z^1 coefficient of V-hat(z) and
+    F = Pi_L E_U Pi_R G that of U-hat(z).  V11 is nilpotent and the pencil
+    (U33, V33) has only infinite eigenvalues, so both Neumann series
+    terminate.  Then delta_coef = E22 + V21 X1 + V23 X2.
+    ``ReducedPencil.theta_perturbation`` holds the result computed once per
+    pencil.
     """
+    ap = reduced.assembled
     st = reduced.structure
     rho = reduced.rho
     s_rho = st.s(rho)
-    x1c, x2c = _recursion_x_blocks(reduced)
+    g1, g2, g3 = reduced.g1, reduced.g2, reduced.g3
+    theta = reduced.theta
+    v1h = reduced.hat(ap.ev_coeffs.get(1, cl.zeros(st.dim, st.dim)))
+    euh = reduced.hat(ap.eu)
+    x1c = _nilpotent_sylvester_left(reduced.v_hat[g1, g1], theta, v1h[g1, g2])
+    x2c = _nilpotent_sylvester_right(
+        reduced.v_hat[g3, g3], reduced.u_hat[g3, g3], theta, -(v1h[g3, g2] - euh[g3, g2] @ theta)
+    )
     # C-hat sits in the eigenvector rows of X2, in the second column block of
     # Theta coordinates (the first and only one when rho = 1).
     col = min(rho - 1, 1) * s_rho
     c_hat = x2c[: st.shat(rho + 1), col : col + s_rho]
-
-    v1h = reduced.hat_v1()
-    g1, g2, g3 = reduced.g1, reduced.g2, reduced.g3
-    e22 = v1h[g2, g2]
-    v21 = reduced.v_hat[g2, g1]
-    v23 = reduced.v_hat[g2, g3]
-    delta_coef = e22 + v21 @ x1c + v23 @ x2c
+    delta_coef = v1h[g2, g2] + reduced.v_hat[g2, g1] @ x1c + reduced.v_hat[g2, g3] @ x2c
     return ThetaPerturbation(delta_coef=delta_coef, x1_coef=x1c, x2_coef=x2c, c_hat=c_hat)
 
 
@@ -285,11 +270,9 @@ def first_order_expansion(
         pair = reduced.pair
     st = pair.structure
     rho = reduced.rho
-    n2 = reduced.n2
     r = sel.r
 
     tp = reduced.theta_perturbation
-    x1c, x2c = tp.x1_coef, tp.x2_coef
 
     left = np.vstack([comp.psi, comp.psi_c])
     right = np.hstack([sel.phi, comp.phi_c])
@@ -302,28 +285,26 @@ def first_order_expansion(
     else:
         y = cl.zeros(comp.omega_c.shape[0], r)
 
-    # H0 and H1 as the exact z^0 and z^1 coefficients of Xi R(z) F(z) Phi-hat(z).
-    mdim = st.dim
-    f0 = reduced.pi_r @ reduced.g @ np.vstack(
-        [cl.zeros(reduced.n1, n2), cl.eye(n2), cl.zeros(mdim - reduced.n1 - n2, n2)]
-    )
-    f1 = reduced.pi_r @ reduced.g @ np.vstack([x1c, cl.zeros(n2, n2), x2c])
-    scaling = reduced.assembled.scaling
-    p0 = scaling.right_power_selector(0)
-    p1 = scaling.right_power_selector(1)
-    h0_raw = p0 @ f0 @ sel.phi
-    h1_raw = p1 @ f0 @ sel.phi + p0 @ (f1 @ sel.phi + f0 @ comp.phi_c @ y)
+    # H0 and H1 as the exact z^0 and z^1 coefficients of
+    # Xi R(z) Pi_R G [z X1; I; z X2] (Phi + z Phi_c Y): H0 = X0 Phi, and H1 takes
+    # the z^1 rows of R(z) from the constant term and its z^0 rows from the rest.
+    n1, n3 = reduced.n1, st.dim - reduced.n1 - reduced.n2
+    f0 = reduced.lift(np.vstack([cl.zeros(n1, r), sel.phi, cl.zeros(n3, r)]))
+    f1 = reduced.lift(np.vstack([tp.x1_coef @ sel.phi, comp.phi_c @ y, tp.x2_coef @ sel.phi]))
+    exps = reduced.assembled.scaling.right_exponents[:, None]
+    h0 = reduced.x0 @ sel.phi
+    h1 = np.where(exps == 1, f0, 0.0) + np.where(exps == 0, f1, 0.0)
     if xi is not None:
         ximat = cl.as_matrix(xi)
-        h0_raw = ximat @ h0_raw
-        h1_raw = ximat @ h1_raw
+        h0 = ximat @ h0
+        h1 = ximat @ h1
 
     return FirstOrderExpansion(
         rho=rho,
         lambda0=st.lambda0,
         omega=sel.omega,
-        h0=h0_raw,
-        h1=h1_raw,
+        h0=h0,
+        h1=h1,
         delta11=delta11,
         delta21=delta21,
         y=y,
@@ -392,8 +373,8 @@ def solve_riccati(
     """
     if z <= 0:
         raise ValueError("z must be positive")
-    uz = r.u_hat_of(z)
-    vz = r.v_hat_of(z)
+    uz = r.hat(p.u_of(z))
+    vz = r.hat(p.v_of(z))
     ev = vz - r.v_hat
     eu = uz - r.u_hat
     g1, g2, g3 = r.g1, r.g2, r.g3

@@ -29,8 +29,8 @@ import numpy as np
 import scipy.linalg as la
 
 from . import core_linalg as cl
-from .errors import ClusterNotSeparated, SingularW
-from .structure import GENERIC_THRESHOLD, CanonicalPair, JordanStructure, block, w_matrix
+from .errors import ClusterNotSeparated, MatrixRootFailure, SingularW
+from .structure import GENERIC_THRESHOLD, BlockIndex, CanonicalPair, JordanStructure, block, w_matrix
 
 __all__ = [
     "ScalingPair",
@@ -51,11 +51,23 @@ __all__ = [
 CLUSTER_GAP_REL = 1e-6
 
 
+def _argsort_complex(vals: np.ndarray) -> list[int]:
+    """Indices that order vals by argument in (-pi, pi], then modulus."""
+    return sorted(range(vals.size), key=lambda i: (np.angle(vals[i]), abs(vals[i]), vals[i].real))
+
+
 def sort_complex(values) -> np.ndarray:
     """Deterministic eigenvalue ordering: argument in (-pi, pi], then modulus."""
     vals = np.asarray(values, dtype=np.complex128).ravel()
-    key = sorted(range(vals.size), key=lambda i: (np.angle(vals[i]), abs(vals[i]), vals[i].real))
-    return vals[key]
+    return vals[_argsort_complex(vals)]
+
+
+def _branch_rotations(gamma: complex, rho: int) -> tuple[complex, np.ndarray]:
+    """The principal rho-th root of gamma and the rotations e^(2 pi i b / rho),
+    ordered so that principal * rotations[r] is root r of :func:`scalar_roots`."""
+    principal = complex(gamma) ** (1.0 / rho) if gamma != 0 else 0j
+    rotations = np.array([cmath.exp(2j * cmath.pi * b / rho) for b in range(rho)])
+    return principal, rotations[_argsort_complex(principal * rotations)]
 
 
 def scalar_roots(gamma: complex, rho: int) -> np.ndarray:
@@ -66,10 +78,8 @@ def scalar_roots(gamma: complex, rho: int) -> np.ndarray:
     """
     if rho < 1:
         raise ValueError("rho must be >= 1")
-    gamma = complex(gamma)
-    principal = gamma ** (1.0 / rho) if gamma != 0 else 0.0
-    roots = [principal * cmath.exp(2j * cmath.pi * b / rho) for b in range(rho)]
-    return sort_complex(roots)
+    principal, rotations = _branch_rotations(gamma, rho)
+    return principal * rotations
 
 
 def left_exponent(i: int, ell: int, rho: int) -> int:
@@ -107,16 +117,6 @@ class ScalingPair:
                 pos += sj
         return cls(rho=rho, left_exponents=left, right_exponents=right)
 
-    def l_matrix(self, z: float) -> np.ndarray:
-        return np.diag(np.asarray(z, dtype=np.complex128) ** self.left_exponents)
-
-    def r_matrix(self, z: float) -> np.ndarray:
-        return np.diag(np.asarray(z, dtype=np.complex128) ** self.right_exponents)
-
-    def right_power_selector(self, e: int) -> np.ndarray:
-        """0/1 diagonal picking the rows of R(z) that carry z^e."""
-        return np.diag((self.right_exponents == e).astype(np.complex128))
-
 
 @dataclass(frozen=True)
 class AssembledPencil:
@@ -149,15 +149,20 @@ class AssembledPencil:
     def v_of(self, z: float) -> np.ndarray:
         return self.v0 + self.ev_of(z)
 
-    def identity_residual(self, z: float, mu: complex, d11=None) -> float:
+    def scaled_problem(self, z: float, mu: complex) -> np.ndarray:
+        """L(z) (z mu I - (N + z^rho D11)) R(z), with L and R applied as row
+        and column scalings."""
+        raw = z * mu * cl.eye(self.pair.structure.dim) - (
+            self.pair.nilpotent + (z**self.rho) * self.pair.d11
+        )
+        zc = np.asarray(z, dtype=np.complex128)
+        return (zc**self.scaling.left_exponents)[:, None] * raw * zc**self.scaling.right_exponents
+
+    def identity_residual(self, z: float, mu: complex) -> float:
         """|| L(z mu I - (N + z^rho D)) R - (mu U(z) - V(z)) || / scale."""
-        st = self.pair.structure
-        d = self.pair.d11 if d11 is None else d11
-        raw = z * mu * cl.eye(st.dim) - (self.pair.nilpotent + (z**self.rho) * d)
-        lhs = self.scaling.l_matrix(z) @ raw @ self.scaling.r_matrix(z)
+        lhs = self.scaled_problem(z, mu)
         rhs = mu * self.u_of(z) - self.v_of(z)
-        scale = max(1.0, cl.frob(lhs))
-        return cl.frob(lhs - rhs) / scale
+        return cl.frob(lhs - rhs) / max(1.0, cl.frob(lhs))
 
 
 def assemble_pencil(pair: CanonicalPair, rho: int, validate: bool = True) -> AssembledPencil:
@@ -244,6 +249,33 @@ class ClusterBasis:
     s11: np.ndarray = field(repr=False)
     qt: np.ndarray = field(repr=False)    # left basis: qt S = s11 qt, qt q = I
     tol: float                            # absolute clustering radius on Lambda(S_rho)
+    rho: int                              # root order of the cluster's branches
+
+    @cached_property
+    def root(self) -> np.ndarray:
+        """Principal rho-th root of S11 (exact for a 1x1 block).
+
+        Computed on first use, so that a singular S11 fails only the
+        selections that take this cluster; raises :class:`MatrixRootFailure`.
+        """
+        s11 = self.s11
+        if cl.smallest_singular_value(s11) < 1e-14 * max(1.0, cl.frob(s11)):
+            raise MatrixRootFailure("S11 is numerically singular; no invertible rho-th root")
+        if self.count == 1:
+            root = np.array([[complex(s11[0, 0]) ** (1.0 / self.rho)]])
+        else:
+            root = la.fractional_matrix_power(s11, 1.0 / self.rho).astype(np.complex128)
+        res = cl.frob(np.linalg.matrix_power(root, self.rho) - s11) / max(1.0, cl.frob(s11))
+        if res > 1e-10:
+            raise MatrixRootFailure(f"matrix root residual {res:.3e} too large")
+        return root
+
+    def omega(self, branch: int) -> np.ndarray:
+        """Triangular rho-th root of S11 on root branch ``branch``, indexed
+        like :func:`scalar_roots` of gamma."""
+        if not 0 <= branch < self.rho:
+            raise ValueError(f"root_index={branch} outside 0..{self.rho - 1}")
+        return _branch_rotations(self.gamma, self.rho)[1][branch] * self.root
 
 
 def _cluster(vals: np.ndarray, tol: float) -> list[list[int]]:
@@ -276,22 +308,27 @@ class ReducedPencil:
     (rho*s_rho rows, holding Theta_rho), g3 = everything else (the stacked
     eigenvector-row group of width shat_{rho+1} first, then the remaining
     sub-rows of blocks > rho).
+
+    Pi_L, Pi_R and G are kept as index maps: ``row_order[i]`` is the row of
+    the assembled pencil that lands at row i (Pi_L M = M[row_order]) and
+    ``col_order[c]`` the column that lands at column c (M Pi_R =
+    M[:, col_order]).  G is the identity except for ``g_block``, the
+    shat_{rho+1} x (n1 + n2) block in the eigenvector rows and the g1/g2
+    columns that holds G^(rho)_j at the leading sub-column of each block
+    j <= rho.
     """
 
     assembled: AssembledPencil
     rho: int
-    theta: np.ndarray = field(repr=False)
     s_rho: np.ndarray = field(repr=False)
     s_blocks: tuple = field(repr=False)      # S_1..S_rho
     g_blocks: tuple = field(repr=False)      # G^(rho)_1..G^(rho)_rho
     w_rho: np.ndarray = field(repr=False)
     w_rho_next: np.ndarray = field(repr=False)
     w_cross: np.ndarray = field(repr=False)  # W_{rho,rho+1}
-    pi_l: np.ndarray = field(repr=False)
-    pi_r: np.ndarray = field(repr=False)
-    g: np.ndarray = field(repr=False)
-    u_hat: np.ndarray = field(repr=False)
-    v_hat: np.ndarray = field(repr=False)
+    row_order: np.ndarray = field(repr=False)
+    col_order: np.ndarray = field(repr=False)
+    g_block: np.ndarray = field(repr=False)
     n1: int
     n2: int
 
@@ -315,6 +352,12 @@ class ReducedPencil:
     def g3(self) -> slice:
         return slice(self.n1 + self.n2, self.structure.dim)
 
+    @property
+    def eig_rows(self) -> slice:
+        """The eigenvector-row group, where G - I is nonzero."""
+        start = self.n1 + self.n2
+        return slice(start, start + self.g_block.shape[0])
+
     def g_sub(self, i: int, j: int) -> np.ndarray:
         """G_{ij}: the s_i x s_j sub-block of G^(rho)_j for i > rho."""
         st = self.structure
@@ -322,23 +365,57 @@ class ReducedPencil:
         start = sum(st.s(p) for p in range(self.rho + 1, i))
         return gj[start : start + st.s(i), :]
 
-    def u_hat_of(self, z: float) -> np.ndarray:
-        return self.pi_l @ self.assembled.u_of(z) @ self.pi_r @ self.g
+    def hat(self, m: np.ndarray) -> np.ndarray:
+        """Pi_L m Pi_R G: a gather into the reduced order, then G as one block
+        product on the g1/g2 columns, the only ones it changes.
 
-    def v_hat_of(self, z: float) -> np.ndarray:
-        return self.pi_l @ self.assembled.v_of(z) @ self.pi_r @ self.g
+        The product with [I; g_block] sums in the same order as the dense
+        Pi_L m Pi_R G; the first-order recursion amplifies a change of that
+        order to about 5e-12 relative on ill-conditioned pencils.
+        """
+        n12 = self.n1 + self.n2
+        out = np.asarray(m, dtype=np.complex128)[np.ix_(self.row_order, self.col_order)]
+        out[:, :n12] = out[:, : self.eig_rows.stop] @ np.vstack([cl.eye(n12), self.g_block])
+        return out
 
-    def hat_v1(self) -> np.ndarray:
-        """First-order coefficient of V-hat(z): Pi_L V_1 Pi_R G."""
-        v1 = self.assembled.ev_coeffs.get(1)
-        if v1 is None:
-            m = self.structure.dim
-            return cl.zeros(m, m)
-        return self.pi_l @ v1 @ self.pi_r @ self.g
+    def lift(self, y: np.ndarray) -> np.ndarray:
+        """Pi_R G y: G as one block update, then a scatter back to the original rows."""
+        gy = np.array(y, dtype=np.complex128)
+        gy[self.eig_rows] += self.g_block @ gy[: self.n1 + self.n2]
+        out = np.empty_like(gy)
+        out[self.col_order] = gy
+        return out
 
-    def hat_eu(self) -> np.ndarray:
-        """Permuted mu-error block: Pi_L E_U Pi_R G."""
-        return self.pi_l @ self.assembled.eu @ self.pi_r @ self.g
+    @cached_property
+    def u_hat(self) -> np.ndarray:
+        """Pi_L U Pi_R G, the mu part of the reduced pencil at z = 0."""
+        return self.hat(self.assembled.u0)
+
+    @cached_property
+    def v_hat(self) -> np.ndarray:
+        """Pi_L V Pi_R G = [[V11, 0, 0], [V21, Theta, V23], [0, 0, V33]] at z = 0."""
+        return self.hat(self.assembled.v0)
+
+    @property
+    def theta(self) -> np.ndarray:
+        """Theta_rho, the g2 x g2 block of V-hat."""
+        return self.v_hat[self.g2, self.g2]
+
+    @cached_property
+    def x0(self) -> np.ndarray:
+        """The constant basis X0: the z^0 part of R(z) Pi_R G [0; I; 0].
+
+        An m x (rho s_rho) matrix holding I_{s_rho} (resp. G_{i rho}) in the
+        first column block at sub-row 1 of block rho (resp. of each block
+        i > rho); every constant subspace term is X0 Phi.  Read-only, as it
+        is shared by every expansion built on this pencil.
+        """
+        mid = cl.zeros(self.structure.dim, self.n2)
+        mid[self.g2] = cl.eye(self.n2)
+        x0 = self.lift(mid)
+        x0[self.assembled.scaling.right_exponents != 0] = 0.0
+        x0.flags.writeable = False
+        return x0
 
     @cached_property
     def clusters(self) -> tuple[ClusterBasis, ...]:
@@ -372,7 +449,9 @@ class ReducedPencil:
                 qt = np.hstack([cl.eye(r), -rr]) @ q_full.conj().T
             else:
                 qt = q_full.conj().T
-            bases.append(ClusterBasis(gamma=rep, count=r, q=q, s11=s11, qt=qt, tol=tol))
+            bases.append(
+                ClusterBasis(gamma=rep, count=r, q=q, s11=s11, qt=qt, tol=tol, rho=self.rho)
+            )
         return tuple(bases)
 
     @cached_property
@@ -386,11 +465,9 @@ class ReducedPencil:
 
     def identity_residual(self, z: float, mu: complex) -> float:
         """Residual of Pi_L L (z mu I - (N + z^rho D)) R Pi_R G = mu U-hat(z) - V-hat(z)."""
-        st = self.structure
-        raw = z * mu * cl.eye(st.dim) - (self.pair.nilpotent + (z**self.rho) * self.pair.d11)
-        sc = self.assembled.scaling
-        lhs = self.pi_l @ (sc.l_matrix(z) @ raw @ sc.r_matrix(z)) @ self.pi_r @ self.g
-        rhs = mu * self.u_hat_of(z) - self.v_hat_of(z)
+        ap = self.assembled
+        lhs = self.hat(ap.scaled_problem(z, mu))
+        rhs = self.hat(mu * ap.u_of(z) - ap.v_of(z))
         return cl.frob(lhs - rhs) / max(1.0, cl.frob(lhs))
 
 
@@ -398,59 +475,44 @@ def _permutations(structure: JordanStructure, rho: int) -> tuple[np.ndarray, np.
     """Row order: blocks 1..rho, then sub-row i of each block i > rho, then
     sub-rows 1..i-1 of each block i > rho.  Column order: blocks 1..rho, then
     sub-column 1 of each block j > rho, then sub-columns 2..j."""
-    from .structure import BlockIndex
-
     idx = BlockIndex(structure)
-    mdim = structure.dim
+    k = structure.k
 
     def expand(groups):
-        out = []
-        for sl in groups:
-            out.extend(range(sl.start, sl.stop))
-        return np.array(out, dtype=np.int64)
+        return np.array([i for sl in groups for i in range(sl.start, sl.stop)], dtype=np.int64)
 
     row_groups = [idx.rows(i, ell) for i in range(1, rho + 1) for ell in range(1, i + 1)]
-    row_groups += [idx.rows(i, i) for i in range(rho + 1, structure.k + 1)]
-    row_groups += [
-        idx.rows(i, ell) for i in range(rho + 1, structure.k + 1) for ell in range(1, i)
-    ]
+    row_groups += [idx.rows(i, i) for i in range(rho + 1, k + 1)]
+    row_groups += [idx.rows(i, ell) for i in range(rho + 1, k + 1) for ell in range(1, i)]
     col_groups = [idx.cols(j, m) for j in range(1, rho + 1) for m in range(1, j + 1)]
-    col_groups += [idx.cols(j, 1) for j in range(rho + 1, structure.k + 1)]
-    col_groups += [
-        idx.cols(j, m) for j in range(rho + 1, structure.k + 1) for m in range(2, j + 1)
-    ]
+    col_groups += [idx.cols(j, 1) for j in range(rho + 1, k + 1)]
+    col_groups += [idx.cols(j, m) for j in range(rho + 1, k + 1) for m in range(2, j + 1)]
     row_order = expand(row_groups)
     col_order = expand(col_groups)
-    assert row_order.size == mdim and col_order.size == mdim
-    pi_l = np.eye(mdim, dtype=np.complex128)[row_order, :]
-    pi_r = np.eye(mdim, dtype=np.complex128)[:, col_order]
-    return pi_l, pi_r
+    assert row_order.size == structure.dim and col_order.size == structure.dim
+    return row_order, col_order
 
 
-def reduce_pencil(
-    p: AssembledPencil, pair: CanonicalPair | None = None, threshold: float = GENERIC_THRESHOLD
-) -> ReducedPencil:
+def reduce_pencil(p: AssembledPencil) -> ReducedPencil:
     """Permute and eliminate the z = 0 pencil, extracting Theta_rho and S_i.
 
     Requires W_{rho+1} to be invertible (vacuous when rho = k); raises
     :class:`SingularW` otherwise.  The eliminated pencil splits into zero
     eigenvalues (V11 nilpotent), Lambda(Theta_rho), and infinite eigenvalues.
     """
-    if pair is None:
-        pair = p.pair
+    pair = p.pair
     st = pair.structure
     rho = p.rho
     k = st.k
-    mdim = st.dim
     shat_next = st.shat(rho + 1)
 
     if rho < k and shat_next > 0:
         w_next = w_matrix(pair, rho + 1)
         sigma = cl.smallest_singular_value(w_next)
         scale = max(cl.frob(pair.d11), 1e-300)
-        if sigma <= threshold * scale:
+        if sigma <= GENERIC_THRESHOLD * scale:
             raise SingularW(
-                f"W_{rho + 1} has sigma_min {sigma:.3e} <= {threshold:.1e} * ||D11||; "
+                f"W_{rho + 1} has sigma_min {sigma:.3e} <= {GENERIC_THRESHOLD:.1e} * ||D11||; "
                 "the generic condition fails"
             )
     else:
@@ -470,16 +532,13 @@ def reduce_pencil(
             g_blocks.append(cl.zeros(0, st.s(j)))
     g_blocks = tuple(g_blocks)
 
-    pi_l, pi_r = _permutations(st, rho)
+    row_order, col_order = _permutations(st, rho)
     n1 = sum(i * st.s(i) for i in range(1, rho))
     n2 = rho * st.s(rho)
-    g = cl.eye(mdim)
+    g_block = cl.zeros(shat_next, n1 + n2)
     for j in range(1, rho + 1):
         start = pair.index.offset(j, 1)
-        g[n1 + n2 : n1 + n2 + shat_next, start : start + st.s(j)] = g_blocks[j - 1]
-
-    u_hat = pi_l @ p.u0 @ pi_r  # G does not touch the mu-constant part
-    v_hat = pi_l @ p.v0 @ pi_r @ g
+        g_block[:, start : start + st.s(j)] = g_blocks[j - 1]
 
     w_cross = (
         np.hstack([block(pair, rho, q, rho, 1) for q in range(rho + 1, k + 1)])
@@ -490,22 +549,18 @@ def reduce_pencil(
         block(pair, rho, i, rho, 1) + w_cross @ g_blocks[i - 1] for i in range(1, rho + 1)
     )
 
-    theta = v_hat[n1 : n1 + n2, n1 : n1 + n2]
     return ReducedPencil(
         assembled=p,
         rho=rho,
-        theta=theta,
         s_rho=s_blocks[rho - 1],
         s_blocks=s_blocks,
         g_blocks=g_blocks,
         w_rho=w_matrix(pair, rho),
         w_rho_next=w_next,
         w_cross=w_cross,
-        pi_l=pi_l,
-        pi_r=pi_r,
-        g=g,
-        u_hat=u_hat,
-        v_hat=v_hat,
+        row_order=row_order,
+        col_order=col_order,
+        g_block=g_block,
         n1=n1,
         n2=n2,
     )

@@ -117,10 +117,6 @@ class BlockIndex:
     # Rows Sigma_{i,l} use the same layout as columns.
     rows = cols
 
-    def block_start(self, j: int) -> int:
-        """Start of the full j-th block group (width j*s_j)."""
-        return self.offset(j, 1)
-
     def _check(self, j: int, m: int):
         k = self.structure.k
         if not (1 <= m <= j <= k):

@@ -21,13 +21,7 @@ import numpy as np
 
 from . import core_linalg as cl
 from .errors import CardinalityMismatch, InsufficientSamples, NoConvergence
-from .expansion import (
-    eigenvalue_expansions,
-    gtilde_matrix,
-    h_order_table,
-    select_subspace,
-    x_order_table,
-)
+from .expansion import eigenvalue_expansions, h_order_table, select_subspace
 from .first_order import complement_pair, first_order_expansion, solve_riccati
 from .pencil import assemble_pencil, reduce_pencil, sort_complex
 from .structure import CanonicalPair
@@ -105,8 +99,8 @@ class ConvergenceReport:
         }
 
 
-def oracle_eigs(a, d, t: float, lambda0: complex, radius_exponent: float, radius_const: float = 10.0) -> np.ndarray:
-    """Eigenvalues of a + t*d within radius_const * t^radius_exponent of lambda0.
+def oracle_eigs(a, d, t: float, lambda0: complex, radius_exponent: float) -> np.ndarray:
+    """Eigenvalues of a + t*d within 10 t^radius_exponent of lambda0.
 
     Sorted by argument of (lambda - lambda0), then modulus.  A small
     eps-level floor keeps the t = 0 case meaningful.
@@ -114,7 +108,7 @@ def oracle_eigs(a, d, t: float, lambda0: complex, radius_exponent: float, radius
     a = cl.as_matrix(a, "a")
     d = cl.as_matrix(d, "d")
     w = cl.eig(a + t * d)[0]
-    radius = radius_const * t**radius_exponent if t > 0 else 0.0
+    radius = 10.0 * t**radius_exponent if t > 0 else 0.0
     radius = max(radius, FLOOR_FACTOR * cl.EPS * (1.0 + cl.frob(a)))
     keep = w[np.abs(w - lambda0) <= radius]
     return sort_complex(keep - lambda0) + lambda0
@@ -360,7 +354,7 @@ def verify_all(
     if not points:
         return reports
 
-    base = gtilde_matrix(reduced)
+    base = reduced.x0
     idx = pair.index
     q1, om = sel0.q1, sel0.omega
     xdev, hdev = [], []
@@ -371,7 +365,7 @@ def verify_all(
             rows = idx.rows(rho, ell)
             hrow[rows, :] -= z ** (ell - 1) * (q1 @ np.linalg.matrix_power(om, ell - 1))
         hdev.append(hrow)
-    for entry in x_order_table(st, rho):
+    for entry in h_order_table(st, rho, full=True):
         rows = idx.rows(entry.block, entry.subrow)
         samples = [(z**rho, cl.frob(dev[rows, :])) for (z, _, _), dev in zip(points, xdev)]
         reports.append(

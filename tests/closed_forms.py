@@ -1,4 +1,4 @@
-"""Closed-form first-order displays, kept as a test oracle.
+"""Closed-form displays, kept as a test oracle.
 
 The library computes the first-order X blocks, C-hat and the Theta
 perturbation by the structured Sylvester recursion at every rho
@@ -6,6 +6,11 @@ perturbation by the structured Sylvester recursion at every rho
 closed forms in the elimination-corrected blocks B-hat of D11; they are
 transcribed here, sharing no code with the recursion, so the tests can assert
 that both agree.
+
+Likewise the library forms every constant subspace term as X0 Phi from the
+pencil's constant basis ``ReducedPencil.x0``; the displayed form
+``XiTilde_rho [I; G_rho] Q1`` and the block layout of X0 are built here from
+the block index map alone.
 """
 
 import numpy as np
@@ -13,6 +18,41 @@ import scipy.linalg as la
 
 from jordanperturb import core_linalg as cl
 from jordanperturb.structure import block
+
+
+def xi_tilde(pair, rho, xi=None, col=1):
+    """Columns [Xi_{rho,col} Xi_{rho+1,col} ... Xi_{k,col}] of xi.
+
+    ``col = 1`` gives the eigenvector columns; ``col = 2`` the first
+    generalized eigenvectors (blocks of size 1 contribute nothing).
+    """
+    st = pair.structure
+    if xi is None:
+        xi = cl.eye(st.dim)
+    parts = [xi[:, pair.index.cols(i, col)] for i in range(rho, st.k + 1) if col <= i]
+    return np.hstack(parts) if parts else cl.zeros(xi.shape[0], 0)
+
+
+def eigvec_stack(reduced):
+    """[I_{s_rho}; G_rho^(rho)]: pencil eigenvector coordinates over XiTilde_rho."""
+    s_rho = reduced.structure.s(reduced.rho)
+    return np.vstack([cl.eye(s_rho), reduced.g_blocks[reduced.rho - 1]])
+
+
+def gtilde_matrix(reduced):
+    """Constant term of the full invariant-subspace basis: m x (rho s_rho), with I_{s_rho}
+    (resp. G_{i rho}) in the first column block of each row group i >= rho."""
+    st = reduced.structure
+    rho = reduced.rho
+    s_rho = st.s(rho)
+    out = cl.zeros(st.dim, rho * s_rho)
+    idx = reduced.pair.index
+    if s_rho == 0:
+        return out
+    out[idx.rows(rho, 1), :s_rho] = np.eye(s_rho)
+    for i in range(rho + 1, st.k + 1):
+        out[idx.rows(i, 1), :s_rho] = reduced.g_sub(i, rho)
+    return out
 
 
 def bhat(reduced, j, ell, i):
@@ -104,7 +144,8 @@ def closed_form_x_blocks(reduced):
 def closed_form_delta_coef(reduced, x1c, x2c):
     """delta_coef = E22 + V21 X1 + V23 X2 from given first-order X blocks."""
     g1, g2, g3 = reduced.g1, reduced.g2, reduced.g3
-    e22 = reduced.hat_v1()[g2, g2]
+    m = reduced.structure.dim
+    e22 = reduced.hat(reduced.assembled.ev_coeffs.get(1, cl.zeros(m, m)))[g2, g2]
     return e22 + reduced.v_hat[g2, g1] @ x1c + reduced.v_hat[g2, g3] @ x2c
 
 

@@ -14,14 +14,10 @@ from jordanperturb import (
 )
 from jordanperturb import core_linalg as cl
 from jordanperturb.errors import ClusterNotSeparated, MatrixRootFailure, NotSimple
-from jordanperturb.expansion import (
-    eigvec_stack,
-    gtilde_matrix,
-    h_order_table,
-    x_order_table,
-    xi_tilde,
-)
+from jordanperturb.expansion import h_order_table
+from jordanperturb.first_order import complement_pair
 
+from closed_forms import eigvec_stack, gtilde_matrix, xi_tilde
 from conftest import SUITE_SIZES, random_pair
 
 
@@ -152,6 +148,33 @@ class TestSelectSubspace:
         with pytest.raises(MatrixRootFailure):
             select_subspace(rp, lambda g: abs(g) < 0.5, 0)
 
+    def test_cluster_roots_computed_once(self, monkeypatch):
+        # selecting and complementing every (cluster, branch) of one pencil
+        # takes each cluster's matrix root once; S_2 = diag(9, 9, 4, 4) makes
+        # both clusters 2 x 2, so every root goes through fractional_matrix_power
+        import scipy.linalg
+
+        calls = []
+        power = scipy.linalg.fractional_matrix_power
+
+        def counted(a, t):
+            calls.append(t)
+            return power(a, t)
+
+        monkeypatch.setattr(scipy.linalg, "fractional_matrix_power", counted)
+        st = JordanStructure(0.0, (0, 4))
+        d = np.zeros((8, 8), dtype=complex)
+        d[4:8, 0:4] = np.diag([9.0, 9.0, 4.0, 4.0])
+        rp = reduce_pencil(assemble_pencil(CanonicalPair(st, d), 2))
+        assert [cb.count for cb in rp.clusters] == [2, 2]
+        for cb in rp.clusters:
+            for root in range(2):
+                sel = select_subspace(rp, lambda g, cb=cb: abs(g - cb.gamma) < 1e-9, root)
+                comp = complement_pair(rp, sel)
+                assert np.allclose(np.abs(np.diag(sel.omega)), np.sqrt(abs(cb.gamma)))
+                assert comp.omega_c.shape == (6, 6)
+        assert len(calls) == len(rp.clusters)
+
     def test_multi_branch_selection(self):
         _, rp = example1_reduced()
         sel = select_subspace(rp, lambda g: True, [(1, 2, 3)])
@@ -276,7 +299,7 @@ class TestOrderTables:
 
     def test_x_table_skips_exact_zero_row(self):
         st = JordanStructure(0.0, (0, 0, 0, 1))
-        tab = x_order_table(st, 4)
+        tab = h_order_table(st, 4, full=True)
         rows = [(e.block, e.subrow) for e in tab]
         assert (4, 1) not in rows  # identically zero row
         entries = {(e.block, e.subrow): e.exponent for e in tab}
@@ -291,7 +314,8 @@ class TestOrderTables:
     def test_gtilde_shape(self):
         pair = random_pair((1, 2), seed=0)
         rp = reduce_pencil(assemble_pencil(pair, 2))
-        g = gtilde_matrix(rp)
+        g = rp.x0
+        assert np.array_equal(g, gtilde_matrix(rp))
         assert g.shape == (5, 4)
         # I_{s_rho} sits in the leading sub-row of the rho block group
         assert g[1, 0] == 1.0 and g[2, 1] == 1.0

@@ -17,13 +17,16 @@ from jordanperturb import (
 import jordanperturb.core_linalg
 import jordanperturb.first_order
 from jordanperturb.errors import NoConvergence, NotSemisimple
-from jordanperturb.expansion import eigvec_stack, xi_tilde
+from jordanperturb.expansion import eigenvector_expansion, subspace_expansion
 
 from closed_forms import (
     closed_form_delta_coef,
     closed_form_x_blocks,
+    eigvec_stack,
+    gtilde_matrix,
     hatb_terms,
     semisimple_delta11,
+    xi_tilde,
 )
 from conftest import SUITE_SIZES, fit_slope, random_pair
 
@@ -123,8 +126,10 @@ def assert_matches_closed_form(rp, tol=1e-12):
 class TestFirstOrderClosedForms:
     def kron_first_order(self, rp):
         """Independent route: solve both first-order Sylvester systems densely."""
-        v1h = rp.hat_v1()
-        euh = rp.hat_eu()
+        ap = rp.assembled
+        m = rp.structure.dim
+        v1h = rp.hat(ap.ev_coeffs.get(1, np.zeros((m, m), dtype=complex)))
+        euh = rp.hat(ap.eu)
         g1, g2, g3 = rp.g1, rp.g2, rp.g3
         theta = rp.theta
         n2 = theta.shape[0]
@@ -263,10 +268,23 @@ class TestFirstOrderExpansion:
     def test_subspace_residual_slope(self, sizes):
         pair = random_pair(sizes, seed=1)
         a, d = pair.a_matrix(), pair.d11
+        xi = np.random.default_rng(1).normal(size=(pair.structure.dim + 2, pair.structure.dim))
         for rho in pair.structure.valid_rhos():
             rp = reduce_pencil(assemble_pencil(pair, rho))
             sel, comp = pick_cluster(rp)
             fo = first_order_expansion(rp, sel, comp, pair)
+            # every constant term X0 Phi equals the display XiTilde_rho [I; G_rho] Q1
+            assert np.array_equal(rp.x0, gtilde_matrix(rp))
+            display = xi_tilde(pair, rho) @ eigvec_stack(rp)
+            cb = rp.clusters[0]
+            for h0, ref in [
+                (fo.h0, display @ sel.q1),
+                (subspace_expansion(rp, sel, pair).h0, display @ sel.q1),
+                (eigenvector_expansion(rp, 0, 0, pair).constant, display @ cb.q),
+                (subspace_expansion(rp, sel, pair, xi).h0, xi_tilde(pair, rho, xi) @ eigvec_stack(rp) @ sel.q1),
+            ]:
+                assert h0.shape == ref.shape
+                assert np.linalg.norm(h0 - ref) <= 1e-14 * max(1.0, np.linalg.norm(ref))
             ts = np.geomspace(1e-2, 1e-8, 13)
             errs = []
             for t in ts:

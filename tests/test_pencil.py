@@ -131,12 +131,28 @@ class TestReduce:
 
     @pytest.mark.parametrize("sizes", SUITE_SIZES)
     def test_permutation_sanity(self, sizes):
+        # the row and column orders are permutations, and hat / lift agree with
+        # the dense products Pi_L M Pi_R G and Pi_R G Y built from them
         pair = random_pair(sizes, seed=2)
-        for rho in pair.structure.valid_rhos():
+        st = pair.structure
+        m = st.dim
+        rng = np.random.default_rng(0)
+        for rho in st.valid_rhos():
             rp = reduce_pencil(assemble_pencil(pair, rho))
-            for p in (rp.pi_l, rp.pi_r):
-                assert set(np.unique(p.real)) <= {0.0, 1.0}
-                assert np.allclose(p @ p.conj().T, np.eye(p.shape[0]))
+            for order in (rp.row_order, rp.col_order):
+                assert np.array_equal(np.sort(order), np.arange(m))
+            pi_l = np.eye(m)[rp.row_order, :]
+            pi_r = np.eye(m)[:, rp.col_order]
+            g = np.eye(m, dtype=complex)
+            e0 = rp.n1 + rp.n2
+            for j in range(1, rho + 1):
+                start = pair.index.offset(j, 1)
+                g[e0 : e0 + st.shat(rho + 1), start : start + st.s(j)] = rp.g_blocks[j - 1]
+            mat = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+            y = rng.normal(size=(m, 3)) + 1j * rng.normal(size=(m, 3))
+            scale = np.linalg.norm(mat) * max(1.0, np.linalg.norm(g))
+            assert np.linalg.norm(rp.hat(mat) - pi_l @ mat @ pi_r @ g) <= 1e-14 * scale
+            assert np.linalg.norm(rp.lift(y) - pi_r @ g @ y) <= 1e-14 * scale
 
     @pytest.mark.parametrize("sizes", SUITE_SIZES)
     def test_w_factorization(self, sizes):
