@@ -21,7 +21,7 @@ reduced = jp.reduce_pencil(assembled)
 
 gamma = np.linalg.eigvals(reduced.s_rho)[0]
 sel = jp.select_subspace(reduced, lambda g: abs(g - gamma) < 1e-6 * abs(gamma), 0)
-sub = jp.subspace_expansion(reduced, sel, pair)
+sub = jp.subspace_expansion(reduced, sel)
 
 print(f"structure sizes = {st.sizes}, rho = {rho}")
 print(f"selected gamma = {gamma:.4f}, mu = {sel.omega[0, 0]:.4f}")

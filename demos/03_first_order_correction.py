@@ -19,7 +19,7 @@ reduced = jp.reduce_pencil(jp.assemble_pencil(pair, rho))
 gamma = np.linalg.eigvals(reduced.s_rho)[0]
 sel = jp.select_subspace(reduced, lambda g: abs(g - gamma) < 1e-6 * abs(gamma), 0)
 comp = jp.complement_pair(reduced, sel)
-fo = jp.first_order_expansion(reduced, sel, comp, pair)
+fo = jp.first_order_expansion(reduced, sel, comp)
 
 print(f"sizes = {st.sizes}, rho = {rho}, gamma = {gamma:.4f}, mu = {sel.omega[0,0]:.4f}")
 print(f"\nH1 =\n{np.round(fo.h1, 4)}")

@@ -38,7 +38,7 @@ print(f"\nLambda(S_2) = {np.round(np.linalg.eigvals(reduced.s_rho), 4)}")
 gamma = np.linalg.eigvals(reduced.s_rho)[0]
 sel = jp.select_subspace(reduced, lambda g: abs(g - gamma) < 1e-6 * abs(gamma), 0)
 comp = jp.complement_pair(reduced, sel)
-fo = jp.first_order_expansion(reduced, sel, comp, red.pair, xi=trans.xi)
+fo = jp.first_order_expansion(reduced, sel, comp, xi=trans.xi)
 
 print("\nsubspace relation residual in the ORIGINAL coordinates:")
 print(f"{'t':>10} {'residual':>12} {'residual/t':>12}")

@@ -21,7 +21,7 @@ import numpy as np
 from . import core_linalg as cl
 from .errors import ClusterNotSeparated, NotSimple
 from .pencil import CLUSTER_GAP_REL, ReducedPencil, scalar_roots
-from .structure import CanonicalPair, JordanStructure
+from .structure import JordanStructure
 
 __all__ = [
     "EigenvalueExpansion",
@@ -288,7 +288,6 @@ def h_order_table(structure: JordanStructure, rho: int, full: bool = False) -> t
 def subspace_expansion(
     reduced: ReducedPencil,
     sel: SubspaceSelection,
-    pair: CanonicalPair | None = None,
     xi: np.ndarray | None = None,
 ) -> SubspaceExpansion:
     """Constant term and order table of the perturbed invariant subspace.
@@ -297,7 +296,7 @@ def subspace_expansion(
     pencil's constant basis ``ReducedPencil.x0``; it equals
     ``XiTilde_rho [I; G_rho] Q1`` and may be column-rank deficient even
     though the exact perturbed basis has full rank, so no rank invariant is
-    asserted on it.  ``pair`` is not read: the pencil carries its pair.
+    asserted on it.
     """
     x_full = reduced.x0 if xi is None else cl.as_matrix(xi) @ reduced.x0
     return SubspaceExpansion(
@@ -314,7 +313,6 @@ def eigenvector_expansion(
     reduced: ReducedPencil,
     which: int,
     root_index: int,
-    pair: CanonicalPair | None = None,
     xi: np.ndarray | None = None,
 ) -> EigenvectorExpansion:
     """Constant eigenvector term for a simple gamma of S_rho.
@@ -322,8 +320,7 @@ def eigenvector_expansion(
     ``which`` indexes the argument-sorted eigenvalue clusters of S_rho; the
     chosen cluster must be simple.  Returns ``X0 Phi`` (``xi X0 Phi`` for a
     general problem), which equals ``XiTilde_rho [phi; G phi]``, and the
-    fractional-order table of the correction blocks.  ``pair`` is not read:
-    the pencil carries its pair.
+    fractional-order table of the correction blocks.
     """
     bases = reduced.clusters
     if not 0 <= which < len(bases):

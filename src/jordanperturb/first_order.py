@@ -11,11 +11,12 @@ Sylvester systems in the reduced pencil coordinates, followed by a
 biorthogonal compression of the resulting Theta perturbation and one small
 Sylvester solve for the complement coupling Y.
 
-``solve_riccati`` keeps all orders instead: at a fixed z it solves the exact
-coupling equations by Newton's method with the exact Jacobian, yielding the
+``solve_riccati`` keeps all orders instead: at a fixed, possibly complex z
+it solves the exact coupling equations by Newton's method, yielding the
 exact perturbed block Theta-hat(z) and an exact invariant-subspace matrix,
 which the verification module uses as ground truth for every claimed
-fractional order.
+fractional order.  Each Newton step is a generalized Sylvester equation,
+solved one column at a time in the complex Schur form of Theta-hat.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from . import core_linalg as cl
 from .errors import ClusterNotSeparated, NoConvergence, NotSemisimple, SingularNormalizer
 from .expansion import SubspaceSelection, branch_bases
 from .pencil import CLUSTER_GAP_REL, AssembledPencil, ReducedPencil, scalar_roots
-from .structure import CanonicalPair
 
 __all__ = [
     "ComplementPair",
@@ -88,9 +88,9 @@ class FirstOrderExpansion:
 
 @dataclass(frozen=True)
 class RiccatiSolution:
-    """Exact deflation data of the scaled pencil at one fixed z."""
+    """Exact deflation data of the scaled pencil at one fixed, possibly complex z."""
 
-    z: float
+    z: complex
     x1: np.ndarray = field(repr=False)
     x2: np.ndarray = field(repr=False)
     theta_hat: np.ndarray = field(repr=False)
@@ -251,7 +251,6 @@ def first_order_expansion(
     reduced: ReducedPencil,
     sel: SubspaceSelection,
     comp: ComplementPair,
-    pair: CanonicalPair | None = None,
     xi: np.ndarray | None = None,
 ) -> FirstOrderExpansion:
     """Assemble H1 and Delta11 for the selected subspace.
@@ -266,9 +265,7 @@ def first_order_expansion(
     at rho = 1 that coupling is itself first order and the relation then
     holds through t only (same truncation caveat as ``effective_d11``).
     """
-    if pair is None:
-        pair = reduced.pair
-    st = pair.structure
+    st = reduced.structure
     rho = reduced.rho
     r = sel.r
 
@@ -316,7 +313,6 @@ def semisimple_expansion(
     reduced: ReducedPencil,
     gamma: complex,
     root_index: int,
-    pair: CanonicalPair | None = None,
     xi: np.ndarray | None = None,
 ) -> FirstOrderExpansion:
     """Special case: gamma semi-simple with multiplicity r, Omega = mu I_r.
@@ -329,8 +325,6 @@ def semisimple_expansion(
     which the test suite asserts.  Raises :class:`NotSemisimple` when the
     geometric multiplicity falls short.
     """
-    if pair is None:
-        pair = reduced.pair
     rho = reduced.rho
     bases = reduced.clusters
     gaps = [abs(cb.gamma - gamma) for cb in bases]
@@ -353,53 +347,76 @@ def semisimple_expansion(
     sel = SubspaceSelection(
         rho=rho, q1=cb.q, omega=omega, phi=phi, chosen=((ci, int(root_index)),)
     )
-    return first_order_expansion(reduced, sel, complement_pair(reduced, sel), pair, xi)
+    return first_order_expansion(reduced, sel, complement_pair(reduced, sel), xi)
+
+
+def _coupling(r: ReducedPencil, vz, uz, x):
+    """Residual and Newton linearization of the coupling equations at X = [X1; X2].
+
+    With S = [X1; I; X2] and gc the rows g1 followed by g3, returns
+    (Theta-hat, F, A, B): Theta-hat = V(z)[g2,:] S, the residual
+    F = V(z)[gc,:] S - [X1; U(z)[g3,:] S] Theta-hat, and the Jacobian
+    dX -> A dX - B dX Theta-hat of F, where
+    A = V(z)[gc,gc] - [X1; U(z)[g3,:] S] V(z)[g2,gc] and B = [[I, 0]; U(z)[g3,gc]].
+    """
+    n1, n2 = r.n1, r.n2
+    gc = np.r_[0:n1, n1 + n2 : r.structure.dim]
+    stack = np.vstack([x[:n1], cl.eye(n2), x[n1:]])
+    theta_hat = vz[r.g2, :] @ stack
+    p = np.vstack([x[:n1], uz[r.g3, :] @ stack])
+    res = vz[gc, :] @ stack - p @ theta_hat
+    a = vz[np.ix_(gc, gc)] - p @ vz[r.g2, gc]
+    b = np.vstack([np.eye(n1, len(gc), dtype=np.complex128), uz[r.g3, gc]])
+    return theta_hat, res, a, b
+
+
+def _schur_sylvester(a, b, theta, f):
+    """X with a X - b X theta = f: in the complex Schur form theta = Q T Q^H,
+    Y = X Q is found one column at a time from
+    (a - T_kk b) y_k = (f Q)_k + b Y[:, :k] T[:k, k]."""
+    t, q = la.schur(theta, output="complex")
+    fq = f @ q
+    y = np.empty_like(fq)
+    for k in range(t.shape[0]):
+        y[:, k] = np.linalg.solve(a - t[k, k] * b, fq[:, k] + b @ (y[:, :k] @ t[:k, k]))
+    return y @ q.conj().T
 
 
 def solve_riccati(
     p: AssembledPencil,
     r: ReducedPencil,
-    z: float,
+    z: complex,
     tol: float | None = None,
     max_iter: int = 200,
 ) -> RiccatiSolution:
     """Exact deflating-subspace coupling at a fixed z by Newton's method.
 
     Starting from X1 = X2 = 0, each step solves the coupling equations
-    linearized at the current (X1, X2), with the exact Jacobian in Kronecker
-    form, so convergence is quadratic once the iterate is close.  Raises
-    :class:`NoConvergence` when the residual diverges or ``max_iter`` steps
-    do not reach ``tol`` (z too large).
+    linearized at the current X = [X1; X2], a generalized Sylvester equation
+    A dX - B dX Theta-hat = -F: in the Schur coordinates of Theta-hat it is
+    one (m - n2)-square solve per column, n2 in all (the Kronecker form is
+    one solve of size (m - n2) n2), and convergence is quadratic once the
+    iterate is close.  z may be complex.
+    Raises :class:`NoConvergence` when the residual diverges or ``max_iter``
+    steps do not reach ``tol`` (z too large).
     """
-    if z <= 0:
-        raise ValueError("z must be positive")
+    if z == 0:
+        raise ValueError("z must be nonzero")
     uz = r.hat(p.u_of(z))
     vz = r.hat(p.v_of(z))
-    ev = vz - r.v_hat
-    eu = uz - r.u_hat
-    g1, g2, g3 = r.g1, r.g2, r.g3
-    n1, n2 = r.n1, r.n2
-    n3 = r.structure.dim - n1 - n2
-
-    scale = max(1.0, cl.frob(vz))
+    n1 = r.n1
     if tol is None:
-        tol = 1e-12 * scale
+        tol = 1e-12 * max(1.0, cl.frob(vz))
 
-    x1 = cl.zeros(n1, n2)
-    x2 = cl.zeros(n3, n2)
-    theta_hat = r.theta.copy()
+    x = cl.zeros(r.structure.dim - r.n2, r.n2)
     resid = np.inf
     first_resid = None
-    eye2 = cl.eye(n2)
     for it in range(max_iter + 1):
-        stack = np.vstack([x1, eye2, x2])
-        theta_hat = vz[g2, :] @ stack
-        r1 = vz[g1, :] @ stack - x1 @ theta_hat
-        r3 = vz[g3, :] @ stack - (uz[g3, :] @ stack) @ theta_hat
-        resid = np.sqrt(cl.frob(r1) ** 2 + cl.frob(r3) ** 2)
+        theta_hat, res, a, b = _coupling(r, vz, uz, x)
+        resid = cl.frob(res)
         if resid <= tol:
             return RiccatiSolution(
-                z=z, x1=x1, x2=x2, theta_hat=theta_hat,
+                z=z, x1=x[:n1], x2=x[n1:], theta_hat=theta_hat,
                 iterations=it, residual=resid, reduced=r,
             )
         if first_resid is None:
@@ -410,32 +427,7 @@ def solve_riccati(
             )
         if it == max_iter:
             break
-        # Newton step on the (quadratic) coupling system, with the exact
-        # Jacobian in Kronecker form.  The quadratic term enters only through
-        # Theta-hat = V(z)[g2,:] S, so every Jacobian block stays small.
-        th_t = theta_hat.T
-        p3 = uz[g3, :] @ stack
-        j11 = (
-            np.kron(eye2, vz[g1, g1])
-            - np.kron(th_t, cl.eye(n1))
-            - np.kron(eye2, x1 @ vz[g2, g1])
-        )
-        j13 = np.kron(eye2, vz[g1, g3]) - np.kron(eye2, x1 @ vz[g2, g3])
-        j31 = (
-            np.kron(eye2, vz[g3, g1])
-            - np.kron(th_t, eu[g3, g1])
-            - np.kron(eye2, p3 @ vz[g2, g1])
-        )
-        j33 = (
-            np.kron(eye2, vz[g3, g3])
-            - np.kron(th_t, uz[g3, g3])
-            - np.kron(eye2, p3 @ vz[g2, g3])
-        )
-        jmat = np.block([[j11, j13], [j31, j33]])
-        rhs = -np.concatenate([r1.flatten(order="F"), r3.flatten(order="F")])
-        sol = la.solve(jmat, rhs)
-        x1 = x1 + sol[: n1 * n2].reshape((n1, n2), order="F")
-        x2 = x2 + sol[n1 * n2 :].reshape((n3, n2), order="F")
+        x = x - _schur_sylvester(a, b, theta_hat, res)
     raise NoConvergence(
         f"riccati iteration stalled at residual {resid:.3e} (tol {tol:.3e}) after {max_iter} sweeps; z may be too large"
     )

@@ -10,11 +10,14 @@ passes rather than fitted.
 Order-table claims (the per-block decay rates of the invariant-subspace
 bases) are measured against the exact small-z solutions from
 :func:`jordanperturb.first_order.solve_riccati`, whose output is itself
-validated against the oracle to machine precision.
+validated against the oracle to machine precision.  A sweep point where the
+Riccati solve or the exact basis raises :class:`NoConvergence` is left out
+of those fits and logged at INFO on this module's logger.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +38,8 @@ __all__ = [
     "verify_all",
     "exact_subspace_basis",
 ]
+
+_log = logging.getLogger(__name__)
 
 DEFAULT_SLACK = 0.1
 DEFAULT_R2 = 0.98
@@ -343,10 +348,13 @@ def verify_all(
 
     def solve_point(t):
         z = t ** (1.0 / rho)
+        stage = "solve_riccati"
         try:
             ric = solve_riccati(assembled, reduced, z)
+            stage = "exact_subspace_basis"
             h, _ = exact_subspace_basis(ric, sel0, comp0)
-        except NoConvergence:
+        except NoConvergence as exc:
+            _log.info("rho=%d: sweep point z=%.6g dropped, %s raised NoConvergence: %s", rho, z, stage, exc)
             return None
         return z, ric, h
 

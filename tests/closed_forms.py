@@ -17,6 +17,7 @@ import numpy as np
 import scipy.linalg as la
 
 from jordanperturb import core_linalg as cl
+from jordanperturb.errors import NoConvergence
 from jordanperturb.structure import block
 
 
@@ -181,3 +182,79 @@ def semisimple_delta11(reduced, cluster, mu):
     terms = hatb_terms(reduced)
     b = terms["b_prev1_rho_rho"] + terms["b_rho2_rho_rho"]
     return (cluster.qt @ b @ cluster.q) / (rho * mu ** (rho - 2))
+
+
+def kron_newton_step(ap, reduced, z, x1, x2):
+    """Newton update (dX1, dX2) of the coupling equations
+
+        R1 = V(z)[g1,:] S - X1 Theta-hat,   R3 = V(z)[g3,:] S - U(z)[g3,:] S Theta-hat,
+
+    with S = [X1; I; X2] and Theta-hat = V(z)[g2,:] S, linearized at (x1, x2)
+    and solved as one dense system with the Jacobian in Kronecker form
+    (vec stacks columns)."""
+    uz = reduced.hat(ap.u_of(z))
+    vz = reduced.hat(ap.v_of(z))
+    eu = uz - reduced.u_hat
+    g1, g2, g3 = reduced.g1, reduced.g2, reduced.g3
+    n1, n2 = x1.shape
+    eye2 = np.eye(n2)
+    stack = np.vstack([x1, eye2, x2])
+    theta_hat = vz[g2, :] @ stack
+    p3 = uz[g3, :] @ stack
+    r1 = vz[g1, :] @ stack - x1 @ theta_hat
+    r3 = vz[g3, :] @ stack - p3 @ theta_hat
+    th_t = theta_hat.T
+    j11 = (
+        np.kron(eye2, vz[g1, g1])
+        - np.kron(th_t, np.eye(n1))
+        - np.kron(eye2, x1 @ vz[g2, g1])
+    )
+    j13 = np.kron(eye2, vz[g1, g3]) - np.kron(eye2, x1 @ vz[g2, g3])
+    j31 = (
+        np.kron(eye2, vz[g3, g1])
+        - np.kron(th_t, eu[g3, g1])
+        - np.kron(eye2, p3 @ vz[g2, g1])
+    )
+    j33 = (
+        np.kron(eye2, vz[g3, g3])
+        - np.kron(th_t, uz[g3, g3])
+        - np.kron(eye2, p3 @ vz[g2, g3])
+    )
+    jmat = np.block([[j11, j13], [j31, j33]])
+    rhs = -np.concatenate([r1.flatten(order="F"), r3.flatten(order="F")])
+    sol = la.solve(jmat, rhs)
+    return (
+        sol[: n1 * n2].reshape((n1, n2), order="F"),
+        sol[n1 * n2 :].reshape(x2.shape, order="F"),
+    )
+
+
+def kron_riccati(ap, reduced, z, max_iter=200):
+    """The Newton iteration of ``solve_riccati`` (start at zero, same
+    tolerance and divergence test) driven by ``kron_newton_step``.
+
+    Returns (theta_hat, iterations, iterates), the iterates being the
+    (X1, X2) pairs visited; raises :class:`NoConvergence` as the library does.
+    """
+    vz = reduced.hat(ap.v_of(z))
+    uz = reduced.hat(ap.u_of(z))
+    g1, g2, g3 = reduced.g1, reduced.g2, reduced.g3
+    n1, n2 = reduced.n1, reduced.n2
+    tol = 1e-12 * max(1.0, np.linalg.norm(vz))
+    x1 = np.zeros((n1, n2), dtype=complex)
+    x2 = np.zeros((reduced.structure.dim - n1 - n2, n2), dtype=complex)
+    iterates, first = [], None
+    for it in range(max_iter + 1):
+        iterates.append((x1, x2))
+        stack = np.vstack([x1, np.eye(n2), x2])
+        theta_hat = vz[g2, :] @ stack
+        r1 = vz[g1, :] @ stack - x1 @ theta_hat
+        r3 = vz[g3, :] @ stack - (uz[g3, :] @ stack) @ theta_hat
+        resid = np.sqrt(np.linalg.norm(r1) ** 2 + np.linalg.norm(r3) ** 2)
+        if resid <= tol:
+            return theta_hat, it, iterates
+        first = resid if first is None else first
+        if not np.isfinite(resid) or resid > 1e6 * first or it == max_iter:
+            raise NoConvergence(f"oracle Newton iteration fails at z={z:.3e}")
+        dx1, dx2 = kron_newton_step(ap, reduced, z, x1, x2)
+        x1, x2 = x1 + dx1, x2 + dx2

@@ -85,7 +85,7 @@ def test_criterion_1_example1_golden():
     for col, idx in enumerate((1, 2, 3)):
         sel = select_subspace(rp, lambda g: True, idx)
         comp = complement_pair(rp, sel)
-        fo = first_order_expansion(rp, sel, comp, pair)
+        fo = first_order_expansion(rp, sel, comp)
         h0[:, col] = fo.h0.ravel()
         h1[:, col] = fo.h1.ravel()
     assert np.abs(h0 - case.expected["h0_columns"]).max() <= 1e-12

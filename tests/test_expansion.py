@@ -204,20 +204,20 @@ class TestSubspaceExpansion:
         pair, rp = example1_reduced()
         for idx in range(4):
             sel = select_subspace(rp, lambda g: True, idx)
-            sub = subspace_expansion(rp, sel, pair)
+            sub = subspace_expansion(rp, sel)
             assert np.allclose(sub.h0.ravel(), [1.0, 0.0, 0.0, 0.0])
 
     def test_empty_selection_empty_h0(self):
         pair, rp = example1_reduced()
         sel = select_subspace(rp, lambda g: False, 0)
-        sub = subspace_expansion(rp, sel, pair)
+        sub = subspace_expansion(rp, sel)
         assert sub.h0.shape == (4, 0)
 
     def test_rho1_against_oracle_subspace(self):
         pair = random_pair((1, 1), seed=6)
         rp = reduce_pencil(assemble_pencil(pair, 1))
         sel = select_subspace(rp, lambda g: True, 0)
-        sub = subspace_expansion(rp, sel, pair)
+        sub = subspace_expansion(rp, sel)
         t = 1e-6
         a = pair.perturbed(t)
         e = eigenvalue_expansions(rp)[0]
@@ -232,7 +232,7 @@ class TestSubspaceExpansion:
     def test_x_full_constant(self):
         pair, rp = example1_reduced()
         sel = select_subspace(rp, lambda g: True, 1)
-        sub = subspace_expansion(rp, sel, pair)
+        sub = subspace_expansion(rp, sel)
         expected = np.zeros((4, 4))
         expected[0, 0] = 1.0
         assert np.array_equal(sub.x_full.real, expected)
@@ -240,7 +240,7 @@ class TestSubspaceExpansion:
     def test_c_of(self):
         pair, rp = example1_reduced()
         sel = select_subspace(rp, lambda g: True, 1)
-        sub = subspace_expansion(rp, sel, pair)
+        sub = subspace_expansion(rp, sel)
         t = 1e-4
         assert np.allclose(sub.c_of(t), [[t**0.25 * sel.omega[0, 0]]])
 
@@ -249,19 +249,19 @@ class TestEigenvectorExpansion:
     def test_example1_constant(self):
         pair, rp = example1_reduced()
         for idx in range(4):
-            ev = eigenvector_expansion(rp, 0, idx, pair)
+            ev = eigenvector_expansion(rp, 0, idx)
             assert np.allclose(ev.constant.ravel(), [1.0, 0.0, 0.0, 0.0])
 
     def test_not_simple(self):
         pair = pair_with_s2(9.0 * np.eye(2))
         rp = reduce_pencil(assemble_pencil(pair, 2))
         with pytest.raises(NotSimple):
-            eigenvector_expansion(rp, 0, 0, pair)
+            eigenvector_expansion(rp, 0, 0)
 
     def test_rho1_matches_oracle_direction(self):
         pair = random_pair((1, 1), seed=3)
         rp = reduce_pencil(assemble_pencil(pair, 1))
-        ev = eigenvector_expansion(rp, 0, 0, pair)
+        ev = eigenvector_expansion(rp, 0, 0)
         t = 1e-8
         w, v = np.linalg.eig(pair.perturbed(t))
         e = eigenvalue_expansions(rp)[0]

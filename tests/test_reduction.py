@@ -151,7 +151,7 @@ class TestEffectiveD11:
         g0 = np.linalg.eigvals(rp.s_rho)[0]
         sel = select_subspace(rp, lambda lam: abs(lam - g0) < 1e-6 * max(1, abs(g0)), 0)
         comp = complement_pair(rp, sel)
-        fo = first_order_expansion(rp, sel, comp, red.pair, xi=trans.xi)
+        fo = first_order_expansion(rp, sel, comp, xi=trans.xi)
         lam0 = trans.structure.lambda0
         ts = np.geomspace(1e-2, 1e-8, 13)
         errs, eig_errs = [], []

@@ -1,3 +1,4 @@
+import logging
 import os
 import subprocess
 import sys
@@ -7,12 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+import jordanperturb.verify
 from jordanperturb import (
     CanonicalPair,
+    CaseSpec,
     JordanStructure,
     SweepPlan,
     assemble_pencil,
     complement_pair,
+    generate,
     match_eigenvalues,
     oracle_eigs,
     reduce_pencil,
@@ -21,7 +25,7 @@ from jordanperturb import (
     solve_riccati,
     verify_all,
 )
-from jordanperturb.errors import CardinalityMismatch, InsufficientSamples
+from jordanperturb.errors import CardinalityMismatch, InsufficientSamples, NoConvergence
 from jordanperturb.verify import exact_subspace_basis
 
 from conftest import random_pair
@@ -205,6 +209,58 @@ class TestVerifyAll:
         c = pair.structure.lambda0 * np.eye(sel.r) + z * rep
         resid = np.linalg.norm(pair.perturbed(t) @ h - h @ c)
         assert resid <= 1e-11 * max(1.0, np.linalg.norm(h))
+
+
+def ladder_pair(sizes):
+    return generate(CaseSpec(JordanStructure(0.0, sizes), seed=1, ensure_distinct_gammas=True))
+
+
+class TestDroppedPoints:
+    def test_dropped_point_logged(self, caplog):
+        # (3,3,3,3), rho=4 loses its largest sweep point, z = 1e-2^(1/4)
+        with caplog.at_level(logging.INFO, logger="jordanperturb.verify"):
+            verify_all(ladder_pair((3, 3, 3, 3)), 4)
+        msgs = [r.getMessage() for r in caplog.records if "dropped" in r.getMessage()]
+        assert len(msgs) == 1
+        assert f"z={1e-2 ** 0.25:.6g}" in msgs[0]
+        assert "solve_riccati raised NoConvergence" in msgs[0]
+
+    def test_dropped_point_names_basis_stage(self, caplog, monkeypatch):
+        def fail(*args):
+            raise NoConvergence("forced")
+
+        monkeypatch.setattr(jordanperturb.verify, "exact_subspace_basis", fail)
+        with caplog.at_level(logging.INFO, logger="jordanperturb.verify"):
+            verify_all(random_pair((1, 2), seed=1), 2)
+        msgs = [r.getMessage() for r in caplog.records if "dropped" in r.getMessage()]
+        assert len(msgs) == len(SweepPlan.default(2).t_values)
+        assert all("exact_subspace_basis raised NoConvergence: forced" in m for m in msgs)
+
+
+def test_largest_ladder_case_invariant_relation(monkeypatch):
+    # m = 60: every Riccati solution verify_all keeps satisfies
+    # (A + z^rho D) X-tilde = X-tilde (lambda0 I + z Theta-hat), with the
+    # residual relative to ||A + z^rho D||_2 ||X-tilde|| (a backward error)
+    pair = ladder_pair((4, 4, 4, 4, 4))
+    rho = 5
+    kept = []
+
+    def recording(ric, sel, comp):
+        out = exact_subspace_basis(ric, sel, comp)
+        kept.append(ric)
+        return out
+
+    monkeypatch.setattr(jordanperturb.verify, "exact_subspace_basis", recording)
+    reports = verify_all(pair, rho)
+    delta = [r for r in reports if r.quantity == f"riccati-delta[rho={rho}]"]
+    assert len(delta) == 1 and len(delta[0].samples) == len(kept) > 0
+    a, d = pair.a_matrix(), pair.d11
+    for ric in kept:
+        z = ric.z
+        xt = ric.invariant_matrix()
+        m = a + z**rho * d
+        rhs = xt @ (pair.structure.lambda0 * np.eye(xt.shape[1]) + z * ric.theta_hat)
+        assert np.linalg.norm(m @ xt - rhs) <= 1e-12 * np.linalg.norm(m, 2) * np.linalg.norm(xt)
 
 
 def test_import_leaves_scipy_optimize_unloaded():
