@@ -6,10 +6,11 @@ invariant-subspace basis and its eigenvalue block admit one more term:
     H(t) = H0 + t^(1/rho) H1 + O(t^(2/rho)),
     C(t) = lambda0 I + t^(1/rho) Omega + t^(2/rho) Delta11 + O(t^(3/rho)).
 
-The coefficients come from the first-order solutions of two structured
-Sylvester systems in the reduced pencil coordinates, followed by a
-biorthogonal compression of the resulting Theta perturbation and one small
-Sylvester solve for the complement coupling Y.
+The coefficients come from the k = 1 term of the coupling series
+(``coupling_series``, cached as ``ReducedPencil.series``): the Taylor
+coefficients at z = 0 of the exact coupling below, one Sylvester solve per
+order.  A biorthogonal compression of Theta_1 and one small Sylvester solve
+for the complement coupling Y follow.
 
 ``solve_riccati`` keeps all orders instead: at a fixed, possibly complex z
 it solves the exact coupling equations by Newton's method, yielding the
@@ -37,6 +38,7 @@ __all__ = [
     "RiccatiSolution",
     "ThetaPerturbation",
     "complement_pair",
+    "coupling_series",
     "theta_perturbation",
     "first_order_expansion",
     "semisimple_expansion",
@@ -171,35 +173,6 @@ def complement_pair(reduced: ReducedPencil, sel: SubspaceSelection) -> Complemen
     )
 
 
-def _nilpotent_sylvester_left(v, theta, rhs):
-    """X with v X - X theta = -rhs, for nilpotent v and invertible theta."""
-    if v.shape[0] == 0 or rhs.size == 0:
-        return cl.zeros(v.shape[0], theta.shape[0])
-    term = la.solve(theta.T, rhs.T).T
-    acc = term.copy()
-    for _ in range(v.shape[0] + 1):
-        term = la.solve(theta.T, (v @ term).T).T
-        if cl.frob(term) <= 1e-3 * cl.EPS * (cl.frob(acc) + 1.0):
-            break
-        acc += term
-    return acc
-
-
-def _nilpotent_sylvester_right(v33, u33, theta, rhs):
-    """X with v33 X - u33 X theta = rhs; the pencil (u33, v33) has only
-    infinite eigenvalues, so the Neumann series in v33^{-1} u33 terminates."""
-    if v33.shape[0] == 0 or rhs.size == 0:
-        return cl.zeros(v33.shape[0], theta.shape[0])
-    term = la.solve(v33, rhs)
-    acc = term.copy()
-    for _ in range(v33.shape[0] + 1):
-        term = la.solve(v33, u33 @ term) @ theta
-        if cl.frob(term) <= 1e-3 * cl.EPS * (cl.frob(acc) + 1.0):
-            break
-        acc += term
-    return acc
-
-
 @dataclass(frozen=True)
 class ThetaPerturbation:
     """Selection-independent first-order data: Theta-hat(z) = Theta + z*delta_coef + O(z^2),
@@ -213,38 +186,20 @@ class ThetaPerturbation:
 
 
 def theta_perturbation(reduced: ReducedPencil) -> ThetaPerturbation:
-    """First-order perturbation of Theta_rho and the X blocks behind it.
-
-    One path at every rho: X1 and X2 from the two structured Sylvester
-    systems of the reduced pencil,
-
-        V11 X1 - X1 Theta = -E12,      V33 X2 - U33 X2 Theta = F32 Theta - E32,
-
-    where E = Pi_L V_1 Pi_R G is the z^1 coefficient of V-hat(z) and
-    F = Pi_L E_U Pi_R G that of U-hat(z).  V11 is nilpotent and the pencil
-    (U33, V33) has only infinite eigenvalues, so both Neumann series
-    terminate.  Then delta_coef = E22 + V21 X1 + V23 X2.
-    ``ReducedPencil.theta_perturbation`` holds the result computed once per
-    pencil.
+    """First-order perturbation of Theta_rho and the X blocks behind it: the
+    k = 1 term of the coupling series (``ReducedPencil.series(1)``, see
+    :func:`coupling_series`), so delta_coef = Theta_1 and x1_coef, x2_coef
+    are the row blocks of X_1.  ``ReducedPencil.theta_perturbation`` holds
+    the result computed once per pencil.
     """
-    ap = reduced.assembled
-    st = reduced.structure
-    rho = reduced.rho
-    s_rho = st.s(rho)
-    g1, g2, g3 = reduced.g1, reduced.g2, reduced.g3
-    theta = reduced.theta
-    v1h = reduced.hat(ap.ev_coeffs.get(1, cl.zeros(st.dim, st.dim)))
-    euh = reduced.hat(ap.eu)
-    x1c = _nilpotent_sylvester_left(reduced.v_hat[g1, g1], theta, v1h[g1, g2])
-    x2c = _nilpotent_sylvester_right(
-        reduced.v_hat[g3, g3], reduced.u_hat[g3, g3], theta, -(v1h[g3, g2] - euh[g3, g2] @ theta)
-    )
+    st, rho = reduced.structure, reduced.rho
+    x, theta = reduced.series(1)
+    x1c, x2c = x[1][: reduced.n1], x[1][reduced.n1 :]
     # C-hat sits in the eigenvector rows of X2, in the second column block of
     # Theta coordinates (the first and only one when rho = 1).
-    col = min(rho - 1, 1) * s_rho
-    c_hat = x2c[: st.shat(rho + 1), col : col + s_rho]
-    delta_coef = v1h[g2, g2] + reduced.v_hat[g2, g1] @ x1c + reduced.v_hat[g2, g3] @ x2c
-    return ThetaPerturbation(delta_coef=delta_coef, x1_coef=x1c, x2_coef=x2c, c_hat=c_hat)
+    col = min(rho - 1, 1) * st.s(rho)
+    c_hat = x2c[: st.shat(rho + 1), col : col + st.s(rho)]
+    return ThetaPerturbation(delta_coef=theta[1], x1_coef=x1c, x2_coef=x2c, c_hat=c_hat)
 
 
 def first_order_expansion(
@@ -380,6 +335,37 @@ def _schur_sylvester(a, b, theta, f):
     for k in range(t.shape[0]):
         y[:, k] = np.linalg.solve(a - t[k, k] * b, fq[:, k] + b @ (y[:, :k] @ t[:k, k]))
     return y @ q.conj().T
+
+
+def coupling_series(r: ReducedPencil, order: int, x=(), theta=()):
+    """Taylor coefficients X[k] = [X1_k; X2_k] and Theta[k], k = 0..order, of
+    the exact coupling at z = 0, resuming after the terms already in x, theta.
+
+    With S = [X1; I; X2], V-hat(z) = sum_e V_e z^e and U-hat(z) = U_0 + z U_1,
+    the coupling of ``_coupling`` is (V-hat S - U-hat S Theta-hat)[gc] = 0 with
+    Theta-hat = (V-hat S)[g2].  Its z^k coefficient is A0 X_k - B0 X_k Theta +
+    R_k, with (A0, B0) the Newton Jacobian at z = 0 and R_k the coefficient at
+    X_k = 0: one solve of A0 X_k - B0 X_k Theta = -R_k per order.
+    """
+    ap, n1, n2, m = r.assembled, r.n1, r.n2, r.structure.dim
+    gc = np.r_[0:n1, n1 + n2 : m]
+    theta0, _, a0, b0 = _coupling(r, r.v_hat, r.u_hat, cl.zeros(m - n2, n2))
+    v = [r.v_hat] + [r.hat(ap.ev_coeffs.get(e, cl.zeros(m, m))) for e in range(1, order + 1)]
+    u0, u1 = r.u_hat[gc], r.hat(ap.eu)[gc]
+    x, theta = list(x) or [cl.zeros(m - n2, n2)], list(theta) or [theta0]
+    s = [np.vstack([xk[:n1], cl.eye(n2) * (k == 0), xk[n1:]]) for k, xk in enumerate(x)]
+
+    def s_theta(j):  # z^j coefficient of S Theta-hat, S_j = 0 for j not yet solved
+        return sum(s[i] @ theta[j - i] for i in range(min(j + 1, len(s))))
+
+    for k in range(len(x), order + 1):
+        vs = sum(v[e] @ s[k - e] for e in range(1, k + 1))
+        theta.append(vs[r.g2])
+        res = vs[gc] - u0 @ s_theta(k) - u1 @ s_theta(k - 1)
+        x.append(_schur_sylvester(a0, b0, theta0, -res))
+        s.append(np.vstack([x[k][:n1], cl.zeros(n2, n2), x[k][n1:]]))
+        theta[k] = theta[k] + r.v_hat[r.g2, gc] @ x[k]
+    return tuple(x), tuple(theta)
 
 
 def solve_riccati(

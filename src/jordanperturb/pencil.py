@@ -370,8 +370,8 @@ class ReducedPencil:
         product on the g1/g2 columns, the only ones it changes.
 
         The product with [I; g_block] sums in the same order as the dense
-        Pi_L m Pi_R G; the first-order recursion amplifies a change of that
-        order to about 5e-12 relative on ill-conditioned pencils.
+        Pi_L m Pi_R G; the compression of Theta_1 to Delta11 amplifies a change
+        of that order to about 5e-12 relative on ill-conditioned pencils.
         """
         n12 = self.n1 + self.n2
         out = np.asarray(m, dtype=np.complex128)[np.ix_(self.row_order, self.col_order)]
@@ -456,12 +456,23 @@ class ReducedPencil:
 
     @cached_property
     def theta_perturbation(self):
-        """The first-order perturbation of Theta_rho and the X blocks behind
-        it (:func:`jordanperturb.first_order.theta_perturbation`), computed
-        once per pencil and shared by every expansion built on it."""
+        """The first-order perturbation of Theta_rho, the k = 1 term of
+        :meth:`series` (:func:`jordanperturb.first_order.theta_perturbation`),
+        computed once per pencil and shared by every expansion built on it."""
         from . import first_order
 
         return first_order.theta_perturbation(self)
+
+    def series(self, order: int) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """(X, Theta), the Taylor coefficients of the exact coupling at z = 0 to
+        ``order`` (:func:`jordanperturb.first_order.coupling_series`).  Each
+        order is solved once per pencil; a higher order resumes from the last."""
+        from . import first_order
+
+        x, theta = self.__dict__.get("_series", ((), ()))
+        if len(x) <= order:
+            x, theta = self.__dict__["_series"] = first_order.coupling_series(self, order, x, theta)
+        return x[: order + 1], theta[: order + 1]
 
     def identity_residual(self, z: float, mu: complex) -> float:
         """Residual of Pi_L L (z mu I - (N + z^rho D)) R Pi_R G = mu U-hat(z) - V-hat(z)."""

@@ -153,8 +153,18 @@ class TestFirstOrderClosedForms:
         x2 = np.linalg.solve(k3, rhs.flatten(order="F")).reshape((n3, n2), order="F")
         return x1, x2
 
-    @pytest.mark.parametrize("sizes", SUITE_SIZES)
-    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize(
+        "sizes, seed",
+        [
+            pytest.param(sizes, seed, id=f"{seed}-sizes{i}")
+            for seed in (0, 3)
+            for i, sizes in enumerate(SUITE_SIZES)
+        ]
+        # the expand-batch pencil of seed 102, m = 60: at rho = 1 ||x2_coef||
+        # is about 2e5 and ||delta_coef|| about 4e5, against ||Delta11|| near 10
+        # for three of its four clusters
+        + [pytest.param((4, 4, 4, 4, 4), 102, id="102-sizes44444")],
+    )
     def test_x_blocks_against_kronecker(self, sizes, seed):
         pair = random_pair(sizes, seed=seed)
         for rho in pair.structure.valid_rhos():
@@ -341,8 +351,9 @@ class TestFirstOrderExpansion:
 
     def test_pencil_data_computed_once(self, monkeypatch):
         # repeated expansions on one pencil compute the Theta perturbation
-        # once and the S_rho clusters (one ordered Schur form each) once
-        calls = {"theta": 0, "schur": 0}
+        # once and the S_rho clusters (one ordered Schur form each) once;
+        # each order of the coupling series is one Sylvester solve, made once
+        calls = {"theta": 0, "schur": 0, "sylvester": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -359,6 +370,11 @@ class TestFirstOrderExpansion:
             "ordered_schur",
             counted("schur", jordanperturb.core_linalg.ordered_schur),
         )
+        monkeypatch.setattr(
+            jordanperturb.first_order,
+            "_schur_sylvester",
+            counted("sylvester", jordanperturb.first_order._schur_sylvester),
+        )
         pair = random_pair((0, 2), seed=1)
         rp = reduce_pencil(assemble_pencil(pair, 2))
         for _ in range(2):
@@ -368,6 +384,16 @@ class TestFirstOrderExpansion:
                     first_order_expansion(rp, sel, complement_pair(rp, sel))
         assert calls["theta"] == 1
         assert calls["schur"] == len(rp.clusters) == 2
+        assert calls["sylvester"] == 1
+        rp.series(1)
+        assert calls["sylvester"] == 1
+        x, theta = rp.series(4)
+        assert calls["sylvester"] == 4 and len(x) == len(theta) == 5
+        rp.series(1)
+        rp.series(4)
+        assert calls["sylvester"] == 4 and calls["theta"] == 1
+        # the resumed series keeps the terms already solved
+        assert theta[1] is rp.theta_perturbation.delta_coef
 
     def test_two_block_mixed_delta11_against_oracle(self):
         # sizes (1,2), rho=2: lambda(t) - l0 - t^(1/2) mu ~ t * delta
@@ -477,6 +503,61 @@ class TestSemisimple:
         est = np.sort_complex((np.array(near) - t * gamma) / t**2)
         pred = np.sort_complex(np.linalg.eigvals(fo.delta11))
         assert np.abs(est - pred).max() <= 0.05 * max(1.0, np.abs(pred).max())
+
+
+class TestCouplingSeries:
+    @pytest.mark.parametrize("sizes", SUITE_SIZES + [(3, 3, 3, 3)])
+    def test_against_cauchy_integral(self, sizes):
+        """Theta_1..Theta_4 of ``series`` against a Cauchy integral of ``solve_riccati``.
+
+        R = min(|Theta_2|/|Theta_3|, (|Theta_2|/|Theta_4|)^(1/2)) is the
+        series' own estimate of its radius of convergence (Frobenius norms).
+        On the circle z_j = r e^(2 pi i j/N), r = R/8, N = 32, the trapezoidal
+        rule T_k = (1/N) sum_j Theta-hat(z_j) z_j^(-k) of the Newton solutions
+        Theta-hat(z_j) has two errors (Trefethen & Weideman 2014, SIAM Rev. 56):
+
+        - aliasing, T_k - Theta_k = sum_{l >= 1} Theta_{k+lN} r^(lN); with
+          |Theta_j| ~ |Theta_k| R^(k-j) it is |Theta_k| (r/R)^N = 8^-32
+          |Theta_k|, about 1e-29 |Theta_k|;
+        - the Newton error u of each Theta-hat(z_j): the mean does not
+          amplify it and the factor z_j^(-k) scales it by r^(-k), so it adds
+          at most u r^(-k), that is u / (r^k |Theta_k|) relative.  Newton
+          stops at a residual of 1e-12 ||V-hat(z)||_F; with a Jacobian of
+          unit condition the error of Theta-hat(z) is of that size, so
+          u = 1e4 eps max(1, ||V-hat(z)||_F) (1e4 eps = 2.2e-12 >= 1e-12).
+
+        The bound asserted is |T_k - Theta_k| <= (r/R)^N |Theta_k| + u r^(-k),
+        fixed by this argument before any run.  A pencil whose R is not
+        finite and positive fails: the window of the oracle is undefined.
+        The one exception has no coupling unknowns at all (m = n2, as for
+        sizes (0, 2) at rho = 2): there Theta-hat(z) is the polynomial
+        V-hat(z), R is infinite, and the series must return its coefficients.
+        """
+        n_pts = 32
+        pair = random_pair(sizes, seed=1)
+        for rho in pair.structure.valid_rhos():
+            ap = assemble_pencil(pair, rho)
+            rp = reduce_pencil(ap)
+            _, theta = rp.series(4)
+            if rp.n2 == rp.structure.dim:
+                for k in range(1, 5):
+                    ref = rp.hat(ap.ev_coeffs.get(k, np.zeros_like(ap.v0)))
+                    assert np.linalg.norm(theta[k] - ref) <= 1e-14 * np.linalg.norm(ref)
+                continue
+            norms = [np.linalg.norm(t) for t in theta]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                big_r = min(norms[2] / norms[3], np.sqrt(norms[2] / norms[4]))
+            assert np.isfinite(big_r) and big_r > 0, (sizes, rho, norms)
+            r = big_r / 8
+            zs = r * np.exp(2j * np.pi * np.arange(n_pts) / n_pts)
+            sols = [solve_riccati(ap, rp, z).theta_hat for z in zs]
+            u = 1e4 * np.finfo(float).eps * max(
+                max(1.0, np.linalg.norm(rp.hat(ap.v_of(z)))) for z in zs
+            )
+            for k in range(1, 5):
+                t_k = sum(s * z ** (-k) for s, z in zip(sols, zs)) / n_pts
+                bound = (r / big_r) ** n_pts * norms[k] + u * r ** (-k)
+                assert np.linalg.norm(t_k - theta[k]) <= bound, (sizes, rho, k)
 
 
 class TestRiccati:
