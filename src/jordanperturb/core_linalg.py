@@ -1,10 +1,11 @@
 """Dense complex linear-algebra substrate.
 
 Thin, contract-checked wrappers around LAPACK (via scipy.linalg) for the
-operations the perturbation pipeline needs: eigendecomposition, ordered
-Schur form, Sylvester solves, and singular-value queries.  All matrices are
-``numpy.ndarray`` with dtype complex128; empty dimensions are allowed
-wherever they make sense (void Jordan blocks produce 0-width slices).
+operations the perturbation pipeline needs: eigenvalues (never
+eigenvectors), ordered Schur form, Sylvester solves, and singular-value
+queries.  All matrices are ``numpy.ndarray`` with dtype complex128; empty
+dimensions are allowed wherever they make sense (void Jordan blocks produce
+0-width slices).
 """
 
 from __future__ import annotations
@@ -15,10 +16,6 @@ import scipy.linalg as la
 from .errors import NonConvergence, SpectraOverlap
 
 EPS = float(np.finfo(np.float64).eps)
-
-# Residual constant kappa in the eig contract: ||A v - lambda v|| <= kappa*eps*||A||
-# with kappa = 100 n.  Documented here, asserted in the test suite.
-EIG_RESIDUAL_KAPPA = 100.0
 
 __all__ = [
     "EPS",
@@ -61,8 +58,8 @@ def frob(m) -> float:
     return float(np.linalg.norm(m)) if m.size else 0.0
 
 
-def eig(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and right eigenvectors of a square complex matrix.
+def eig(m) -> np.ndarray:
+    """Eigenvalues of a square complex matrix; no eigenvectors are computed.
 
     Parameters
     ----------
@@ -71,9 +68,6 @@ def eig(m) -> tuple[np.ndarray, np.ndarray]:
     Returns
     -------
     w : (n,) complex ndarray
-    v : (n, n) complex ndarray
-        Unit-norm right eigenvectors, one per column, so that
-        ``m @ v[:, j] == w[j] * v[:, j]`` up to ``100*n*eps*||m||``.
 
     Raises
     ------
@@ -84,20 +78,12 @@ def eig(m) -> tuple[np.ndarray, np.ndarray]:
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"eig needs a square matrix, got {m.shape}")
     if m.shape[0] == 0:
-        return np.zeros(0, dtype=np.complex128), zeros(0, 0)
-    try:
-        w, v = la.eig(m)
-    except la.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
-        raise NonConvergence(f"eigendecomposition did not converge: {exc}") from exc
-    return w.astype(np.complex128), v.astype(np.complex128)
-
-
-def eigvals(m) -> np.ndarray:
-    """Eigenvalues only (same contract as :func:`eig`)."""
-    m = as_matrix(m, "m")
-    if m.shape[0] == 0:
         return np.zeros(0, dtype=np.complex128)
-    return eig(m)[0]
+    try:
+        w = la.eigvals(m, check_finite=False)  # as_matrix has checked
+    except la.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
+        raise NonConvergence(f"eigenvalue computation did not converge: {exc}") from exc
+    return w.astype(np.complex128)
 
 
 def ordered_schur(m, select):
@@ -146,8 +132,8 @@ def solve_sylvester(a, b, c) -> np.ndarray:
         raise ValueError(f"c must be {na}x{nb}, got {c.shape}")
     if na == 0 or nb == 0:
         return zeros(na, nb)
-    wa = eigvals(a)
-    wb = eigvals(b)
+    wa = eig(a)
+    wb = eig(b)
     sep = np.abs(wa[:, None] - wb[None, :]).min()
     scale = max(1.0, frob(a), frob(b))
     if sep < 1e-12 * scale:

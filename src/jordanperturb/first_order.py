@@ -128,8 +128,8 @@ def complement_pair(reduced: ReducedPencil, sel: SubspaceSelection) -> Complemen
     q2, omega_c, q2t = branch_bases(reduced, comp)
 
     if omega.shape[0] and omega_c.shape[0]:
-        w1 = cl.eig(omega)[0]
-        w2 = cl.eig(omega_c)[0]
+        w1 = cl.eig(omega)
+        w2 = cl.eig(omega_c)
         gap = np.abs(w1[:, None] - w2[None, :]).min()
         scale = max(np.abs(w1).max(), np.abs(w2).max(), 1e-300)
         if gap <= CLUSTER_GAP_REL * scale:

@@ -38,7 +38,7 @@ def _distinct_gammas(pair: CanonicalPair, tol_rel: float = 1e-3) -> bool:
     pairwise separated relative to their spread."""
     for rho in pair.structure.valid_rhos():
         reduced = reduce_pencil(assemble_pencil(pair, rho, validate=False))
-        vals = cl.eig(reduced.s_rho)[0] if reduced.s_rho.shape[0] else np.zeros(0)
+        vals = cl.eig(reduced.s_rho)
         if vals.size < 2:
             continue
         scale = max(float(np.abs(vals).max()), 1e-300)

@@ -424,7 +424,7 @@ class ReducedPencil:
         s = self.s_rho
         if s.shape[0] == 0:
             return ()
-        vals = cl.eig(s)[0]
+        vals = cl.eig(s)
         scale = max(float(np.abs(vals).max()), 1e-300)
         tol = CLUSTER_GAP_REL * scale
         bases = []
@@ -584,7 +584,7 @@ def theta_spectrum(r: ReducedPencil) -> np.ndarray:
     """
     if r.theta.shape[0] == 0:
         return np.zeros(0, dtype=np.complex128)
-    return sort_complex(cl.eig(r.theta)[0])
+    return sort_complex(cl.eig(r.theta))
 
 
 def finite_pencil_eigs(
@@ -604,7 +604,7 @@ def finite_pencil_eigs(
     if s_rho == 0:
         return np.zeros(0, dtype=np.complex128)
     if rho == st.k:
-        return sort_complex(cl.eig(w)[0])
+        return sort_complex(cl.eig(w))
     e = np.diag(
         np.concatenate([np.ones(s_rho), np.zeros(st.shat(rho + 1))]).astype(np.complex128)
     )

@@ -78,7 +78,7 @@ class SpectralTransformation:
                 f"similarity residual {resid:.3e} exceeds {SIMILARITY_TOL:.1e}"
             )
         if self.a22.shape[0]:
-            sep = float(np.abs(cl.eig(self.a22)[0] - st.lambda0).min())
+            sep = float(np.abs(cl.eig(self.a22) - st.lambda0).min())
             if sep < SEPARATION_TOL:
                 raise InvalidTransformation(
                     f"lambda0 is within {sep:.3e} of Lambda(A22) (tol {SEPARATION_TOL:.1e})"

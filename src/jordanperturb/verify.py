@@ -12,7 +12,8 @@ bases) are measured against the exact small-z solutions from
 :func:`jordanperturb.first_order.solve_riccati`, whose output is itself
 validated against the oracle to machine precision.  A sweep point where the
 Riccati solve or the exact basis raises :class:`NoConvergence` is left out
-of those fits and logged at INFO on this module's logger.
+of those fits, logged at INFO on this module's logger, and counted in the
+note of each report fitted without it.
 """
 
 from __future__ import annotations
@@ -112,7 +113,7 @@ def oracle_eigs(a, d, t: float, lambda0: complex, radius_exponent: float) -> np.
     """
     a = cl.as_matrix(a, "a")
     d = cl.as_matrix(d, "d")
-    w = cl.eig(a + t * d)[0]
+    w = cl.eig(a + t * d)
     radius = 10.0 * t**radius_exponent if t > 0 else 0.0
     radius = max(radius, FLOOR_FACTOR * cl.EPS * (1.0 + cl.frob(a)))
     keep = w[np.abs(w - lambda0) <= radius]
@@ -123,9 +124,20 @@ def match_eigenvalues(predicted, observed):
     """Minimum-cost matching of every predicted eigenvalue to a distinct
     observed one; the observed list may be longer.
 
-    Returns (pairs, max_error) with pairs as (predicted_index,
-    observed_index) tuples.  Raises :class:`CardinalityMismatch` when there
-    are fewer observations than predictions.
+    Returns (pairs, max_error): pairs are (predicted_index, observed_index)
+    tuples sorted by predicted index, and max_error is the largest distance
+    |predicted - observed| in an assignment whose distances have the least
+    sum.  Raises :class:`CardinalityMismatch` when there are fewer
+    observations than predictions, and ``ValueError`` when a value is NaN or
+    a prediction can only be matched at infinite distance.  An infinite
+    observed value is left unmatched when a finite assignment exists.
+
+    Several assignments can attain the least sum, and which one is returned
+    is unspecified.  The repeated predictions of
+    ``np.repeat(exp.predict(t), count)`` in :func:`verify_all` are such a
+    tie: the copies of a value can trade their observed partners, which
+    permutes the distances among them and leaves their multiset, and so
+    max_error, the same.
     """
     p = np.asarray(predicted, dtype=np.complex128).ravel()
     o = np.asarray(observed, dtype=np.complex128).ravel()
@@ -133,13 +145,63 @@ def match_eigenvalues(predicted, observed):
         raise CardinalityMismatch(f"{p.size} predictions vs only {o.size} observations")
     if p.size == 0:
         return [], 0.0
-    # scipy.optimize costs about a third of the package import; load it on use.
-    from scipy.optimize import linear_sum_assignment
-
     cost = np.abs(p[:, None] - o[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    pairs = list(zip(rows.tolist(), cols.tolist()))
-    return pairs, float(cost[rows, cols].max())
+    if np.isnan(cost).any():
+        raise ValueError("eigenvalue matching got a NaN value")
+    cols = _min_sum_assignment(cost)
+    return list(enumerate(cols.tolist())), float(cost[np.arange(p.size), cols].max())
+
+
+def _min_sum_assignment(cost) -> np.ndarray:
+    """Distinct column of each row in a minimum-sum assignment of a (p, o)
+    cost matrix with nonnegative entries and p <= o.
+
+    When the cheapest columns of the rows are distinct they are the answer.
+    Otherwise each row in turn is added by a shortest augmenting path over
+    reduced costs, with row and column potentials u and v kept so that
+    u_i + v_j <= cost_ij, with equality on assigned pairs and v_j = 0 on free
+    columns (Jonker & Volgenant 1987, Computing 38; the rectangular form of
+    Crouse 2016, IEEE Trans. Aerosp. Electron. Syst. 52).  Each step of the
+    path search is vectorised over the columns.
+    """
+    p, o = cost.shape
+    col = cost.argmin(axis=1)
+    if not np.isfinite(cost[np.arange(p), col]).all():
+        raise ValueError("no assignment of finite cost exists")
+    if np.unique(col).size == p:
+        return col
+    u, v = np.zeros(p), np.zeros(o)
+    col = np.full(p, -1)
+    owner = np.full(o, -1)  # row assigned to each column
+    for i in range(p):
+        dist = np.full(o, np.inf)  # reduced length of the shortest path from row i
+        via = np.empty(o, dtype=int)  # the row before each column on that path
+        done = np.zeros(o, dtype=bool)
+        rows, r, reach = [i], i, 0.0
+        while True:
+            d = reach + cost[r] - u[r] - v
+            shorter = (d < dist) & ~done
+            dist[shorter] = d[shorter]
+            via[shorter] = r
+            j = int(np.argmin(np.where(done, np.inf, dist)))
+            reach = dist[j]
+            if reach == np.inf:
+                raise ValueError("no assignment of finite cost exists")
+            done[j] = True
+            if owner[j] < 0:
+                break
+            r = owner[j]
+            rows.append(r)
+        u[i] += reach
+        u[rows[1:]] += reach - dist[col[rows[1:]]]
+        v[done] -= reach - dist[done]
+        while True:  # flip the path: each row on it takes the next column
+            r = via[j]
+            owner[j] = r
+            col[r], j = j, col[r]
+            if r == i:
+                break
+    return col
 
 
 def slope_fit(
@@ -277,7 +339,7 @@ def verify_all(
     a_mat = pair.a_matrix()
     d_mat = pair.d11
 
-    observed = [cl.eig(a_mat + t * d_mat)[0] for t in ts]
+    observed = [cl.eig(a_mat + t * d_mat) for t in ts]
 
     reports: list[ConvergenceReport] = []
 
@@ -361,6 +423,11 @@ def verify_all(
     points = [p for p in map(solve_point, ts) if p is not None]
     if not points:
         return reports
+    dropped = len(ts) - len(points)
+    drop_note = f"{dropped} of {len(ts)} sweep points dropped (NoConvergence)" if dropped else ""
+
+    def noted(note):
+        return "; ".join(n for n in (note, drop_note) if n)
 
     base = reduced.x0
     idx = pair.index
@@ -379,7 +446,7 @@ def verify_all(
         reports.append(
             _fit_or_floor(
                 samples, float(entry.exponent), scale,
-                f"X[rho={rho},i={entry.block},l={entry.subrow}]", entry.note,
+                f"X[rho={rho},i={entry.block},l={entry.subrow}]", noted(entry.note),
             )
         )
     if sel0.r:
@@ -389,7 +456,7 @@ def verify_all(
             reports.append(
                 _fit_or_floor(
                     samples, float(entry.exponent), scale,
-                    f"H[rho={rho},i={entry.block},l={entry.subrow}]", entry.note,
+                    f"H[rho={rho},i={entry.block},l={entry.subrow}]", noted(entry.note),
                 )
             )
 
@@ -399,6 +466,8 @@ def verify_all(
         (z, cl.frob(ric.theta_hat - reduced.theta - z * delta_coef)) for z, ric, _ in points
     ]
     reports.append(
-        _fit_or_floor(samples, 2.0, scale, f"riccati-delta[rho={rho}]", "error measured against z")
+        _fit_or_floor(
+            samples, 2.0, scale, f"riccati-delta[rho={rho}]", noted("error measured against z")
+        )
     )
     return reports

@@ -113,6 +113,58 @@ class TestMatchEigenvalues:
         _, err = match_eigenvalues(vals, vals[perm])
         assert err == 0.0
 
+    @given(
+        hst.lists(hst.integers(1, 4), min_size=1, max_size=8),
+        hst.integers(0, 24),
+        hst.integers(0, 8),
+        hst.integers(0, 8),
+        hst.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_assignment_against_scipy(self, repeats, extra, dup_obs, exact, seed):
+        # scipy's linear_sum_assignment is the oracle.  Exact ties come from
+        # repeated predictions (as np.repeat makes them), repeated
+        # observations and predictions equal to an observation; the values
+        # are otherwise generic, so every minimum-sum assignment has the
+        # same multiset of costs and the max must agree too.
+        from scipy.optimize import linear_sum_assignment
+
+        rng = np.random.default_rng(seed)
+        base = rng.normal(size=len(repeats)) + 1j * rng.normal(size=len(repeats))
+        pred = np.repeat(base, repeats)[:8]
+        p = pred.size
+        obs = rng.normal(size=p + extra) + 1j * rng.normal(size=p + extra)
+        obs = np.concatenate([obs, obs[: min(dup_obs, obs.size)]])
+        hits = rng.permutation(p)[: min(exact, p)]
+        obs[rng.permutation(obs.size)[: hits.size]] = pred[hits]
+        obs = obs[rng.permutation(obs.size)]  # at most 8 + 24 + 8 = 40 values
+
+        pairs, err = match_eigenvalues(pred, obs)
+        rows, cols = map(list, zip(*pairs))
+        assert rows == list(range(p)) and len(set(cols)) == p
+        cost = np.abs(pred[:, None] - obs[None, :])
+        r, c = linear_sum_assignment(cost)
+        total, total_ref = cost[rows, cols].sum(), cost[r, c].sum()
+        assert abs(total - total_ref) <= 1e-12 * total_ref
+        assert abs(err - cost[r, c].max()) <= 1e-12 * cost[r, c].max()
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError):
+            match_eigenvalues([np.nan], [1.0, 2.0])
+        with pytest.raises(ValueError):
+            match_eigenvalues([1.0], [complex(np.nan, 0.0), 2.0])
+
+    def test_only_infinite_match_rejected(self):
+        with pytest.raises(ValueError):
+            match_eigenvalues([np.inf], [1.0, 2.0])
+        # each prediction alone has a finite match, both together do not
+        with pytest.raises(ValueError):
+            match_eigenvalues([0.0, 1.0], [np.inf, 0.5])
+
+    def test_infinite_observation_left_unmatched(self):
+        pairs, err = match_eigenvalues([0.0, 1.0], [np.inf, 1.0, 0.1, complex(0.0, np.inf)])
+        assert pairs == [(0, 2), (1, 1)] and err == pytest.approx(0.1)
+
 
 class TestSlopeFit:
     def test_exact_linear(self):
@@ -166,6 +218,7 @@ class TestVerifyAll:
             assert all(r.passed for r in reports), [
                 (r.quantity, r.fitted_slope, r.claimed_slope) for r in reports if not r.passed
             ]
+            assert not any("dropped" in r.note for r in reports)
 
     def test_determinism(self):
         pair = random_pair((0, 2), seed=1)
@@ -219,11 +272,13 @@ class TestDroppedPoints:
     def test_dropped_point_logged(self, caplog):
         # (3,3,3,3), rho=4 loses its largest sweep point, z = 1e-2^(1/4)
         with caplog.at_level(logging.INFO, logger="jordanperturb.verify"):
-            verify_all(ladder_pair((3, 3, 3, 3)), 4)
+            reports = verify_all(ladder_pair((3, 3, 3, 3)), 4)
         msgs = [r.getMessage() for r in caplog.records if "dropped" in r.getMessage()]
         assert len(msgs) == 1
         assert f"z={1e-2 ** 0.25:.6g}" in msgs[0]
         assert "solve_riccati raised NoConvergence" in msgs[0]
+        delta = next(r for r in reports if r.quantity == "riccati-delta[rho=4]")
+        assert delta.note.endswith("1 of 13 sweep points dropped (NoConvergence)")
 
     def test_dropped_point_names_basis_stage(self, caplog, monkeypatch):
         def fail(*args):
@@ -237,12 +292,24 @@ class TestDroppedPoints:
         assert all("exact_subspace_basis raised NoConvergence: forced" in m for m in msgs)
 
 
-def test_largest_ladder_case_invariant_relation(monkeypatch):
-    # m = 60: every Riccati solution verify_all keeps satisfies
-    # (A + z^rho D) X-tilde = X-tilde (lambda0 I + z Theta-hat), with the
-    # residual relative to ||A + z^rho D||_2 ||X-tilde|| (a backward error)
+    def test_reports_count_dropped_points(self, largest_ladder_run):
+        # (4,4,4,4,4), rho=5 keeps 9 of its 13 sweep points; each report
+        # fitted without the other 4 says so, and only those reports do
+        _, reports, kept = largest_ladder_run
+        assert len(kept) == 9
+        tag = "4 of 13 sweep points dropped (NoConvergence)"
+        for r in reports:
+            on_riccati_points = r.quantity.startswith(("X[", "H[", "riccati-delta["))
+            assert (tag in r.note) == on_riccati_points, (r.quantity, r.note)
+        delta = next(r for r in reports if r.quantity == "riccati-delta[rho=5]")
+        assert delta.note == "error measured against z; " + tag
+
+
+@pytest.fixture(scope="module")
+def largest_ladder_run():
+    # m = 60, rho = 5: the pair, verify_all's reports and every Riccati
+    # solution it keeps
     pair = ladder_pair((4, 4, 4, 4, 4))
-    rho = 5
     kept = []
 
     def recording(ric, sel, comp):
@@ -250,8 +317,18 @@ def test_largest_ladder_case_invariant_relation(monkeypatch):
         kept.append(ric)
         return out
 
-    monkeypatch.setattr(jordanperturb.verify, "exact_subspace_basis", recording)
-    reports = verify_all(pair, rho)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jordanperturb.verify, "exact_subspace_basis", recording)
+        reports = verify_all(pair, 5)
+    return pair, reports, kept
+
+
+def test_largest_ladder_case_invariant_relation(largest_ladder_run):
+    # m = 60: every Riccati solution verify_all keeps satisfies
+    # (A + z^rho D) X-tilde = X-tilde (lambda0 I + z Theta-hat), with the
+    # residual relative to ||A + z^rho D||_2 ||X-tilde|| (a backward error)
+    pair, reports, kept = largest_ladder_run
+    rho = 5
     delta = [r for r in reports if r.quantity == f"riccati-delta[rho={rho}]"]
     assert len(delta) == 1 and len(delta[0].samples) == len(kept) > 0
     a, d = pair.a_matrix(), pair.d11
@@ -263,16 +340,26 @@ def test_largest_ladder_case_invariant_relation(monkeypatch):
         assert np.linalg.norm(m @ xt - rhs) <= 1e-12 * np.linalg.norm(m, 2) * np.linalg.norm(xt)
 
 
-def test_import_leaves_scipy_optimize_unloaded():
-    # the assignment solver is imported on first use, not with the package
+def test_import_leaves_scipy_optimize_unloaded(tmp_path):
+    # neither the import nor a whole `verify` run loads scipy.optimize: the
+    # eigenvalue matching uses the package's own assignment solver
     import jordanperturb
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(jordanperturb.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    code = "import sys, jordanperturb; print('scipy.optimize' in sys.modules)"
+    path = str(tmp_path / "case.json")
+    code = (
+        "import contextlib, io, sys, jordanperturb\n"
+        "print('scipy.optimize' in sys.modules)\n"
+        "from jordanperturb.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    main(['generate', '--sizes', '1,2', '--seed', '1', '--out', {path!r}])\n"
+        f"    code = main(['verify', {path!r}])\n"
+        "print(code, 'scipy.optimize' in sys.modules)\n"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "0", "False"]
