@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as la
 
-from .errors import NonConvergence, SpectraOverlap
+from .errors import NoConvergence, SpectraOverlap
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -71,7 +71,7 @@ def eig(m) -> np.ndarray:
 
     Raises
     ------
-    NonConvergence
+    NoConvergence
         If the underlying QR iteration fails to converge.
     """
     m = as_matrix(m, "m")
@@ -82,7 +82,7 @@ def eig(m) -> np.ndarray:
     try:
         w = la.eigvals(m, check_finite=False)  # as_matrix has checked
     except la.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
-        raise NonConvergence(f"eigenvalue computation did not converge: {exc}") from exc
+        raise NoConvergence(f"eigenvalue computation did not converge: {exc}") from exc
     return w.astype(np.complex128)
 
 

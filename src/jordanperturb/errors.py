@@ -5,12 +5,8 @@ class JordanPerturbError(Exception):
     """Base class for all library errors."""
 
 
-class NonConvergence(JordanPerturbError):
-    """An iterative eigensolver exceeded its iteration budget."""
-
-
 class NoConvergence(JordanPerturbError):
-    """An iterative refinement (Newton or fixed-point) failed to reach the requested tolerance."""
+    """An iterative method (eigensolver, Newton or fixed point) failed to reach its tolerance."""
 
 
 class SpectraOverlap(JordanPerturbError):

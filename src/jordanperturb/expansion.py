@@ -20,7 +20,7 @@ import numpy as np
 
 from . import core_linalg as cl
 from .errors import ClusterNotSeparated, NotSimple
-from .pencil import CLUSTER_GAP_REL, ReducedPencil, scalar_roots
+from .pencil import CLUSTER_GAP_REL, ReducedPencil
 from .structure import JordanStructure
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "OrderEntry",
     "eigenvalue_expansions",
     "select_subspace",
-    "branch_bases",
     "subspace_expansion",
     "eigenvector_expansion",
     "h_order_table",
@@ -122,12 +121,12 @@ def eigenvalue_expansions(reduced: ReducedPencil) -> list[EigenvalueExpansion]:
     rho = reduced.rho
     lam0 = reduced.structure.lambda0
     out = []
-    for cb in reduced.clusters:
+    for cb, mus in zip(reduced.clusters, reduced.branches.roots):
         simple = cb.count == 1
         exp = EigenvalueExpansion(
             rho=rho,
             gamma=cb.gamma,
-            mus=scalar_roots(cb.gamma, rho),
+            mus=mus,
             lambda0=lam0,
             simple=simple,
             order_next=Fraction(2, rho) if simple else Fraction(1, rho),
@@ -183,61 +182,30 @@ def select_subspace(reduced: ReducedPencil, cluster, root_index=0) -> SubspaceSe
     chosen = []
     for ci, branches in zip(selected, per_cluster):
         for b in branches:
+            if not 0 <= b < rho:
+                raise ValueError(f"root_index={b} outside 0..{rho - 1}")
             chosen.append((ci, b))
 
     # Separation of the selected mu set from every other root of Theta_rho.
-    sel_set = set(chosen)
-    sel_vals, other_vals = [], []
-    for ci, cb in enumerate(bases):
-        roots = scalar_roots(cb.gamma, rho)
-        for b in range(rho):
-            (sel_vals if (ci, b) in sel_set else other_vals).append(roots[b])
-    if sel_vals and other_vals:
-        gap = np.abs(
-            np.asarray(sel_vals)[:, None] - np.asarray(other_vals)[None, :]
-        ).min()
-        root_scale = max(max(abs(v) for v in sel_vals + other_vals), 1e-300)
+    tab = reduced.branches
+    mask = np.zeros(tab.roots.shape, dtype=bool)
+    for ci, b in chosen:
+        mask[ci, b] = True
+    sel_vals, other_vals = tab.roots[mask], tab.roots[~mask]
+    if sel_vals.size and other_vals.size:
+        gap = np.abs(sel_vals[:, None] - other_vals[None, :]).min()
+        root_scale = max(np.abs(tab.roots).max(), 1e-300)
         if gap <= CLUSTER_GAP_REL * root_scale:
             raise ClusterNotSeparated(
                 f"selected and unselected Theta eigenvalues separated by only {gap:.3e}"
             )
 
-    q1, omega, _ = branch_bases(reduced, chosen)
-    phi = np.vstack([q1 @ np.linalg.matrix_power(omega, j) for j in range(rho)])
+    c = tab.cols(chosen)
+    phi = tab.phi[:, c]
+    q1, omega = phi[: reduced.s_rho.shape[0]], tab.omega[np.ix_(c, c)]
     sel = SubspaceSelection(rho=rho, q1=q1, omega=omega, phi=phi, chosen=tuple(chosen))
     _check_selection(reduced, sel)
     return sel
-
-
-def branch_bases(reduced: ReducedPencil, pairs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Q, Omega, Qt) of a list of (cluster, branch) pairs of S_rho.
-
-    Each pair contributes its cluster's right basis Q_i, the triangular
-    rho-th root of S11_i on that branch as a diagonal block of Omega, and
-    its left basis Qt_i; so S_rho Q = Q Omega^rho and Qt S_rho = Omega^rho Qt.
-    """
-    s_dim = reduced.s_rho.shape[0]
-    if not pairs:
-        return cl.zeros(s_dim, 0), cl.zeros(0, 0), cl.zeros(0, s_dim)
-    bases = [(reduced.clusters[ci], b) for ci, b in pairs]
-    return (
-        np.hstack([cb.q for cb, _ in bases]),
-        blk_diag([cb.omega(b) for cb, b in bases]),
-        np.vstack([cb.qt for cb, _ in bases]),
-    )
-
-
-def blk_diag(blocks) -> np.ndarray:
-    """Block diagonal of square complex blocks (empty-safe)."""
-    blocks = [cl.as_matrix(b) for b in blocks]
-    n = sum(b.shape[0] for b in blocks)
-    out = cl.zeros(n, n)
-    pos = 0
-    for b in blocks:
-        w = b.shape[0]
-        out[pos : pos + w, pos : pos + w] = b
-        pos += w
-    return out
 
 
 def _check_selection(reduced: ReducedPencil, sel: SubspaceSelection):
@@ -328,7 +296,7 @@ def eigenvector_expansion(
     cb = bases[which]
     if cb.count != 1:
         raise NotSimple(f"gamma={cb.gamma:.6g} has multiplicity {cb.count}")
-    mu = complex(scalar_roots(cb.gamma, reduced.rho)[root_index])
+    mu = complex(reduced.branches.roots[which, root_index])
     phi = np.vstack([cb.q * mu**j for j in range(reduced.rho)])
     x_full = reduced.x0 if xi is None else cl.as_matrix(xi) @ reduced.x0
     return EigenvectorExpansion(

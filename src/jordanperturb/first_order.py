@@ -29,8 +29,8 @@ import scipy.linalg as la
 
 from . import core_linalg as cl
 from .errors import ClusterNotSeparated, NoConvergence, NotSemisimple, SingularNormalizer
-from .expansion import SubspaceSelection, branch_bases
-from .pencil import CLUSTER_GAP_REL, AssembledPencil, ReducedPencil, scalar_roots
+from .expansion import SubspaceSelection
+from .pencil import CLUSTER_GAP_REL, AssembledPencil, ReducedPencil
 
 __all__ = [
     "ComplementPair",
@@ -50,8 +50,9 @@ __all__ = [
 class ComplementPair:
     """Right/left bases splitting Theta_rho into Omega and its complement.
 
-    ``psi`` and ``psi_c`` stack to the exact inverse of [phi phi_c]; the
-    normalizers m / m_c realize that inverse from the left Schur factors.
+    ``psi`` and ``psi_c`` stack to the exact inverse of [phi phi_c]; ``m`` and
+    ``m_c`` are the block-diagonal inverse power-sum normalizers behind it.
+    All are slices of the pencil's branch table ``ReducedPencil.branches``.
     """
 
     q2: np.ndarray = field(repr=False)
@@ -112,24 +113,26 @@ class RiccatiSolution:
 def complement_pair(reduced: ReducedPencil, sel: SubspaceSelection) -> ComplementPair:
     """Complementary invariant subspace of Theta_rho plus left factors.
 
-    The complement collects, for every eigenvalue cluster of S_rho, the root
-    branches not chosen by ``sel``; its basis reuses the same right Schur
-    block Q_i for each branch.  Raises :class:`SingularNormalizer` when a
-    power-sum normalizer M or M_c is numerically singular.
+    The complement collects, in (cluster, branch) order, the root branches
+    of S_rho's clusters not chosen by ``sel``; each reuses its cluster's
+    right Schur block Q_i.  Every field is a slice of the pencil's branch
+    table (``ReducedPencil.branches``): the power-sum normalizer
+    M = sum_j Omega^(rho-1-j) Qt Q Omega^j of any union of branches is block
+    diagonal, since its cross block between clusters i != k holds
+    Qt_i Q_k = 0, and between branches b != b' of one cluster it is
+    omega^(rho-1) sum_j zeta^j = 0 (omega' = zeta omega, zeta != 1 a rho-th
+    root of unity).  So the table's psi rows stack to Phi^-1.
+
+    Raises :class:`ClusterNotSeparated` when Lambda(Omega) and
+    Lambda(Omega_c) nearly meet, :class:`SingularNormalizer` when M or M_c is
+    numerically singular, and :class:`MatrixRootFailure` when a cluster has
+    no rho-th root.
     """
-    rho = reduced.rho
-    chosen = set(sel.chosen)
-    comp = [
-        (ci, b) for ci in range(len(reduced.clusters)) for b in range(rho) if (ci, b) not in chosen
-    ]
+    tab = reduced.branches
+    c, cc, comp = tab.split(sel.chosen)
 
-    s_dim = reduced.s_rho.shape[0]
-    q1, omega, q1t = branch_bases(reduced, sel.chosen)
-    q2, omega_c, q2t = branch_bases(reduced, comp)
-
-    if omega.shape[0] and omega_c.shape[0]:
-        w1 = cl.eig(omega)
-        w2 = cl.eig(omega_c)
+    if c.size and cc.size:
+        w1, w2 = tab.lam[c], tab.lam[cc]
         gap = np.abs(w1[:, None] - w2[None, :]).min()
         scale = max(np.abs(w1).max(), np.abs(w2).max(), 1e-300)
         if gap <= CLUSTER_GAP_REL * scale:
@@ -137,39 +140,17 @@ def complement_pair(reduced: ReducedPencil, sel: SubspaceSelection) -> Complemen
                 f"Lambda(Omega) and Lambda(Omega_c) separated by only {gap:.3e}"
             )
 
-    def normalizer(om, qt, q, name):
-        r = om.shape[0]
-        if r == 0:
-            return cl.zeros(0, 0)
-        acc = cl.zeros(r, r)
-        for j in range(rho):
-            acc += (
-                np.linalg.matrix_power(om, rho - 1 - j)
-                @ qt
-                @ q
-                @ np.linalg.matrix_power(om, j)
-            )
-        if cl.smallest_singular_value(acc) < 1e-12 * max(1.0, cl.frob(acc)):
-            raise SingularNormalizer(f"power-sum normalizer {name} is singular")
-        return np.linalg.inv(acc)
+    for pairs, name in ((sel.chosen, "M"), (comp, "M_c")):
+        if pairs:
+            smin = min(tab.sigma[p][0] for p in pairs)
+            frob = float(np.sqrt(sum(tab.sigma[p][1] ** 2 for p in pairs)))
+            if smin < 1e-12 * max(1.0, frob):
+                raise SingularNormalizer(f"power-sum normalizer {name} is singular")
 
-    m = normalizer(omega, q1t, q1, "M")
-    m_c = normalizer(omega_c, q2t, q2, "M_c")
-
-    def left_rows(mm, om, qt):
-        r = om.shape[0]
-        if r == 0:
-            return cl.zeros(0, rho * s_dim)
-        return mm @ np.hstack(
-            [np.linalg.matrix_power(om, rho - 1 - j) @ qt for j in range(rho)]
-        )
-
-    psi = left_rows(m, omega, q1t)
-    psi_c = left_rows(m_c, omega_c, q2t)
-    phi_c = np.vstack([q2 @ np.linalg.matrix_power(omega_c, j) for j in range(rho)])
     return ComplementPair(
-        q2=q2, omega_c=omega_c, q1t=q1t, q2t=q2t, m=m, m_c=m_c,
-        psi=psi, psi_c=psi_c, phi_c=phi_c,
+        q2=tab.phi[: reduced.s_rho.shape[0], cc], omega_c=tab.omega[np.ix_(cc, cc)],
+        q1t=tab.qt[c], q2t=tab.qt[cc], m=tab.m_inv[np.ix_(c, c)], m_c=tab.m_inv[np.ix_(cc, cc)],
+        psi=tab.psi[c], psi_c=tab.psi[cc], phi_c=tab.phi[:, cc],
     )
 
 
@@ -210,8 +191,10 @@ def first_order_expansion(
 ) -> FirstOrderExpansion:
     """Assemble H1 and Delta11 for the selected subspace.
 
-    The Theta perturbation is compressed through the biorthogonal pair and
-    the complement coupling Y solves ``Omega_c Y - Y Omega + Delta21 = 0``.
+    The Theta perturbation is compressed through the biorthogonal pair:
+    Delta11 and Delta21 are the rows and columns of the selection in
+    ``ReducedPencil.branch_delta``, computed once per pencil.  The complement
+    coupling Y solves ``Omega_c Y - Y Omega + Delta21 = 0``.
 
     ``xi`` expresses H0 and H1 in the coordinates of a general problem
     (columns of the spectral transformation).  The cross-block coupling of a
@@ -225,12 +208,9 @@ def first_order_expansion(
     r = sel.r
 
     tp = reduced.theta_perturbation
-
-    left = np.vstack([comp.psi, comp.psi_c])
-    right = np.hstack([sel.phi, comp.phi_c])
-    dd = left @ tp.delta_coef @ right
-    delta11 = dd[:r, :r]
-    delta21 = dd[r:, :r]
+    c, cc, _ = reduced.branches.split(sel.chosen)
+    delta11 = reduced.branch_delta[np.ix_(c, c)]
+    delta21 = reduced.branch_delta[np.ix_(cc, c)]
 
     if comp.omega_c.shape[0] and r:
         y = cl.solve_sylvester(comp.omega_c, sel.omega, delta21)
@@ -296,7 +276,7 @@ def semisimple_expansion(
             f"gamma={cb.gamma:.6g}: geometric multiplicity {geo} < algebraic {r}"
         )
 
-    mu = complex(scalar_roots(cb.gamma, rho)[root_index])
+    mu = complex(reduced.branches.roots[ci, root_index])
     omega = mu * cl.eye(r)
     phi = np.vstack([cb.q * mu**j for j in range(rho)])
     sel = SubspaceSelection(

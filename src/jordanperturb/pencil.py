@@ -36,6 +36,7 @@ __all__ = [
     "ScalingPair",
     "AssembledPencil",
     "ClusterBasis",
+    "BranchTable",
     "ReducedPencil",
     "scalar_roots",
     "sort_complex",
@@ -168,70 +169,31 @@ class AssembledPencil:
 def assemble_pencil(pair: CanonicalPair, rho: int, validate: bool = True) -> AssembledPencil:
     """Build U, E_U, V and the exponent map of E_V(z) for the given rho.
 
-    The construction walks every sub-block position once and files each
-    scaled entry under its z-exponent: exponent 0 lands in U or V, the rest
-    in E_U (exponent 1, mu part) or ``ev_coeffs``.
+    Entry (p, q) of D11 scales to the z-exponent rho + L_p + R_q, the mu
+    diagonal to 1 + L_p + R_p and N to 0: exponent 0 lands in U or V, the
+    rest in E_U (exponent 1, mu part) or ``ev_coeffs``.
     """
     st = pair.structure
     if not 1 <= rho <= st.k:
         raise ValueError(f"rho={rho} outside 1..{st.k}")
-    idx = pair.index
-    mdim = st.dim
     scaling = ScalingPair.build(st, rho)
+    left, right = scaling.left_exponents, scaling.right_exponents
 
-    u_diag = np.zeros(mdim)
-    for i in range(1, st.k + 1):
-        for ell in range(1, i + 1):
-            e = 1 + left_exponent(i, ell, rho) + right_exponent(i, ell, rho)
-            if e == 0:
-                u_diag[idx.rows(i, ell)] = 1.0
-    u0 = np.diag(u_diag).astype(np.complex128)
-    eu = cl.eye(mdim) - u0
-
-    v0 = cl.zeros(mdim, mdim)
-    # Nilpotent part: every superdiagonal identity block scales to exponent 0.
-    for i in range(1, st.k + 1):
-        si = st.s(i)
-        if si == 0:
-            continue
-        for ell in range(1, i):
-            e = left_exponent(i, ell, rho) + right_exponent(i, ell + 1, rho)
-            assert e == 0
-            v0[idx.rows(i, ell), idx.cols(i, ell + 1)] += np.eye(si)
-
-    ev_coeffs: dict[int, np.ndarray] = {}
-    for i in range(1, st.k + 1):
-        if st.s(i) == 0:
-            continue
-        for j in range(1, st.k + 1):
-            if st.s(j) == 0:
-                continue
-            for ell in range(1, i + 1):
-                rows = idx.rows(i, ell)
-                for m in range(1, j + 1):
-                    e = rho + left_exponent(i, ell, rho) + right_exponent(j, m, rho)
-                    b = block(pair, i, j, ell, m)
-                    cols = idx.cols(j, m)
-                    if e == 0:
-                        v0[rows, cols] += b
-                    else:
-                        if e not in ev_coeffs:
-                            ev_coeffs[e] = cl.zeros(mdim, mdim)
-                        ev_coeffs[e][rows, cols] += b
-
-    # Drop identically-zero coefficients and record per-entry leading exponents
-    # (0 marks entries of E_V(z) that are identically zero).
-    ev_coeffs = {e: c for e, c in ev_coeffs.items() if cl.frob(c) > 0.0}
-    ev_orders = np.zeros((mdim, mdim), dtype=np.int64)
-    for e in sorted(ev_coeffs, reverse=True):
-        mask = ev_coeffs[e] != 0
-        ev_orders[mask] = e
+    u0 = np.diag((1 + left + right == 0).astype(np.complex128))
+    eu = cl.eye(st.dim) - u0
+    d = pair.d11
+    exps = rho + left[:, None] + right[None, :]
+    v0 = pair.nilpotent + np.where(exps == 0, d, 0)
+    # One masked copy of D11 per exponent that carries a nonzero entry;
+    # ev_orders is 0 where E_V(z) is identically zero.
+    ev_orders = np.where((exps != 0) & (d != 0), exps, 0)
+    ev_coeffs = {int(e): np.where(exps == e, d, 0) for e in np.unique(ev_orders[ev_orders != 0])}
 
     out = AssembledPencil(
         pair=pair, rho=rho, u0=u0, eu=eu, v0=v0, ev_coeffs=ev_coeffs,
         ev_orders=ev_orders, scaling=scaling,
     )
-    if validate and mdim:
+    if validate and st.dim:
         for z in (1e-1, 1e-2):
             res = out.identity_residual(z, mu=0.37 + 0.21j)
             if res > 1e-10:
@@ -278,6 +240,81 @@ class ClusterBasis:
         return _branch_rotations(self.gamma, self.rho)[1][branch] * self.root
 
 
+@dataclass(frozen=True)
+class BranchTable:
+    """The biorthogonal basis of Theta_rho over every root branch.
+
+    Branch (i, b), with omega = ``clusters[i].omega(b)``, owns the columns
+    ``columns[(i, b)]``, in (cluster, branch) order, of phi_ib = [Q_i omega^j]_j
+    (j = 0..rho-1) and the same rows of Qt_i and of psi_ib =
+    M_ib^-1 [omega^(rho-1-j) Qt_i]_j, with M_ib = sum_j omega^(rho-1-j) Qt_i Q_i
+    omega^j.  ``omega`` and ``m_inv`` are block diagonal, ``lam`` holds
+    Lambda(omega) under the same columns, ``sigma[(i, b)]`` = (sigma_min(M_ib),
+    ||M_ib||_F) and ``roots[i, b]`` = ``scalar_roots(gamma_i, rho)[b]``.  A
+    cluster's entries are filled in when :meth:`cols` first names its branches,
+    so a cluster with no rho-th root fails only the calls that need it.
+    """
+
+    clusters: tuple = field(repr=False)
+    columns: dict = field(repr=False)
+    phi: np.ndarray = field(repr=False)
+    psi: np.ndarray = field(repr=False)
+    qt: np.ndarray = field(repr=False)
+    omega: np.ndarray = field(repr=False)
+    m_inv: np.ndarray = field(repr=False)
+    lam: np.ndarray = field(repr=False)
+    roots: np.ndarray = field(repr=False)
+    sigma: dict = field(default_factory=dict, repr=False)
+
+    @classmethod
+    def build(cls, clusters, rho: int, s_dim: int) -> "BranchTable":
+        pairs = [(ci, b) for ci in range(len(clusters)) for b in range(rho)]
+        ends = np.cumsum([0] + [clusters[ci].count for ci, _ in pairs])
+        n = rho * s_dim
+        roots = np.array([scalar_roots(cb.gamma, rho) for cb in clusters], dtype=complex)
+        roots.flags.writeable = False
+        return cls(
+            clusters=tuple(clusters), roots=roots.reshape(-1, rho),
+            columns={p: np.arange(a, z) for p, a, z in zip(pairs, ends, ends[1:])},
+            phi=cl.zeros(n, n), psi=cl.zeros(n, n), qt=cl.zeros(n, s_dim),
+            omega=cl.zeros(n, n), m_inv=cl.zeros(n, n), lam=np.zeros(n, dtype=np.complex128),
+        )
+
+    def _fill(self, ci: int):
+        cb = self.clusters[ci]
+        lam_root = cl.eig(cb.root)
+        for b, w in enumerate(_branch_rotations(cb.gamma, cb.rho)[1]):
+            c = self.columns[(ci, b)]
+            om = cb.omega(b)
+            pw = [np.linalg.matrix_power(om, j) for j in range(cb.rho)]
+            mm = sum(pw[-1 - j] @ cb.qt @ cb.q @ pw[j] for j in range(cb.rho))
+            m_inv = np.linalg.inv(mm)
+            self.omega[np.ix_(c, c)], self.m_inv[np.ix_(c, c)] = om, m_inv
+            self.phi[:, c] = np.vstack([cb.q @ p for p in pw])
+            self.psi[c] = m_inv @ np.hstack([p @ cb.qt for p in pw[::-1]])
+            self.qt[c], self.lam[c] = cb.qt, w * lam_root
+            self.sigma[(ci, b)] = (cl.smallest_singular_value(mm), cl.frob(mm))
+
+    def cols(self, pairs) -> np.ndarray:
+        """The columns of the branches ``pairs``, in their given order; fills in
+        the clusters they name (:class:`MatrixRootFailure` if one has no root)."""
+        try:
+            cols = [self.columns[p] for p in pairs]
+        except KeyError as exc:
+            raise ValueError(f"{exc.args[0]} is not a (cluster, branch) of Theta_rho") from None
+        for p in pairs:
+            if p not in self.sigma:
+                self._fill(p[0])
+        return np.concatenate(cols + [np.zeros(0, dtype=np.intp)])
+
+    def split(self, chosen) -> tuple[np.ndarray, np.ndarray, list]:
+        """The columns of the ``chosen`` branches, then those of every other
+        branch in table order, and those other branches."""
+        taken = set(chosen)
+        comp = [p for p in self.columns if p not in taken]
+        return self.cols(chosen), self.cols(comp), comp
+
+
 def _cluster(vals: np.ndarray, tol: float) -> list[list[int]]:
     """Group indices of nearly-equal eigenvalues (union-find by distance)."""
     n = vals.size
@@ -315,7 +352,8 @@ class ReducedPencil:
     M[:, col_order]).  G is the identity except for ``g_block``, the
     shat_{rho+1} x (n1 + n2) block in the eigenvector rows and the g1/g2
     columns that holds G^(rho)_j at the leading sub-column of each block
-    j <= rho.
+    j <= rho.  What derives from the pencil alone (``clusters``, ``branches``,
+    ``branch_delta``, ``series``) is computed on first use, once per pencil.
     """
 
     assembled: AssembledPencil
@@ -453,6 +491,22 @@ class ReducedPencil:
                 ClusterBasis(gamma=rep, count=r, q=q, s11=s11, qt=qt, tol=tol, rho=self.rho)
             )
         return tuple(bases)
+
+    @cached_property
+    def branches(self) -> BranchTable:
+        """The biorthogonal branch basis of Theta_rho over every (cluster,
+        branch) of :attr:`clusters`, one per pencil; each cluster's entries are
+        computed once, when a selection first needs them."""
+        return BranchTable.build(self.clusters, self.rho, self.s_rho.shape[0])
+
+    @cached_property
+    def branch_delta(self) -> np.ndarray:
+        """D = Psi Theta_1 Phi, the first-order perturbation of Theta_rho in the
+        basis of :attr:`branches`: Delta11 and Delta21 of any selection are
+        slices of it."""
+        tab = self.branches
+        tab.split(())  # every cluster's entries
+        return tab.psi @ self.theta_perturbation.delta_coef @ tab.phi
 
     @cached_property
     def theta_perturbation(self):

@@ -45,6 +45,7 @@ _log = logging.getLogger(__name__)
 DEFAULT_SLACK = 0.1
 DEFAULT_R2 = 0.98
 FLOOR_FACTOR = 100.0
+MIN_SAMPLES = 5
 
 
 @dataclass(frozen=True)
@@ -210,13 +211,13 @@ def slope_fit(
     """Least-squares fit of log error against log t.
 
     Samples with error below ``100 * eps * scale`` are dropped as
-    floor-limited; at least five must survive or
+    floor-limited; at least ``MIN_SAMPLES`` must survive or
     :class:`InsufficientSamples` is raised.
     """
     samples = [(float(t), float(e)) for t, e in samples]
     floor = FLOOR_FACTOR * cl.EPS * scale
     usable = [(t, e) for t, e in samples if e > floor]
-    if len(usable) < 5:
+    if len(usable) < MIN_SAMPLES:
         raise InsufficientSamples(
             f"{quantity}: only {len(usable)} samples above the noise floor {floor:.3e}"
         )
@@ -300,7 +301,10 @@ def verify_all(
     ``lambda0 + t^(1/rho) mu`` (slope 2/rho for simple gamma), the
     first-order subspace relation residual (slope 2/rho), the per-block
     order tables of the exact bases, and the consistency of the exact
-    Theta-hat(z) with its first-order model (slope 2 in z).
+    Theta-hat(z) with its first-order model (slope 2 in z).  The last two
+    rest on the sweep points where the Riccati refinement converged; when
+    points were dropped and fewer than ``MIN_SAMPLES`` remain, each of those
+    claims is reported failed, with NaN slope and r^2.
 
     ``perturb_h1`` and ``swap_root`` are negative-control hooks: they
     corrupt H1 with noise of the given relative norm, or pair the subspace
@@ -415,13 +419,15 @@ def verify_all(
         return z, ric, h
 
     points = [p for p in map(solve_point, ts) if p is not None]
-    if not points:
-        return reports
     dropped = len(ts) - len(points)
     drop_note = f"{dropped} of {len(ts)} sweep points dropped (NoConvergence)" if dropped else ""
 
-    def noted(note):
-        return "; ".join(n for n in (note, drop_note) if n)
+    def riccati_report(samples, claimed, quantity, note):
+        note = "; ".join(n for n in (note, drop_note) if n)
+        if dropped and len(points) < MIN_SAMPLES:  # too few points left to fit: the claim fails
+            nan = float("nan")
+            return ConvergenceReport(quantity, claimed, nan, nan, False, tuple(samples), note=note)
+        return _fit_or_floor(samples, claimed, scale, quantity, note)
 
     base = reduced.x0
     idx = pair.index
@@ -438,9 +444,8 @@ def verify_all(
         rows = idx.rows(entry.block, entry.subrow)
         samples = [(z**rho, cl.frob(dev[rows, :])) for (z, _, _), dev in zip(points, xdev)]
         reports.append(
-            _fit_or_floor(
-                samples, float(entry.exponent), scale,
-                f"X[rho={rho},i={entry.block},l={entry.subrow}]", noted(entry.note),
+            riccati_report(
+                samples, float(entry.exponent), f"X[rho={rho},i={entry.block},l={entry.subrow}]", entry.note
             )
         )
     if sel0.r:
@@ -448,9 +453,8 @@ def verify_all(
             rows = idx.rows(entry.block, entry.subrow)
             samples = [(z**rho, cl.frob(dev[rows, :])) for (z, _, _), dev in zip(points, hdev)]
             reports.append(
-                _fit_or_floor(
-                    samples, float(entry.exponent), scale,
-                    f"H[rho={rho},i={entry.block},l={entry.subrow}]", noted(entry.note),
+                riccati_report(
+                    samples, float(entry.exponent), f"H[rho={rho},i={entry.block},l={entry.subrow}]", entry.note
                 )
             )
 
@@ -459,9 +463,5 @@ def verify_all(
     samples = [
         (z, cl.frob(ric.theta_hat - reduced.theta - z * delta_coef)) for z, ric, _ in points
     ]
-    reports.append(
-        _fit_or_floor(
-            samples, 2.0, scale, f"riccati-delta[rho={rho}]", noted("error measured against z")
-        )
-    )
+    reports.append(riccati_report(samples, 2.0, f"riccati-delta[rho={rho}]", "error measured against z"))
     return reports

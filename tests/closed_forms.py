@@ -7,6 +7,11 @@ closed forms in the elimination-corrected blocks B-hat of D11; they are
 transcribed here, sharing no code with the recursion, so the tests can assert
 that both agree.
 
+The pencil's exponent map is kept here in the same way:
+``assemble_pencil_blocks`` walks every sub-block position and files each
+scaled entry under its z-exponent, where the library masks D11 by one
+exponent matrix built from the scaling vectors.
+
 Likewise the library forms every constant subspace term as X0 Phi from the
 pencil's constant basis ``ReducedPencil.x0``; the displayed form
 ``XiTilde_rho [I; G_rho] Q1`` and the block layout of X0 are built here from
@@ -18,6 +23,7 @@ import scipy.linalg as la
 
 from jordanperturb import core_linalg as cl
 from jordanperturb.errors import NoConvergence
+from jordanperturb.pencil import left_exponent, right_exponent
 from jordanperturb.structure import block
 
 
@@ -258,3 +264,93 @@ def kron_riccati(ap, reduced, z, max_iter=200):
             raise NoConvergence(f"oracle Newton iteration fails at z={z:.3e}")
         dx1, dx2 = kron_newton_step(ap, reduced, z, x1, x2)
         x1, x2 = x1 + dx1, x2 + dx2
+
+
+def assemble_pencil_blocks(pair, rho):
+    """(u0, eu, v0, ev_coeffs, ev_orders) of the pencil for rho, filed block by
+    block: the z-exponent of sub-block (i, l; j, m) of D11 is
+    rho + left_exponent(i, l) + right_exponent(j, m)."""
+    st = pair.structure
+    idx = pair.index
+    mdim = st.dim
+
+    u_diag = np.zeros(mdim)
+    for i in range(1, st.k + 1):
+        for ell in range(1, i + 1):
+            if 1 + left_exponent(i, ell, rho) + right_exponent(i, ell, rho) == 0:
+                u_diag[idx.rows(i, ell)] = 1.0
+    u0 = np.diag(u_diag).astype(np.complex128)
+    eu = cl.eye(mdim) - u0
+
+    v0 = cl.zeros(mdim, mdim)
+    # every superdiagonal identity block of N scales to exponent 0
+    for i in range(1, st.k + 1):
+        si = st.s(i)
+        for ell in range(1, i if si else 1):
+            assert left_exponent(i, ell, rho) + right_exponent(i, ell + 1, rho) == 0
+            v0[idx.rows(i, ell), idx.cols(i, ell + 1)] += np.eye(si)
+
+    ev_coeffs = {}
+    for i in range(1, st.k + 1):
+        for j in range(1, st.k + 1):
+            if st.s(i) == 0 or st.s(j) == 0:
+                continue
+            for ell in range(1, i + 1):
+                rows = idx.rows(i, ell)
+                for m in range(1, j + 1):
+                    e = rho + left_exponent(i, ell, rho) + right_exponent(j, m, rho)
+                    b = block(pair, i, j, ell, m)
+                    cols = idx.cols(j, m)
+                    if e == 0:
+                        v0[rows, cols] += b
+                    else:
+                        ev_coeffs.setdefault(e, cl.zeros(mdim, mdim))[rows, cols] += b
+
+    ev_coeffs = {e: c for e, c in ev_coeffs.items() if cl.frob(c) > 0.0}
+    ev_orders = np.zeros((mdim, mdim), dtype=np.int64)
+    for e in sorted(ev_coeffs, reverse=True):
+        ev_orders[ev_coeffs[e] != 0] = e
+    return u0, eu, v0, ev_coeffs, ev_orders
+
+
+def complement_pair_union(reduced, sel):
+    """(q2, omega_c, q1t, q2t, m, m_c, psi, psi_c, phi_c) of the complement of
+    ``sel``, each from one power-sum normalizer over the whole union of its
+    branches, cross terms between branches included:
+    M = sum_j Omega^(rho-1-j) Qt Q Omega^j, psi = M^-1 [Omega^(rho-1-j) Qt]_j."""
+    rho = reduced.rho
+    s_dim = reduced.s_rho.shape[0]
+    chosen = set(sel.chosen)
+    comp = [(ci, b) for ci in range(len(reduced.clusters)) for b in range(rho) if (ci, b) not in chosen]
+
+    def bases(pairs):
+        if not pairs:
+            return cl.zeros(s_dim, 0), cl.zeros(0, 0), cl.zeros(0, s_dim)
+        cbs = [(reduced.clusters[ci], b) for ci, b in pairs]
+        return (
+            np.hstack([cb.q for cb, _ in cbs]),
+            la.block_diag(*[cb.omega(b) for cb, b in cbs]),
+            np.vstack([cb.qt for cb, _ in cbs]),
+        )
+
+    def pw(om, j):
+        return np.linalg.matrix_power(om, j)
+
+    def normalizer_inv(om, qt, q):
+        if not om.shape[0]:
+            return cl.zeros(0, 0)
+        return np.linalg.inv(sum(pw(om, rho - 1 - j) @ qt @ q @ pw(om, j) for j in range(rho)))
+
+    def left_rows(m, om, qt):
+        if not om.shape[0]:
+            return cl.zeros(0, rho * s_dim)
+        return m @ np.hstack([pw(om, rho - 1 - j) @ qt for j in range(rho)])
+
+    q1, omega, q1t = bases(sel.chosen)
+    q2, omega_c, q2t = bases(comp)
+    m, m_c = normalizer_inv(omega, q1t, q1), normalizer_inv(omega_c, q2t, q2)
+    phi_c = np.vstack([q2 @ pw(omega_c, j) for j in range(rho)])
+    return {
+        "q2": q2, "omega_c": omega_c, "q1t": q1t, "q2t": q2t, "m": m, "m_c": m_c,
+        "psi": left_rows(m, omega, q1t), "psi_c": left_rows(m_c, omega_c, q2t), "phi_c": phi_c,
+    }

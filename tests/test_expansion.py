@@ -142,26 +142,46 @@ class TestSelectSubspace:
             select_subspace(rp, lambda g: abs(g - 1.0) < 5e-7, 0)
 
     def test_matrix_root_failure_on_singular(self):
+        # S_1 = diag(0, 1): only calls that need the singular cluster's root
+        # fail, whether or not the pencil's branch table was tried first
         st = JordanStructure(0.0, (2,))
         pair = CanonicalPair(st, np.diag([0.0, 1.0]))
         rp = reduce_pencil(assemble_pencil(pair, 1))
         with pytest.raises(MatrixRootFailure):
             select_subspace(rp, lambda g: abs(g) < 0.5, 0)
+        assert len(eigenvalue_expansions(rp)) == 2
+        sel = select_subspace(rp, lambda g: abs(g - 1) < 0.5, 0)
+        assert np.allclose(sel.omega, [[1.0]])
+        assert subspace_expansion(rp, sel).h0.shape == (2, 1)
+        assert eigenvector_expansion(rp, 1, 0).constant.shape == (2, 1)
+        # the complement of a selection takes every cluster, the singular one too
+        with pytest.raises(MatrixRootFailure):
+            complement_pair(rp, sel)
+        with pytest.raises(MatrixRootFailure):
+            select_subspace(rp, lambda g: abs(g) < 0.5, 0)
+        assert np.allclose(select_subspace(rp, lambda g: abs(g - 1) < 0.5, 0).phi, sel.phi)
 
     def test_cluster_roots_computed_once(self, monkeypatch):
         # selecting and complementing every (cluster, branch) of one pencil
         # takes each cluster's matrix root once; S_2 = diag(9, 9, 4, 4) makes
-        # both clusters 2 x 2, so every root goes through fractional_matrix_power
+        # both clusters 2 x 2, so every root goes through fractional_matrix_power.
+        # The power-sum normalizer of each branch is inverted once, when the
+        # pencil's branch table is built; a complement_pair call inverts nothing.
         import scipy.linalg
 
-        calls = []
-        power = scipy.linalg.fractional_matrix_power
+        calls, inverses = [], []
+        power, inv = scipy.linalg.fractional_matrix_power, np.linalg.inv
 
         def counted(a, t):
             calls.append(t)
             return power(a, t)
 
+        def counted_inv(a):
+            inverses.append(a.shape)
+            return inv(a)
+
         monkeypatch.setattr(scipy.linalg, "fractional_matrix_power", counted)
+        monkeypatch.setattr(np.linalg, "inv", counted_inv)
         st = JordanStructure(0.0, (0, 4))
         d = np.zeros((8, 8), dtype=complex)
         d[4:8, 0:4] = np.diag([9.0, 9.0, 4.0, 4.0])
@@ -174,6 +194,8 @@ class TestSelectSubspace:
                 assert np.allclose(np.abs(np.diag(sel.omega)), np.sqrt(abs(cb.gamma)))
                 assert comp.omega_c.shape == (6, 6)
         assert len(calls) == len(rp.clusters)
+        assert inverses == [(2, 2)] * (2 * len(rp.clusters))
+        assert rp.branches is rp.branches
 
     def test_multi_branch_selection(self):
         _, rp = example1_reduced()

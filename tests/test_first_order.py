@@ -17,12 +17,13 @@ from jordanperturb import (
 )
 import jordanperturb.core_linalg
 import jordanperturb.first_order
-from jordanperturb.errors import NoConvergence, NotSemisimple
+from jordanperturb.errors import NoConvergence, NotSemisimple, SingularNormalizer
 from jordanperturb.expansion import eigenvector_expansion, subspace_expansion
 
 from closed_forms import (
     closed_form_delta_coef,
     closed_form_x_blocks,
+    complement_pair_union,
     eigvec_stack,
     gtilde_matrix,
     hatb_terms,
@@ -95,6 +96,71 @@ class TestComplementPair:
             big = np.vstack([comp.psi, comp.psi_c]) @ np.hstack([sel.phi, comp.phi_c])
             n = big.shape[0]
             assert np.linalg.norm(big - np.eye(n)) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "sizes, seed",
+        [pytest.param(sizes, 1, id=str(sizes)) for sizes in SUITE_SIZES]
+        + [pytest.param((4, 4, 4, 4, 4), 102, id="102-sizes44444")],
+    )
+    def test_branch_table_against_union_normalizer(self, sizes, seed):
+        """Every ComplementPair field and Delta11, for every (cluster, branch)
+        at every rho, against one normalizer over the whole union of branches
+        (cross terms included, ``closed_forms.complement_pair_union``).
+
+        Both routes form the same exact quantities from the same Q_i, Qt_i
+        and omega blocks (q2, q1t, q2t and omega_c are equal bit for bit).
+        The rest takes at most rho products of matrices of order at most
+        n = rho s_rho, each with a relative rounding of about n eps, and one
+        inverse.  Psi = Phi^-1, and M^-1 is the last block column of psi
+        times Q, so an inverse turns a relative perturbation of Phi into one
+        at most kappa(Phi) times larger.  Each route is therefore within
+        rho n eps kappa(Phi) of the exact value, relative to the field's
+        norm: tol = 2 rho n eps kappa(Phi).  Delta11 is a block of
+        Psi Theta_1 Phi, so its bound is tol ||Psi|| ||Theta_1|| ||Phi||.
+        """
+        pair = random_pair(sizes, seed=seed)
+        for rho in pair.structure.valid_rhos():
+            rp = reduce_pencil(assemble_pencil(pair, rho))
+            tab = rp.branches
+            tab.split(())  # every cluster's entries
+            n = tab.phi.shape[0]
+            tol = 2 * rho * n * np.finfo(float).eps * np.linalg.cond(tab.phi)
+            dc = rp.theta_perturbation.delta_coef
+            d_scale = np.linalg.norm(tab.psi) * np.linalg.norm(dc) * np.linalg.norm(tab.phi)
+            for ci, cb in enumerate(rp.clusters):
+                for b in range(rho):
+                    pick = lambda g, cb=cb: abs(g - cb.gamma) < 1e-6 * max(1.0, abs(cb.gamma))
+                    sel = select_subspace(rp, pick, b)
+                    assert sel.chosen == ((ci, b),)
+                    comp = complement_pair(rp, sel)
+                    ref = complement_pair_union(rp, sel)
+                    for name, want in ref.items():
+                        got = getattr(comp, name)
+                        assert got.shape == want.shape, name
+                        if name in ("q2", "q1t", "q2t", "omega_c"):
+                            assert np.array_equal(got, want), name
+                        assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want), name
+                    left = np.vstack([ref["psi"], ref["psi_c"]])
+                    right = np.hstack([sel.phi, ref["phi_c"]])
+                    want = (left @ dc @ right)[: sel.r, : sel.r]
+                    got = first_order_expansion(rp, sel, comp).delta11
+                    assert np.linalg.norm(got - want) <= tol * d_scale
+
+    def test_singular_normalizer(self):
+        # S_2 = [[a, 1], [0, a]] (+) [10] with a = 2e-7: S11 of the small
+        # cluster passes the root test (sigma_min about a^2 = 4e-14), but its
+        # branch normalizers M_ib = 2 omega have sigma_min about 4 a^1.5 = 4e-10,
+        # below 1e-12 ||M||_F (||M||_F about 1/sqrt(a) = 2.2e3); whichever
+        # side of a selection holds those branches is reported singular
+        st = JordanStructure(0.0, (0, 3))
+        d = np.zeros((6, 6), dtype=complex)
+        d[3:, :3] = [[2e-7, 1.0, 0.0], [0.0, 2e-7, 0.0], [0.0, 0.0, 10.0]]
+        rp = reduce_pencil(assemble_pencil(CanonicalPair(st, d), 2))
+        assert [cb.count for cb in rp.clusters] == [2, 1]
+        for pick, name in ((lambda g: abs(g) < 1, "M"), (lambda g: abs(g) > 1, "M_c")):
+            sel = select_subspace(rp, pick, 0)
+            with pytest.raises(SingularNormalizer, match=f"normalizer {name} is"):
+                complement_pair(rp, sel)
 
     def test_left_relations(self):
         pair = random_pair((1, 2), seed=2)

@@ -5,8 +5,10 @@ from hypothesis import strategies as hst
 
 from jordanperturb import (
     CanonicalPair,
+    CaseSpec,
     JordanStructure,
     assemble_pencil,
+    generate,
     finite_pencil_eigs,
     reduce_pencil,
     theta_spectrum,
@@ -14,7 +16,11 @@ from jordanperturb import (
 from jordanperturb.errors import SingularW
 from jordanperturb.pencil import scalar_roots, sort_complex
 
+from closed_forms import assemble_pencil_blocks
 from conftest import SUITE_SIZES, random_pair
+
+# the verify-ladder structures (seed 1), and two with void size groups
+LADDER_SIZES = [(1, 2), (2, 2, 2), (1, 1, 1, 1, 1), (3, 3, 3, 3), (4, 4, 4, 4, 4)]
 
 
 def example1_pair():
@@ -85,6 +91,29 @@ class TestAssemble:
             for rho in pair.structure.valid_rhos():
                 ap = assemble_pencil(pair, rho)
                 assert np.array_equal(ap.u0 + ap.eu, np.eye(pair.structure.dim))
+
+    @pytest.mark.parametrize(
+        "pair",
+        [pytest.param(random_pair(s, seed=1), id=f"suite-{s}") for s in SUITE_SIZES]
+        + [
+            pytest.param(
+                generate(CaseSpec(JordanStructure(0.0, s), seed=1, ensure_distinct_gammas=True)),
+                id=f"ladder-{s}",
+            )
+            for s in LADDER_SIZES + [(0, 1, 0, 2), (1, 0, 3)]
+        ],
+    )
+    def test_against_block_oracle(self, pair):
+        # the exponent-matrix masks give bit for bit the block-by-block filing
+        for rho in pair.structure.valid_rhos():
+            ap = assemble_pencil(pair, rho)
+            u0, eu, v0, ev_coeffs, ev_orders = assemble_pencil_blocks(pair, rho)
+            for got, ref in ((ap.u0, u0), (ap.eu, eu), (ap.v0, v0), (ap.ev_orders, ev_orders)):
+                assert got.dtype == ref.dtype and np.array_equal(got, ref)
+            assert sorted(ap.ev_coeffs) == sorted(ev_coeffs)
+            for e, coeff in ev_coeffs.items():
+                assert ap.ev_coeffs[e].dtype == coeff.dtype
+                assert np.array_equal(ap.ev_coeffs[e], coeff)
 
     def test_ev_orders_at_least_one(self):
         pair = random_pair((1, 2), seed=2)

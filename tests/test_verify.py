@@ -291,6 +291,32 @@ class TestDroppedPoints:
         assert len(msgs) == len(SweepPlan.default(2).t_values)
         assert all("exact_subspace_basis raised NoConvergence: forced" in m for m in msgs)
 
+    @pytest.mark.parametrize("dropped", [13, 9, 8])
+    def test_too_few_points_fail_riccati_claims(self, monkeypatch, dropped):
+        # the largest `dropped` sweep points raise in exact_subspace_basis; with
+        # fewer than five points left the X, H and riccati-delta claims are
+        # still reported, each failed with NaN slope and r^2; five points fit
+        calls = []
+
+        def fail_first(ric, sel, comp):
+            calls.append(ric.z)
+            if len(calls) <= dropped:
+                raise NoConvergence("forced")
+            return exact_subspace_basis(ric, sel, comp)
+
+        monkeypatch.setattr(jordanperturb.verify, "exact_subspace_basis", fail_first)
+        reports = verify_all(random_pair((1, 2), seed=1), 2)
+        riccati = [r for r in reports if r.quantity.startswith(("X[", "H[", "riccati-delta["))]
+        assert len(reports) == 10 and len(riccati) == 6
+        tag = f"{dropped} of 13 sweep points dropped (NoConvergence)"
+        for r in riccati:
+            assert r.note.endswith(tag) and len(r.samples) == 13 - dropped, (r.quantity, r.note)
+            if dropped > 8:
+                assert not r.passed and not r.floor_limited, r.quantity
+                assert np.isnan(r.fitted_slope) and np.isnan(r.r_squared)
+            else:
+                assert r.floor_limited or np.isfinite(r.fitted_slope), r.quantity
+
 
     def test_reports_count_dropped_points(self, largest_ladder_run):
         # (4,4,4,4,4), rho=5 keeps 9 of its 13 sweep points; each report
