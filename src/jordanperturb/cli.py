@@ -11,7 +11,7 @@ which is reduced to canonical coordinates before any analysis.  Exactly one
 of the two forms must be present.
 
 Exit codes: 0 success / all checks passed, 1 verification failure,
-2 precondition or genericity failure, 3 parse error.
+2 precondition or genericity failure, 3 parse error (of the file or of an argument value).
 """
 
 from __future__ import annotations
@@ -172,6 +172,12 @@ def load_problem(path: str):
     return red.pair
 
 
+def _check_rho(rho: int, st: JordanStructure) -> int:
+    if not 1 <= rho <= st.k:
+        raise ParseError(f"--rho {rho} outside 1..{st.k}")
+    return rho
+
+
 def _parse_cluster(spec: str, reduced):
     """Cluster selector: 'idx:N' picks the N-th eigenvalue cluster of S_rho
     in deterministic order; 'val:RE,IM:RADIUS' picks by value."""
@@ -209,7 +215,7 @@ def cmd_analyze(args) -> int:
     for i, s in enumerate(report.sigma_min, start=1):
         print(f"  {i:<3d} {st.shat(i):<8d} {s:.6e}")
     print(f"generic: {report.generic} (threshold {report.threshold:.1e} * ||D11||)")
-    rhos = [args.rho] if args.rho else st.valid_rhos()
+    rhos = [_check_rho(args.rho, st)] if args.rho else st.valid_rhos()
     code = EXIT_OK if report.generic else EXIT_PRECONDITION
     for rho in rhos:
         try:
@@ -240,6 +246,8 @@ def _order_table_json(table):
 
 def cmd_expand(args) -> int:
     pair = load_problem(args.file)
+    if not 0 <= args.root < _check_rho(args.rho, pair.structure):
+        raise ParseError(f"--root {args.root} outside 0..{args.rho - 1}")
     reduced = reduce_pencil(assemble_pencil(pair, args.rho))
     cluster = _parse_cluster(args.cluster, reduced)
     sel = select_subspace(reduced, cluster, args.root)
@@ -272,10 +280,13 @@ def cmd_expand(args) -> int:
 def cmd_verify(args) -> int:
     pair = load_problem(args.file)
     st = pair.structure
-    rhos = [args.rho] if args.rho else st.valid_rhos()
+    rhos = [_check_rho(args.rho, st)] if args.rho else st.valid_rhos()
     all_reports = []
     for rho in rhos:
-        plan = SweepPlan.default(rho, tmax=args.tmax, tmin=args.tmin, points=args.points)
+        try:
+            plan = SweepPlan.default(rho, tmax=args.tmax, tmin=args.tmin, points=args.points)
+        except ValueError as exc:
+            raise ParseError(f"bad sweep (--tmax, --tmin, --points): {exc}") from exc
         reports = verify_all(
             pair, rho, plan, perturb_h1=args.perturb_h1, swap_root=args.swap_root
         )
@@ -306,9 +317,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    sizes = tuple(int(s) for s in args.sizes.split(","))
-    lam_re, lam_im = (float(v) for v in args.lambda0.split(","))
-    structure = JordanStructure(complex(lam_re, lam_im), sizes)
+    try:
+        sizes = tuple(int(s) for s in args.sizes.split(","))
+        lam_re, lam_im = (float(v) for v in args.lambda0.split(","))
+        structure = JordanStructure(complex(lam_re, lam_im), sizes)
+    except ValueError as exc:
+        raise ParseError(f"bad --sizes or --lambda0: {exc}") from exc
     spec = CaseSpec(
         structure=structure,
         seed=args.seed,

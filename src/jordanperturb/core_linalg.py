@@ -2,8 +2,9 @@
 
 Thin, contract-checked wrappers around LAPACK (via scipy.linalg) for the
 operations the perturbation pipeline needs: eigenvalues (never
-eigenvectors), ordered Schur form, Sylvester solves, and singular-value
-queries.  All matrices are ``numpy.ndarray`` with dtype complex128; empty
+eigenvectors), ordered Schur form and singular-value queries; plus the
+library's one Sylvester kernel, which wraps no LAPACK Sylvester routine.
+All matrices are ``numpy.ndarray`` with dtype complex128; empty
 dimensions are allowed wherever they make sense (void Jordan blocks produce
 0-width slices).
 """
@@ -22,6 +23,7 @@ __all__ = [
     "as_matrix",
     "eig",
     "ordered_schur",
+    "schur_sylvester",
     "solve_sylvester",
     "smallest_singular_value",
     "frob",
@@ -114,13 +116,25 @@ def ordered_schur(m, select):
     return q.astype(np.complex128), t.astype(np.complex128), int(r)
 
 
+def schur_sylvester(a, e, t, q, f) -> np.ndarray:
+    """X with ``a X - e X theta = f``, given theta = q t q^H in complex Schur form:
+    column k of Y = X q solves (a - t_kk e) y_k = (f q)_k + e Y[:, :k] t[:k, k]
+    (Bartels-Stewart with one triangular factor; Golub, Nash & Van Loan 1979).
+    ``a`` and ``e`` may be singular if no a - t_kk e is; no overlap check."""
+    fq = f @ q
+    y = np.empty_like(fq)
+    for k in range(t.shape[0]):
+        y[:, k] = np.linalg.solve(a - t[k, k] * e, fq[:, k] + e @ (y[:, :k] @ t[:k, k]))
+    return y @ q.conj().T
+
+
 def solve_sylvester(a, b, c) -> np.ndarray:
-    """Solve ``a X - X b + c = 0`` by Bartels-Stewart.
+    """Solve ``a X - X b + c = 0`` by :func:`schur_sylvester` in the Schur form of ``b``.
 
     Requires the spectra of ``a`` and ``b`` to be separated: the minimum
     eigenvalue distance must exceed ``1e-12 * max(1, ||a||, ||b||)``,
-    else :class:`SpectraOverlap` is raised.  Empty dimensions short-circuit
-    to an empty solution.
+    else :class:`SpectraOverlap` is raised; Lambda(b) is read off the Schur
+    diagonal.  Empty dimensions short-circuit to an empty solution.
     """
     a = as_matrix(a, "a")
     b = as_matrix(b, "b")
@@ -132,16 +146,14 @@ def solve_sylvester(a, b, c) -> np.ndarray:
         raise ValueError(f"c must be {na}x{nb}, got {c.shape}")
     if na == 0 or nb == 0:
         return zeros(na, nb)
-    wa = eig(a)
-    wb = eig(b)
-    sep = np.abs(wa[:, None] - wb[None, :]).min()
+    t, q = la.schur(b, output="complex", check_finite=False)  # as_matrix has checked
+    sep = np.abs(eig(a)[:, None] - np.diag(t)[None, :]).min()
     scale = max(1.0, frob(a), frob(b))
     if sep < 1e-12 * scale:
         raise SpectraOverlap(
             f"spectra of a and b are separated by only {sep:.3e} (scale {scale:.3e})"
         )
-    # scipy solves A X + X B = Q
-    return la.solve_sylvester(a, -b, -c)
+    return schur_sylvester(a, eye(na), t, q, -c)
 
 
 def smallest_singular_value(m) -> float:

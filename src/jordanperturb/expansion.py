@@ -184,6 +184,8 @@ def select_subspace(reduced: ReducedPencil, cluster, root_index=0) -> SubspaceSe
         for b in branches:
             if not 0 <= b < rho:
                 raise ValueError(f"root_index={b} outside 0..{rho - 1}")
+            if (ci, b) in chosen:
+                raise ValueError(f"root_index={b} repeated for cluster {ci}")
             chosen.append((ci, b))
 
     # Separation of the selected mu set from every other root of Theta_rho.
@@ -296,6 +298,8 @@ def eigenvector_expansion(
     cb = bases[which]
     if cb.count != 1:
         raise NotSimple(f"gamma={cb.gamma:.6g} has multiplicity {cb.count}")
+    if not 0 <= root_index < reduced.rho:
+        raise ValueError(f"root_index={root_index} outside 0..{reduced.rho - 1}")
     mu = complex(reduced.branches.roots[which, root_index])
     phi = np.vstack([cb.q * mu**j for j in range(reduced.rho)])
     x_full = reduced.x0 if xi is None else cl.as_matrix(xi) @ reduced.x0

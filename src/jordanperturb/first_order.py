@@ -17,7 +17,8 @@ it solves the exact coupling equations by Newton's method, yielding the
 exact perturbed block Theta-hat(z) and an exact invariant-subspace matrix,
 which the verification module uses as ground truth for every claimed
 fractional order.  Each Newton step is a generalized Sylvester equation,
-solved one column at a time in the complex Schur form of Theta-hat.
+solved one column at a time in the complex Schur form of Theta-hat by
+``core_linalg.schur_sylvester``, the kernel of every Sylvester solve.
 """
 
 from __future__ import annotations
@@ -212,10 +213,7 @@ def first_order_expansion(
     delta11 = reduced.branch_delta[np.ix_(c, c)]
     delta21 = reduced.branch_delta[np.ix_(cc, c)]
 
-    if comp.omega_c.shape[0] and r:
-        y = cl.solve_sylvester(comp.omega_c, sel.omega, delta21)
-    else:
-        y = cl.zeros(comp.omega_c.shape[0], r)
+    y = cl.solve_sylvester(comp.omega_c, sel.omega, delta21)
 
     # H0 and H1 as the exact z^0 and z^1 coefficients of
     # Xi R(z) Pi_R G [z X1; I; z X2] (Phi + z Phi_c Y): H0 = X0 Phi, and H1 takes
@@ -276,6 +274,8 @@ def semisimple_expansion(
             f"gamma={cb.gamma:.6g}: geometric multiplicity {geo} < algebraic {r}"
         )
 
+    if not 0 <= root_index < rho:
+        raise ValueError(f"root_index={root_index} outside 0..{rho - 1}")
     mu = complex(reduced.branches.roots[ci, root_index])
     omega = mu * cl.eye(r)
     phi = np.vstack([cb.q * mu**j for j in range(rho)])
@@ -305,18 +305,6 @@ def _coupling(r: ReducedPencil, vz, uz, x):
     return theta_hat, res, a, b
 
 
-def _schur_sylvester(a, b, theta, f):
-    """X with a X - b X theta = f: in the complex Schur form theta = Q T Q^H,
-    Y = X Q is found one column at a time from
-    (a - T_kk b) y_k = (f Q)_k + b Y[:, :k] T[:k, k]."""
-    t, q = la.schur(theta, output="complex")
-    fq = f @ q
-    y = np.empty_like(fq)
-    for k in range(t.shape[0]):
-        y[:, k] = np.linalg.solve(a - t[k, k] * b, fq[:, k] + b @ (y[:, :k] @ t[:k, k]))
-    return y @ q.conj().T
-
-
 def coupling_series(r: ReducedPencil, order: int, x=(), theta=()):
     """Taylor coefficients X[k] = [X1_k; X2_k] and Theta[k], k = 0..order, of
     the exact coupling at z = 0, resuming after the terms already in x, theta.
@@ -330,6 +318,7 @@ def coupling_series(r: ReducedPencil, order: int, x=(), theta=()):
     ap, n1, n2, m = r.assembled, r.n1, r.n2, r.structure.dim
     gc = np.r_[0:n1, n1 + n2 : m]
     theta0, _, a0, b0 = _coupling(r, r.v_hat, r.u_hat, cl.zeros(m - n2, n2))
+    t0, q0 = la.schur(theta0, output="complex")
     v = [r.v_hat] + [r.hat(ap.ev_coeffs.get(e, cl.zeros(m, m))) for e in range(1, order + 1)]
     u0, u1 = r.u_hat[gc], r.hat(ap.eu)[gc]
     x, theta = list(x) or [cl.zeros(m - n2, n2)], list(theta) or [theta0]
@@ -342,7 +331,7 @@ def coupling_series(r: ReducedPencil, order: int, x=(), theta=()):
         vs = sum(v[e] @ s[k - e] for e in range(1, k + 1))
         theta.append(vs[r.g2])
         res = vs[gc] - u0 @ s_theta(k) - u1 @ s_theta(k - 1)
-        x.append(_schur_sylvester(a0, b0, theta0, -res))
+        x.append(cl.schur_sylvester(a0, b0, t0, q0, -res))
         s.append(np.vstack([x[k][:n1], cl.zeros(n2, n2), x[k][n1:]]))
         theta[k] = theta[k] + r.v_hat[r.g2, gc] @ x[k]
     return tuple(x), tuple(theta)
@@ -393,7 +382,7 @@ def solve_riccati(
             )
         if it == max_iter:
             break
-        x = x - _schur_sylvester(a, b, theta_hat, res)
+        x = x - cl.schur_sylvester(a, b, *la.schur(theta_hat, output="complex"), res)
     raise NoConvergence(
         f"riccati iteration stalled at residual {resid:.3e} (tol {tol:.3e}) after {max_iter} sweeps; z may be too large"
     )

@@ -114,7 +114,7 @@ def reduce(a, d, trans: SpectralTransformation) -> ReducedProblem:
     d22 = dt[m:, m:]
     st = trans.structure
     a11 = st.lambda0 * cl.eye(m) + build_nilpotent(st)
-    p1 = cl.solve_sylvester(trans.a22, a11, d21) if d21.shape[0] else cl.zeros(0, m)
+    p1 = cl.solve_sylvester(trans.a22, a11, d21)
     return ReducedProblem(pair=CanonicalPair(st, d11), d12=d12, d21=d21, d22=d22, p1=p1)
 
 

@@ -46,11 +46,14 @@ DEFAULT_SLACK = 0.1
 DEFAULT_R2 = 0.98
 FLOOR_FACTOR = 100.0
 MIN_SAMPLES = 5
+COUPLING_TOL_REL = 1e-13
+COUPLING_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
 class SweepPlan:
-    """Geometric t-sweep for one splitting order rho."""
+    """Geometric t-sweep for one splitting order rho: at least ``MIN_SAMPLES``
+    strictly decreasing t values, all above the resolvability floor."""
 
     t_values: tuple
     rho: int
@@ -59,6 +62,8 @@ class SweepPlan:
     def __post_init__(self):
         ts = tuple(float(t) for t in self.t_values)
         object.__setattr__(self, "t_values", ts)
+        if len(ts) < MIN_SAMPLES:
+            raise ValueError(f"a sweep needs at least {MIN_SAMPLES} t values, got {len(ts)}")
         if any(b >= a for a, b in zip(ts, ts[1:])):
             raise ValueError("t_values must be strictly decreasing")
         floor = 10.0 * cl.EPS ** (self.rho / (self.rho + 1))
@@ -256,7 +261,7 @@ def _fit_or_floor(samples, claimed, scale, quantity, note="", slack=DEFAULT_SLAC
         )
 
 
-def _subspace_coupling(theta_hat, sel, comp, tol_rel=1e-13, max_iter=100):
+def _subspace_coupling(theta_hat, sel, comp):
     """Exact invariant-subspace continuation of the selected block inside
     Theta-hat: returns (y, rep) with Theta-hat (phi + phi_c y) =
     (phi + phi_c y) rep."""
@@ -267,12 +272,10 @@ def _subspace_coupling(theta_hat, sel, comp, tol_rel=1e-13, max_iter=100):
     t11, t12 = tt[:r, :r], tt[:r, r:]
     t21, t22 = tt[r:, :r], tt[r:, r:]
     y = cl.zeros(t22.shape[0], r)
-    if r == 0 or t22.shape[0] == 0:
-        return y, t11
     scale = max(1.0, cl.frob(tt))
-    for _ in range(max_iter):
+    for _ in range(COUPLING_MAX_ITER):
         resid = cl.frob(t21 + t22 @ y - y @ (t11 + t12 @ y))
-        if resid <= tol_rel * scale:
+        if resid <= COUPLING_TOL_REL * scale:
             return y, t11 + t12 @ y
         y = cl.solve_sylvester(t22, t11 + t12 @ y, t21)
     raise NoConvergence("subspace coupling iteration did not converge")

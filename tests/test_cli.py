@@ -220,3 +220,28 @@ class TestGeneralFormProblem:
         assert main(["analyze", str(f)]) == EXIT_OK
         out = capsys.readouterr().out
         assert "rho = 1" in out and "rho = 2" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expand", "{f}", "--rho", "2", "--cluster", "idx:0", "--root", "5"],
+        ["expand", "{f}", "--rho", "2", "--cluster", "idx:0", "--root", "-1"],
+        ["expand", "{f}", "--rho", "7", "--cluster", "idx:0"],
+        ["verify", "{f}", "--rho", "7"],
+        ["verify", "{f}", "--tmax", "1e-9"],
+        ["verify", "{f}", "--points", "4"],
+        ["generate", "--sizes", "1,x", "--out", "{f}"],
+        ["generate", "--sizes", "1,0", "--out", "{f}"],
+    ],
+    ids=["root_5", "root_-1", "expand_rho_7", "verify_rho_7", "tmax", "points_4", "sizes_x", "sizes_0"],
+)
+def test_bad_argument_value_exit_3(tmp_path, capsys, argv):
+    # a value the library rejects is a parse error (one line, exit 3), not a
+    # traceback with the verification-failure exit code
+    f = tmp_path / "p.json"
+    assert main(["generate", "--sizes", "1,2", "--seed", "1", "--out", str(f)]) == EXIT_OK
+    capsys.readouterr()
+    assert main([a.format(f=f) for a in argv]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and err.count("\n") == 1

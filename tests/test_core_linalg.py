@@ -107,12 +107,27 @@ class TestSolveSylvester:
     def test_overlap_rejected(self):
         with pytest.raises(SpectraOverlap):
             cl.solve_sylvester([[1.0]], [[1.0]], [[1.0]])
+        # a dense non-normal b, similar to [[2, 10], [0, 5]], sharing the eigenvalue 2 with a
+        s = np.array([[1.0, 2.0], [0.5, 3.0]])
+        b = s @ np.array([[2.0, 10.0], [0.0, 5.0]]) @ np.linalg.inv(s)
+        with pytest.raises(SpectraOverlap):
+            cl.solve_sylvester(np.diag([2.0, 7.0]), b, np.ones((2, 2)))
 
-    @pytest.mark.parametrize("na,nb,seed", [(2, 3, 0), (4, 4, 1), (6, 5, 2), (1, 6, 3)])
-    def test_against_kronecker_oracle(self, na, nb, seed):
+    # the last case has a defective b, one Jordan block like the A11 = lambda0 I + N
+    # that reduction passes; its Schur form is b itself
+    SYLVESTER_CASES = [(2, 3, 0, False), (4, 4, 1, False), (6, 5, 2, False), (1, 6, 3, False),
+                       (4, 5, 4, True)]
+
+    @pytest.mark.parametrize(
+        "na,nb,seed,jordan", SYLVESTER_CASES,
+        ids=["-".join(map(str, c[:3])) + ("-jordan" if c[3] else "") for c in SYLVESTER_CASES],
+    )
+    def test_against_kronecker_oracle(self, na, nb, seed, jordan):
         rng = np.random.default_rng(seed)
         a = rand_complex(rng, na) + 3 * np.eye(na)
         b = rand_complex(rng, nb) - 3 * np.eye(nb)
+        if jordan:
+            b = (-3.0 + 0.5j) * np.eye(nb) + np.eye(nb, k=1)
         c = rand_complex(rng, na, nb)
         x = cl.solve_sylvester(a, b, c)
         x_oracle = kron_sylvester(a, b, c)

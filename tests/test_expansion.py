@@ -15,7 +15,7 @@ from jordanperturb import (
 from jordanperturb import core_linalg as cl
 from jordanperturb.errors import ClusterNotSeparated, MatrixRootFailure, NotSimple
 from jordanperturb.expansion import h_order_table
-from jordanperturb.first_order import complement_pair
+from jordanperturb.first_order import complement_pair, semisimple_expansion
 
 from closed_forms import eigvec_stack, gtilde_matrix, xi_tilde
 from conftest import SUITE_SIZES, random_pair
@@ -219,6 +219,24 @@ class TestSelectSubspace:
                     sel.omega, rho
                 )
                 assert np.linalg.norm(lhs - proj) <= 1e-10 * max(1.0, np.linalg.norm(lhs))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rp: eigenvector_expansion(rp, 0, -1),
+        lambda rp: eigenvector_expansion(rp, 0, rp.rho),
+        lambda rp: semisimple_expansion(rp, rp.clusters[0].gamma, rp.rho),
+        lambda rp: select_subspace(rp, lambda g: True, [(0, 0)]),
+    ],
+    ids=["eigenvector_negative", "eigenvector_rho", "semisimple_rho", "select_repeated"],
+)
+def test_bad_root_index_rejected(call):
+    # every branch index is checked: no silent wrap-around, IndexError or
+    # internal assertion
+    _, rp = example1_reduced()
+    with pytest.raises(ValueError, match="root_index"):
+        call(rp)
 
 
 class TestSubspaceExpansion:

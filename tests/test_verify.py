@@ -51,13 +51,18 @@ class TestSweepPlan:
         floor = 10 * np.finfo(float).eps ** 0.5
         assert all(t > floor for t in plan.t_values)
 
-    def test_rejects_increasing(self):
-        with pytest.raises(ValueError):
-            SweepPlan(t_values=(1e-8, 1e-2), rho=2)
-
-    def test_rejects_below_floor(self):
-        with pytest.raises(ValueError):
-            SweepPlan(t_values=(1e-2, 1e-12), rho=1)
+    @pytest.mark.parametrize(
+        "t_values, rho, reason",
+        [
+            (np.geomspace(1e-8, 1e-2, 5), 2, "strictly decreasing"),
+            (np.geomspace(1e-2, 1e-12, 5), 1, "cannot resolve"),
+            (np.geomspace(1e-2, 1e-8, 4), 2, "at least 5"),
+        ],
+        ids=["increasing", "below_floor", "too_few"],
+    )
+    def test_rejects(self, t_values, rho, reason):
+        with pytest.raises(ValueError, match=reason):
+            SweepPlan(t_values=tuple(t_values), rho=rho)
 
 
 class TestOracleEigs:
