@@ -208,6 +208,7 @@ def _parse_cluster(spec: str, reduced):
 def cmd_analyze(args) -> int:
     pair = load_problem(args.file)
     st = pair.structure
+    rhos = [_check_rho(args.rho, st)] if args.rho is not None else st.valid_rhos()
     report = check_generic(pair)
     print(f"lambda0 = {st.lambda0:.6g}, sizes = {st.sizes}, k = {st.k}, m = {st.dim}")
     print(f"||D11||_F = {cl.frob(pair.d11):.6e}")
@@ -215,7 +216,6 @@ def cmd_analyze(args) -> int:
     for i, s in enumerate(report.sigma_min, start=1):
         print(f"  {i:<3d} {st.shat(i):<8d} {s:.6e}")
     print(f"generic: {report.generic} (threshold {report.threshold:.1e} * ||D11||)")
-    rhos = [_check_rho(args.rho, st)] if args.rho else st.valid_rhos()
     code = EXIT_OK if report.generic else EXIT_PRECONDITION
     for rho in rhos:
         try:
@@ -280,7 +280,7 @@ def cmd_expand(args) -> int:
 def cmd_verify(args) -> int:
     pair = load_problem(args.file)
     st = pair.structure
-    rhos = [_check_rho(args.rho, st)] if args.rho else st.valid_rhos()
+    rhos = [_check_rho(args.rho, st)] if args.rho is not None else st.valid_rhos()
     all_reports = []
     for rho in rhos:
         try:

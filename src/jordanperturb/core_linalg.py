@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg as la
+from scipy.linalg import lapack
 
 from .errors import NoConvergence, SpectraOverlap
 
@@ -95,8 +96,9 @@ def ordered_schur(m, select):
     ----------
     m : (n, n) array_like
     select : callable
-        Predicate on a complex eigenvalue; selected eigenvalues are reordered
-        to the top-left of T.
+        Receives the (n,) diagonal of an unordered Schur form and returns an
+        (n,) boolean mask; the masked eigenvalues are reordered to the
+        top-left of T (LAPACK ``ztrsen``).
 
     Returns
     -------
@@ -112,8 +114,10 @@ def ordered_schur(m, select):
         raise ValueError(f"ordered_schur needs a square matrix, got {m.shape}")
     if n == 0:
         return zeros(0, 0), zeros(0, 0), 0
-    t, q, r = la.schur(m, output="complex", sort=lambda lam: bool(select(lam)))
-    return q.astype(np.complex128), t.astype(np.complex128), int(r)
+    t, q = la.schur(m, output="complex", check_finite=False)  # as_matrix has checked
+    mask = np.asarray(select(np.diag(t)), dtype=np.int32)  # ztrsen rejects a mask not of length n
+    t, q, _, r, *_ = lapack.ztrsen(mask, t, q, job="N")  # complex swaps cannot fail
+    return q, t, int(r)
 
 
 def schur_sylvester(a, e, t, q, f) -> np.ndarray:

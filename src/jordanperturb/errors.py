@@ -6,7 +6,7 @@ class JordanPerturbError(Exception):
 
 
 class NoConvergence(JordanPerturbError):
-    """An iterative method (eigensolver, Newton or fixed point) failed to reach its tolerance."""
+    """An iterative method (eigensolver or Newton) failed to reach its tolerance."""
 
 
 class SpectraOverlap(JordanPerturbError):

@@ -46,6 +46,8 @@ __all__ = [
     "solve_riccati",
 ]
 
+RICCATI_MAX_ITER = 200
+
 
 @dataclass(frozen=True)
 class ComplementPair:
@@ -337,13 +339,7 @@ def coupling_series(r: ReducedPencil, order: int, x=(), theta=()):
     return tuple(x), tuple(theta)
 
 
-def solve_riccati(
-    p: AssembledPencil,
-    r: ReducedPencil,
-    z: complex,
-    tol: float | None = None,
-    max_iter: int = 200,
-) -> RiccatiSolution:
+def solve_riccati(p: AssembledPencil, r: ReducedPencil, z: complex) -> RiccatiSolution:
     """Exact deflating-subspace coupling at a fixed z by Newton's method.
 
     Starting from X1 = X2 = 0, each step solves the coupling equations
@@ -352,21 +348,21 @@ def solve_riccati(
     one (m - n2)-square solve per column, n2 in all (the Kronecker form is
     one solve of size (m - n2) n2), and convergence is quadratic once the
     iterate is close.  z may be complex.
-    Raises :class:`NoConvergence` when the residual diverges or ``max_iter``
-    steps do not reach ``tol`` (z too large).
+    Stops once the residual is at most 1e-12 max(1, ||V-hat(z)||_F); raises
+    :class:`NoConvergence` when the residual diverges or ``RICCATI_MAX_ITER``
+    steps do not reach that (z too large).
     """
     if z == 0:
         raise ValueError("z must be nonzero")
     uz = r.hat(p.u_of(z))
     vz = r.hat(p.v_of(z))
     n1 = r.n1
-    if tol is None:
-        tol = 1e-12 * max(1.0, cl.frob(vz))
+    tol = 1e-12 * max(1.0, cl.frob(vz))
 
     x = cl.zeros(r.structure.dim - r.n2, r.n2)
     resid = np.inf
     first_resid = None
-    for it in range(max_iter + 1):
+    for it in range(RICCATI_MAX_ITER + 1):
         theta_hat, res, a, b = _coupling(r, vz, uz, x)
         resid = cl.frob(res)
         if resid <= tol:
@@ -380,9 +376,9 @@ def solve_riccati(
             raise NoConvergence(
                 f"riccati iteration diverges at z={z:.3e} (residual {resid:.3e}); z too large"
             )
-        if it == max_iter:
+        if it == RICCATI_MAX_ITER:
             break
         x = x - cl.schur_sylvester(a, b, *la.schur(theta_hat, output="complex"), res)
     raise NoConvergence(
-        f"riccati iteration stalled at residual {resid:.3e} (tol {tol:.3e}) after {max_iter} sweeps; z may be too large"
+        f"riccati iteration stalled at residual {resid:.3e} (tol {tol:.3e}) after {RICCATI_MAX_ITER} sweeps; z may be too large"
     )

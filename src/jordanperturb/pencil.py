@@ -470,8 +470,8 @@ class ReducedPencil:
             members = vals[g]
             rep = complex(members.mean())
 
-            def inside(lam, members=members, tol=tol):
-                return bool(np.min(np.abs(members - lam)) <= 10 * tol)
+            def inside(diag, members=members, tol=tol):
+                return np.abs(diag[:, None] - members[None, :]).min(axis=1) <= 10 * tol
 
             q_full, t_full, r = cl.ordered_schur(s, inside)
             if r != len(g):

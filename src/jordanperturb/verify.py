@@ -11,9 +11,9 @@ Order-table claims (the per-block decay rates of the invariant-subspace
 bases) are measured against the exact small-z solutions from
 :func:`jordanperturb.first_order.solve_riccati`, whose output is itself
 validated against the oracle to machine precision.  A sweep point where the
-Riccati solve or the exact basis raises :class:`NoConvergence` is left out
-of those fits, logged at INFO on this module's logger, and counted in the
-note of each report fitted without it.
+Riccati solve raises :class:`NoConvergence` is left out of those fits,
+logged at INFO on this module's logger, and counted in the note of each
+report fitted without it.
 """
 
 from __future__ import annotations
@@ -24,10 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import core_linalg as cl
-from .errors import CardinalityMismatch, InsufficientSamples, NoConvergence
+from .errors import CardinalityMismatch, ClusterNotSeparated, InsufficientSamples, NoConvergence
 from .expansion import eigenvalue_expansions, h_order_table, select_subspace
 from .first_order import complement_pair, first_order_expansion, solve_riccati
-from .pencil import assemble_pencil, reduce_pencil, sort_complex
+from .pencil import CLUSTER_GAP_REL, assemble_pencil, reduce_pencil, sort_complex
 from .structure import CanonicalPair
 
 __all__ = [
@@ -46,8 +46,6 @@ DEFAULT_SLACK = 0.1
 DEFAULT_R2 = 0.98
 FLOOR_FACTOR = 100.0
 MIN_SAMPLES = 5
-COUPLING_TOL_REL = 1e-13
-COUPLING_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -57,7 +55,6 @@ class SweepPlan:
 
     t_values: tuple
     rho: int
-    cluster: str = "all"
 
     def __post_init__(self):
         ts = tuple(float(t) for t in self.t_values)
@@ -261,33 +258,35 @@ def _fit_or_floor(samples, claimed, scale, quantity, note="", slack=DEFAULT_SLAC
         )
 
 
-def _subspace_coupling(theta_hat, sel, comp):
-    """Exact invariant-subspace continuation of the selected block inside
-    Theta-hat: returns (y, rep) with Theta-hat (phi + phi_c y) =
-    (phi + phi_c y) rep."""
-    left = np.vstack([comp.psi, comp.psi_c])
-    right = np.hstack([sel.phi, comp.phi_c])
-    tt = left @ theta_hat @ right
-    r = sel.r
-    t11, t12 = tt[:r, :r], tt[:r, r:]
-    t21, t22 = tt[r:, :r], tt[r:, r:]
-    y = cl.zeros(t22.shape[0], r)
-    scale = max(1.0, cl.frob(tt))
-    for _ in range(COUPLING_MAX_ITER):
-        resid = cl.frob(t21 + t22 @ y - y @ (t11 + t12 @ y))
-        if resid <= COUPLING_TOL_REL * scale:
-            return y, t11 + t12 @ y
-        y = cl.solve_sylvester(t22, t11 + t12 @ y, t21)
-    raise NoConvergence("subspace coupling iteration did not converge")
-
-
 def exact_subspace_basis(ric, sel, comp):
     """Exact perturbed basis H(z) = X-tilde(z) (phi + phi_c Y(z)) and the
-    block rep with (A + tD) H = H (lambda0 I + z rep), t = z^rho."""
-    y, rep = _subspace_coupling(ric.theta_hat, sel, comp)
-    xt = ric.invariant_matrix()
-    h = xt @ (sel.phi + comp.phi_c @ y)
-    return h, rep
+    block rep with (A + tD) H = H (lambda0 I + z rep), t = z^rho.
+
+    range [I; Y] is the invariant subspace of tt = [psi; psi_c] Theta-hat
+    [phi, phi_c] for the r eigenvalues that a minimum-sum assignment matches
+    to Lambda(t11) rather than Lambda(t22); with them leading in one ordered
+    Schur form tt U = U T, Y = U2 U1^-1 and rep = t11 + t12 Y.  Raises
+    :class:`ClusterNotSeparated` when a selected and an unselected eigenvalue
+    of tt lie within ``CLUSTER_GAP_REL`` max|Lambda(tt)|.
+    """
+    tt = np.vstack([comp.psi, comp.psi_c]) @ ric.theta_hat @ np.hstack([sel.phi, comp.phi_c])
+    r = sel.r
+
+    def continues_omega(diag):
+        blocks = np.concatenate([cl.eig(tt[:r, :r]), cl.eig(tt[r:, r:])])
+        mask = np.zeros(diag.size, dtype=bool)
+        mask[_min_sum_assignment(np.abs(blocks[:, None] - diag[None, :]))[:r]] = True
+        return mask
+
+    u, t, _ = cl.ordered_schur(tt, continues_omega)
+    w = np.diag(t)
+    if 0 < r < w.size:
+        gap = np.abs(w[:r, None] - w[None, r:]).min()
+        if gap <= CLUSTER_GAP_REL * max(np.abs(w).max(), 1e-300):
+            raise ClusterNotSeparated(f"Theta-hat eigenvalues continuing Omega separated by only {gap:.3e}")
+    y = np.linalg.solve(u[:r, :r].T, u[r:, :r].T).T  # U2 U1^-1
+    h = ric.invariant_matrix() @ (sel.phi + comp.phi_c @ y)
+    return h, tt[:r, :r] + tt[:r, r:] @ y
 
 
 def verify_all(
@@ -411,15 +410,12 @@ def verify_all(
 
     def solve_point(t):
         z = t ** (1.0 / rho)
-        stage = "solve_riccati"
         try:
             ric = solve_riccati(assembled, reduced, z)
-            stage = "exact_subspace_basis"
-            h, _ = exact_subspace_basis(ric, sel0, comp0)
         except NoConvergence as exc:
-            _log.info("rho=%d: sweep point z=%.6g dropped, %s raised NoConvergence: %s", rho, z, stage, exc)
+            _log.info("rho=%d: sweep point z=%.6g dropped, solve_riccati raised NoConvergence: %s", rho, z, exc)
             return None
-        return z, ric, h
+        return z, ric, exact_subspace_basis(ric, sel0, comp0)[0]
 
     points = [p for p in map(solve_point, ts) if p is not None]
     dropped = len(ts) - len(points)

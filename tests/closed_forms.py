@@ -16,6 +16,10 @@ Likewise the library forms every constant subspace term as X0 Phi from the
 pencil's constant basis ``ReducedPencil.x0``; the displayed form
 ``XiTilde_rho [I; G_rho] Q1`` and the block layout of X0 are built here from
 the block index map alone.
+
+The verifier reads the exact subspace basis off one ordered Schur form of
+Theta-hat(z); ``fixed_point_subspace_basis`` finds the same invariant
+subspace by a Stewart-type fixed point, with no Schur reordering.
 """
 
 import numpy as np
@@ -264,6 +268,24 @@ def kron_riccati(ap, reduced, z, max_iter=200):
             raise NoConvergence(f"oracle Newton iteration fails at z={z:.3e}")
         dx1, dx2 = kron_newton_step(ap, reduced, z, x1, x2)
         x1, x2 = x1 + dx1, x2 + dx2
+
+
+def fixed_point_subspace_basis(ric, sel, comp, tol_rel=1e-13, max_iter=100):
+    """(H, rep) of ``verify.exact_subspace_basis`` by the fixed point
+    Y <- sylv(t22, t11 + t12 Y, t21) on tt = [psi; psi_c] Theta-hat [phi, phi_c]
+    (Stewart 1973, SIAM Review 15), stopped once the Riccati residual
+    t21 + t22 Y - Y (t11 + t12 Y) is below tol_rel max(1, ||tt||_F); raises
+    :class:`NoConvergence` when max_iter steps do not get there."""
+    tt = np.vstack([comp.psi, comp.psi_c]) @ ric.theta_hat @ np.hstack([sel.phi, comp.phi_c])
+    r = sel.r
+    t11, t12, t21, t22 = tt[:r, :r], tt[:r, r:], tt[r:, :r], tt[r:, r:]
+    y = cl.zeros(t22.shape[0], r)
+    scale = max(1.0, cl.frob(tt))
+    for _ in range(max_iter):
+        if cl.frob(t21 + t22 @ y - y @ (t11 + t12 @ y)) <= tol_rel * scale:
+            return ric.invariant_matrix() @ (sel.phi + comp.phi_c @ y), t11 + t12 @ y
+        y = cl.solve_sylvester(t22, t11 + t12 @ y, t21)
+    raise NoConvergence("subspace coupling iteration did not converge")
 
 
 def assemble_pencil_blocks(pair, rho):

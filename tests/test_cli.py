@@ -229,12 +229,14 @@ class TestGeneralFormProblem:
         ["expand", "{f}", "--rho", "2", "--cluster", "idx:0", "--root", "-1"],
         ["expand", "{f}", "--rho", "7", "--cluster", "idx:0"],
         ["verify", "{f}", "--rho", "7"],
+        ["verify", "{f}", "--rho", "0"],
+        ["analyze", "{f}", "--rho", "0"],
         ["verify", "{f}", "--tmax", "1e-9"],
         ["verify", "{f}", "--points", "4"],
         ["generate", "--sizes", "1,x", "--out", "{f}"],
         ["generate", "--sizes", "1,0", "--out", "{f}"],
     ],
-    ids=["root_5", "root_-1", "expand_rho_7", "verify_rho_7", "tmax", "points_4", "sizes_x", "sizes_0"],
+    ids=["root_5", "root_-1", "expand_rho_7", "verify_rho_7", "verify_rho_0", "analyze_rho_0", "tmax", "points_4", "sizes_x", "sizes_0"],
 )
 def test_bad_argument_value_exit_3(tmp_path, capsys, argv):
     # a value the library rejects is a parse error (one line, exit 3), not a

@@ -262,7 +262,7 @@ class TestSubspaceExpansion:
         a = pair.perturbed(t)
         e = eigenvalue_expansions(rp)[0]
         target = e.predict(t)[0]
-        q, _, r = cl.ordered_schur(a, lambda lam: abs(lam - target) < 1e-4)
+        q, _, r = cl.ordered_schur(a, lambda diag: np.abs(diag - target) < 1e-4)
         assert r == 1
         v = q[:, 0]
         h = sub.h0.ravel()

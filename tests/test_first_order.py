@@ -702,12 +702,13 @@ class TestRiccati:
             slope = fit_slope(zs, errs)
             assert slope is None or slope >= 2.0 - 0.1
 
-    def test_iteration_budget_enforced(self):
+    def test_iteration_budget_enforced(self, monkeypatch):
         pair = random_pair((1, 1), seed=0)
         ap = assemble_pencil(pair, 1)
         rp = reduce_pencil(ap)
-        with pytest.raises(NoConvergence):
-            solve_riccati(ap, rp, 1e-2, max_iter=1)
+        monkeypatch.setattr(jordanperturb.first_order, "RICCATI_MAX_ITER", 1)
+        with pytest.raises(NoConvergence, match="after 1 sweeps"):
+            solve_riccati(ap, rp, 1e-2)
 
     def test_rejects_zero_z(self):
         pair = random_pair((1, 1), seed=0)

@@ -28,6 +28,7 @@ from jordanperturb import (
 from jordanperturb.errors import CardinalityMismatch, InsufficientSamples, NoConvergence
 from jordanperturb.verify import exact_subspace_basis
 
+from closed_forms import fixed_point_subspace_basis
 from conftest import random_pair
 
 
@@ -285,31 +286,20 @@ class TestDroppedPoints:
         delta = next(r for r in reports if r.quantity == "riccati-delta[rho=4]")
         assert delta.note.endswith("1 of 13 sweep points dropped (NoConvergence)")
 
-    def test_dropped_point_names_basis_stage(self, caplog, monkeypatch):
-        def fail(*args):
-            raise NoConvergence("forced")
-
-        monkeypatch.setattr(jordanperturb.verify, "exact_subspace_basis", fail)
-        with caplog.at_level(logging.INFO, logger="jordanperturb.verify"):
-            verify_all(random_pair((1, 2), seed=1), 2)
-        msgs = [r.getMessage() for r in caplog.records if "dropped" in r.getMessage()]
-        assert len(msgs) == len(SweepPlan.default(2).t_values)
-        assert all("exact_subspace_basis raised NoConvergence: forced" in m for m in msgs)
-
     @pytest.mark.parametrize("dropped", [13, 9, 8])
     def test_too_few_points_fail_riccati_claims(self, monkeypatch, dropped):
-        # the largest `dropped` sweep points raise in exact_subspace_basis; with
+        # the largest `dropped` sweep points raise in solve_riccati; with
         # fewer than five points left the X, H and riccati-delta claims are
         # still reported, each failed with NaN slope and r^2; five points fit
         calls = []
 
-        def fail_first(ric, sel, comp):
-            calls.append(ric.z)
+        def fail_first(ap, rp, z):
+            calls.append(z)
             if len(calls) <= dropped:
                 raise NoConvergence("forced")
-            return exact_subspace_basis(ric, sel, comp)
+            return solve_riccati(ap, rp, z)
 
-        monkeypatch.setattr(jordanperturb.verify, "exact_subspace_basis", fail_first)
+        monkeypatch.setattr(jordanperturb.verify, "solve_riccati", fail_first)
         reports = verify_all(random_pair((1, 2), seed=1), 2)
         riccati = [r for r in reports if r.quantity.startswith(("X[", "H[", "riccati-delta["))]
         assert len(reports) == 10 and len(riccati) == 6
@@ -321,7 +311,6 @@ class TestDroppedPoints:
                 assert np.isnan(r.fitted_slope) and np.isnan(r.r_squared)
             else:
                 assert r.floor_limited or np.isfinite(r.fitted_slope), r.quantity
-
 
     def test_reports_count_dropped_points(self, largest_ladder_run):
         # (4,4,4,4,4), rho=5 keeps 9 of its 13 sweep points; each report
@@ -336,22 +325,73 @@ class TestDroppedPoints:
         assert delta.note == "error measured against z; " + tag
 
 
-@pytest.fixture(scope="module")
-def largest_ladder_run():
-    # m = 60, rho = 5: the pair, verify_all's reports and every Riccati
-    # solution it keeps
-    pair = ladder_pair((4, 4, 4, 4, 4))
+def recorded_run(pair, rho):
+    """verify_all's reports and the (ric, sel, comp, (h, rep)) of every sweep
+    point it keeps."""
     kept = []
 
     def recording(ric, sel, comp):
         out = exact_subspace_basis(ric, sel, comp)
-        kept.append(ric)
+        kept.append((ric, sel, comp, out))
         return out
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(jordanperturb.verify, "exact_subspace_basis", recording)
-        reports = verify_all(pair, 5)
-    return pair, reports, kept
+        reports = verify_all(pair, rho)
+    return reports, kept
+
+
+@pytest.fixture(scope="module")
+def ladder_runs():
+    # the verify-ladder cases (seed 1, up to m = 60), each at rho = k:
+    # (pair, rho, reports, kept points) per case
+    runs = {}
+    for sizes in [(1, 2), (2, 2, 2), (1, 1, 1, 1, 1), (3, 3, 3, 3), (4, 4, 4, 4, 4)]:
+        pair = ladder_pair(sizes)
+        runs[sizes] = (pair, len(sizes), *recorded_run(pair, len(sizes)))
+    return runs
+
+
+@pytest.fixture(scope="module")
+def largest_ladder_run(ladder_runs):
+    # m = 60, rho = 5: the pair, verify_all's reports and every Riccati
+    # solution it keeps
+    pair, _, reports, kept = ladder_runs[(4, 4, 4, 4, 4)]
+    return pair, reports, [ric for ric, *_ in kept]
+
+
+def invariant_residual(pair, rho, ric, h, rep):
+    # ||(A + z^rho D) H - H (lambda0 I + z rep)|| relative to ||A + z^rho D||_2 ||H||
+    z = ric.z
+    m = pair.a_matrix() + z**rho * pair.d11
+    c = pair.structure.lambda0 * np.eye(h.shape[1]) + z * rep
+    return np.linalg.norm(m @ h - h @ c) / (np.linalg.norm(m, 2) * np.linalg.norm(h))
+
+
+class TestExactSubspaceBasis:
+    def test_agrees_with_fixed_point_on_ladder(self, ladder_runs):
+        # at every kept sweep point of the seed-1 ladder the ordered Schur
+        # form gives the fixed point's basis and block
+        for sizes, (_, _, _, kept) in ladder_runs.items():
+            assert kept, sizes
+            for ric, sel, comp, (h, rep) in kept:
+                h_fp, rep_fp = fixed_point_subspace_basis(ric, sel, comp)
+                assert np.linalg.norm(h - h_fp) <= 1e-10 * np.linalg.norm(h_fp), (sizes, ric.z)
+                assert np.linalg.norm(rep - rep_fp) <= 1e-10 * np.linalg.norm(rep_fp), (sizes, ric.z)
+
+    def test_solves_where_fixed_point_fails(self):
+        # ladder seed 2, (2,2,2), rho=3: the fixed point does not converge at
+        # the four largest sweep points, which the ordered Schur form solves
+        pair = generate(CaseSpec(JordanStructure(0.0, (2, 2, 2)), seed=2, ensure_distinct_gammas=True))
+        reports, kept = recorded_run(pair, 3)
+        ts = SweepPlan.default(3).t_values
+        assert [ric.z**3 for ric, *_ in kept] == pytest.approx(ts, rel=1e-12)
+        for i, (ric, sel, comp, (h, rep)) in enumerate(kept):
+            if i < 4:
+                with pytest.raises(NoConvergence):
+                    fixed_point_subspace_basis(ric, sel, comp)
+            assert invariant_residual(pair, 3, ric, h, rep) <= 1e-12, ts[i]
+        assert not any("dropped" in r.note for r in reports)
 
 
 def test_largest_ladder_case_invariant_relation(largest_ladder_run):
