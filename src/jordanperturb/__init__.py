@@ -30,7 +30,6 @@ from .expansion import (
 )
 from .first_order import (
     ComplementPair,
-    FirstOrderExpansion,
     RiccatiSolution,
     ThetaPerturbation,
     complement_pair,
@@ -68,7 +67,6 @@ __all__ = [
     "subspace_expansion",
     "eigenvector_expansion",
     "ComplementPair",
-    "FirstOrderExpansion",
     "RiccatiSolution",
     "ThetaPerturbation",
     "complement_pair",

@@ -251,23 +251,21 @@ def cmd_expand(args) -> int:
     reduced = reduce_pencil(assemble_pencil(pair, args.rho))
     cluster = _parse_cluster(args.cluster, reduced)
     sel = select_subspace(reduced, cluster, args.root)
-    sub = subspace_expansion(reduced, sel)
+    if args.order == 1:
+        exp = first_order_expansion(reduced, sel, complement_pair(reduced, sel))
+    else:
+        exp = subspace_expansion(reduced, sel)
     out = {
         "rho": args.rho,
         "order": args.order,
-        "lambda0": complex(pair.structure.lambda0),
-        "omega": sel.omega,
+        "lambda0": complex(exp.lambda0),
+        "omega": exp.omega,
         "q1": sel.q1,
-        "h0": sub.h0,
-        "order_table": _order_table_json(sub.order_table),
+        "h0": exp.h0,
+        "order_table": _order_table_json(exp.order_table),
     }
     if args.order == 1:
-        comp = complement_pair(reduced, sel)
-        fo = first_order_expansion(reduced, sel, comp)
-        out["h1"] = fo.h1
-        out["delta11"] = fo.delta11
-        out["y"] = fo.y
-        out["c_hat"] = fo.c_hat
+        out.update(h1=exp.h1, delta11=exp.delta11, y=exp.y, c_hat=exp.c_hat)
     text = canonical_json(out)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -281,6 +279,10 @@ def cmd_verify(args) -> int:
     pair = load_problem(args.file)
     st = pair.structure
     rhos = [_check_rho(args.rho, st)] if args.rho is not None else st.valid_rhos()
+    if not np.isfinite(args.perturb_h1):
+        raise ParseError(f"--perturb-h1 {args.perturb_h1} is not finite")
+    if args.swap_root and 1 in rhos:
+        raise ParseError("--swap-root needs rho >= 2: rho = 1 has a single root branch")
     all_reports = []
     for rho in rhos:
         try:

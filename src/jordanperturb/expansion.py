@@ -8,7 +8,8 @@ matrix has the constant term ``XiTilde_rho [I; G_rho] Q1`` where ``Q1`` spans
 the S_rho-invariant subspace of the selected gammas and ``Omega`` is the
 corresponding rho-th root of the triangular block.  The remaining blocks of
 the basis decay with known fractional orders, recorded here as data so the
-verification sweep can fit them.
+verification sweep can fit them.  ``SubspaceExpansion`` is the one result
+type for the basis, at order 0 here and at order 1 from ``first_order``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ __all__ = [
     "EigenvalueExpansion",
     "SubspaceSelection",
     "SubspaceExpansion",
-    "EigenvectorExpansion",
     "OrderEntry",
     "eigenvalue_expansions",
     "select_subspace",
@@ -46,11 +46,8 @@ class EigenvalueExpansion:
     gamma: complex
     mus: np.ndarray = field(repr=False)
     lambda0: complex = 0.0
+    # Simple gamma: the next term is O(t^(2/rho)); else only o(t^(1/rho)).
     simple: bool = True
-    # Exponent of the first unmodelled term: 2/rho for simple gamma (series
-    # exists), else 1/rho with the bound only o(t^(1/rho)).
-    order_next: Fraction = Fraction(1)
-    little_o: bool = False
 
     def predict(self, t: float) -> np.ndarray:
         """lambda0 + t^(1/rho) * mu for each branch."""
@@ -89,33 +86,39 @@ class OrderEntry:
 
 @dataclass(frozen=True)
 class SubspaceExpansion:
-    """Constant term of the perturbed invariant-subspace basis H."""
+    """The perturbed invariant-subspace basis H(t) = H0 + t^(1/rho) H1 + ... and
+    its block C(t) = lambda0 I + t^(1/rho) Omega + t^(2/rho) Delta11 + ...
+
+    The first-order fields, set by ``first_order.first_order_expansion``, are
+    None on the constant term from :func:`subspace_expansion`.
+    """
 
     rho: int
     lambda0: complex
-    h0: np.ndarray = field(repr=False)
     omega: np.ndarray = field(repr=False)
+    h0: np.ndarray = field(repr=False)
     order_table: tuple = ()
-    x_full: np.ndarray | None = field(default=None, repr=False)
+    h1: np.ndarray | None = field(default=None, repr=False)
+    delta11: np.ndarray | None = field(default=None, repr=False)
+    delta21: np.ndarray | None = field(default=None, repr=False)
+    y: np.ndarray | None = field(default=None, repr=False)
+    c_hat: np.ndarray | None = field(default=None, repr=False)
+
+    def h_of(self, t: float) -> np.ndarray:
+        """H0 + t^(1/rho) H1, the basis through its first correction."""
+        return self.h0 if self.h1 is None else self.h0 + t ** (1.0 / self.rho) * self.h1
 
     def c_of(self, t: float) -> np.ndarray:
-        """lambda0 I + t^(1/rho) Omega, the leading block the subspace pairs with."""
-        r = self.omega.shape[0]
-        return self.lambda0 * cl.eye(r) + t ** (1.0 / self.rho) * self.omega
-
-
-@dataclass(frozen=True)
-class EigenvectorExpansion:
-    gamma: complex
-    mu: complex
-    constant: np.ndarray = field(repr=False)
-    order_table: tuple = ()
+        """lambda0 I + t^(1/rho) Omega + t^(2/rho) Delta11, the block H pairs with."""
+        z = t ** (1.0 / self.rho)
+        c = self.lambda0 * cl.eye(self.omega.shape[0]) + z * self.omega
+        return c if self.delta11 is None else c + z * z * self.delta11
 
 
 def eigenvalue_expansions(reduced: ReducedPencil) -> list[EigenvalueExpansion]:
     """One expansion per eigenvalue of S_rho, with multiplicity.
 
-    Simple eigenvalues (cluster of size one) get the sharp next-order
+    Simple eigenvalues (cluster of size one) carry the sharp next-order
     exponent 2/rho; multiple ones only the o(t^(1/rho)) bound.
     """
     rho = reduced.rho
@@ -129,8 +132,6 @@ def eigenvalue_expansions(reduced: ReducedPencil) -> list[EigenvalueExpansion]:
             mus=mus,
             lambda0=lam0,
             simple=simple,
-            order_next=Fraction(2, rho) if simple else Fraction(1, rho),
-            little_o=not simple,
         )
         out.extend([exp] * cb.count)
     return out
@@ -154,7 +155,9 @@ def select_subspace(reduced: ReducedPencil, cluster, root_index=0) -> SubspaceSe
     Returns
     -------
     SubspaceSelection
-        With ``S_rho Q1 = Q1 Omega^rho`` and full-column-rank ``phi``.
+        With ``S_rho Q1 = Q1 Omega^rho`` (each Q_i is an ordered Schur basis and
+        ``ClusterBasis.root`` bounds its root's residual) and full-column-rank
+        ``phi`` (the table's ``psi`` rows are its left inverse).
 
     Raises
     ------
@@ -205,19 +208,7 @@ def select_subspace(reduced: ReducedPencil, cluster, root_index=0) -> SubspaceSe
     c = tab.cols(chosen)
     phi = tab.phi[:, c]
     q1, omega = phi[: reduced.s_rho.shape[0]], tab.omega[np.ix_(c, c)]
-    sel = SubspaceSelection(rho=rho, q1=q1, omega=omega, phi=phi, chosen=tuple(chosen))
-    _check_selection(reduced, sel)
-    return sel
-
-
-def _check_selection(reduced: ReducedPencil, sel: SubspaceSelection):
-    if sel.r == 0:
-        return
-    res = cl.frob(reduced.s_rho @ sel.q1 - sel.q1 @ np.linalg.matrix_power(sel.omega, reduced.rho))
-    if res > 1e-8 * max(1.0, cl.frob(reduced.s_rho)):
-        raise AssertionError(f"S_rho Q1 = Q1 Omega^rho violated: residual {res:.3e}")
-    if cl.smallest_singular_value(sel.phi) <= 1e-8:
-        raise AssertionError("phi lost full column rank")
+    return SubspaceSelection(rho=rho, q1=q1, omega=omega, phi=phi, chosen=tuple(chosen))
 
 
 def h_order_table(structure: JordanStructure, rho: int, full: bool = False) -> tuple[OrderEntry, ...]:
@@ -268,14 +259,13 @@ def subspace_expansion(
     though the exact perturbed basis has full rank, so no rank invariant is
     asserted on it.
     """
-    x_full = reduced.x0 if xi is None else cl.as_matrix(xi) @ reduced.x0
+    h0 = reduced.x0 @ sel.phi
     return SubspaceExpansion(
         rho=reduced.rho,
         lambda0=reduced.structure.lambda0,
-        h0=x_full @ sel.phi,
         omega=sel.omega,
+        h0=h0 if xi is None else cl.as_matrix(xi) @ h0,
         order_table=h_order_table(reduced.structure, reduced.rho),
-        x_full=x_full,
     )
 
 
@@ -284,13 +274,13 @@ def eigenvector_expansion(
     which: int,
     root_index: int,
     xi: np.ndarray | None = None,
-) -> EigenvectorExpansion:
+) -> SubspaceExpansion:
     """Constant eigenvector term for a simple gamma of S_rho.
 
     ``which`` indexes the argument-sorted eigenvalue clusters of S_rho; the
-    chosen cluster must be simple.  Returns ``X0 Phi`` (``xi X0 Phi`` for a
-    general problem), which equals ``XiTilde_rho [phi; G phi]``, and the
-    fractional-order table of the correction blocks.
+    chosen cluster must be simple.  Returns the :func:`subspace_expansion` of
+    its root branch ``root_index``: ``h0 = X0 Phi = XiTilde_rho [phi; G phi]``
+    (times ``xi`` for a general problem) and ``omega = [[mu]]``.
     """
     bases = reduced.clusters
     if not 0 <= which < len(bases):
@@ -298,14 +288,5 @@ def eigenvector_expansion(
     cb = bases[which]
     if cb.count != 1:
         raise NotSimple(f"gamma={cb.gamma:.6g} has multiplicity {cb.count}")
-    if not 0 <= root_index < reduced.rho:
-        raise ValueError(f"root_index={root_index} outside 0..{reduced.rho - 1}")
-    mu = complex(reduced.branches.roots[which, root_index])
-    phi = np.vstack([cb.q * mu**j for j in range(reduced.rho)])
-    x_full = reduced.x0 if xi is None else cl.as_matrix(xi) @ reduced.x0
-    return EigenvectorExpansion(
-        gamma=cb.gamma,
-        mu=mu,
-        constant=x_full @ phi,
-        order_table=h_order_table(reduced.structure, reduced.rho),
-    )
+    sel = select_subspace(reduced, lambda g: g == cb.gamma, root_index)
+    return subspace_expansion(reduced, sel, xi)

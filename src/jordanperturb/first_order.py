@@ -23,19 +23,18 @@ solved one column at a time in the complex Schur form of Theta-hat by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as la
 
 from . import core_linalg as cl
 from .errors import ClusterNotSeparated, NoConvergence, NotSemisimple, SingularNormalizer
-from .expansion import SubspaceSelection
+from .expansion import SubspaceExpansion, SubspaceSelection, select_subspace, subspace_expansion
 from .pencil import CLUSTER_GAP_REL, AssembledPencil, ReducedPencil
 
 __all__ = [
     "ComplementPair",
-    "FirstOrderExpansion",
     "RiccatiSolution",
     "ThetaPerturbation",
     "complement_pair",
@@ -67,29 +66,6 @@ class ComplementPair:
     psi: np.ndarray = field(repr=False)
     psi_c: np.ndarray = field(repr=False)
     phi_c: np.ndarray = field(repr=False)
-
-
-@dataclass(frozen=True)
-class FirstOrderExpansion:
-    """H0, H1, Delta11 = Omega_1 and the complement coupling behind H1."""
-
-    rho: int
-    lambda0: complex
-    omega: np.ndarray = field(repr=False)
-    h0: np.ndarray = field(repr=False)
-    h1: np.ndarray = field(repr=False)
-    delta11: np.ndarray = field(repr=False)
-    delta21: np.ndarray = field(repr=False)
-    y: np.ndarray = field(repr=False)
-    c_hat: np.ndarray = field(repr=False)
-
-    def c_of(self, t: float) -> np.ndarray:
-        r = self.omega.shape[0]
-        z = t ** (1.0 / self.rho)
-        return self.lambda0 * cl.eye(r) + z * self.omega + z**2 * self.delta11
-
-    def h_of(self, t: float) -> np.ndarray:
-        return self.h0 + t ** (1.0 / self.rho) * self.h1
 
 
 @dataclass(frozen=True)
@@ -191,8 +167,9 @@ def first_order_expansion(
     sel: SubspaceSelection,
     comp: ComplementPair,
     xi: np.ndarray | None = None,
-) -> FirstOrderExpansion:
-    """Assemble H1 and Delta11 for the selected subspace.
+) -> SubspaceExpansion:
+    """The :func:`subspace_expansion` of the selection with H1, Delta11,
+    Delta21, Y and C-hat added.
 
     The Theta perturbation is compressed through the biorthogonal pair:
     Delta11 and Delta21 are the rows and columns of the selection in
@@ -207,7 +184,6 @@ def first_order_expansion(
     holds through t only (same truncation caveat as ``effective_d11``).
     """
     st = reduced.structure
-    rho = reduced.rho
     r = sel.r
 
     tp = reduced.theta_perturbation
@@ -217,26 +193,17 @@ def first_order_expansion(
 
     y = cl.solve_sylvester(comp.omega_c, sel.omega, delta21)
 
-    # H0 and H1 as the exact z^0 and z^1 coefficients of
-    # Xi R(z) Pi_R G [z X1; I; z X2] (Phi + z Phi_c Y): H0 = X0 Phi, and H1 takes
-    # the z^1 rows of R(z) from the constant term and its z^0 rows from the rest.
+    # H1 as the exact z^1 coefficient of Xi R(z) Pi_R G [z X1; I; z X2]
+    # (Phi + z Phi_c Y), whose z^0 coefficient is H0 = X0 Phi: H1 takes the z^1
+    # rows of R(z) from the constant term and its z^0 rows from the rest.
     n1, n3 = reduced.n1, st.dim - reduced.n1 - reduced.n2
     f0 = reduced.lift(np.vstack([cl.zeros(n1, r), sel.phi, cl.zeros(n3, r)]))
     f1 = reduced.lift(np.vstack([tp.x1_coef @ sel.phi, comp.phi_c @ y, tp.x2_coef @ sel.phi]))
     exps = reduced.assembled.scaling.right_exponents[:, None]
-    h0 = reduced.x0 @ sel.phi
     h1 = np.where(exps == 1, f0, 0.0) + np.where(exps == 0, f1, 0.0)
-    if xi is not None:
-        ximat = cl.as_matrix(xi)
-        h0 = ximat @ h0
-        h1 = ximat @ h1
-
-    return FirstOrderExpansion(
-        rho=rho,
-        lambda0=st.lambda0,
-        omega=sel.omega,
-        h0=h0,
-        h1=h1,
+    return replace(
+        subspace_expansion(reduced, sel, xi),
+        h1=h1 if xi is None else cl.as_matrix(xi) @ h1,
         delta11=delta11,
         delta21=delta21,
         y=y,
@@ -249,41 +216,29 @@ def semisimple_expansion(
     gamma: complex,
     root_index: int,
     xi: np.ndarray | None = None,
-) -> FirstOrderExpansion:
+) -> SubspaceExpansion:
     """Special case: gamma semi-simple with multiplicity r, Omega = mu I_r.
 
-    Delta11 is the general biorthogonal compression.  For rho >= 2 it
-    coincides with the scalar closed form
+    The :func:`first_order_expansion` of root branch ``root_index`` of the
+    cluster of S_rho at gamma.  Delta11 is the general biorthogonal
+    compression.  For rho >= 2 it coincides with the scalar closed form
 
         Delta11 = (rho mu^(rho-2))^{-1} Qt (Bhat_{rho-1,1} + Bhat_{rho,2}) Q,
 
     which the test suite asserts.  Raises :class:`NotSemisimple` when the
     geometric multiplicity falls short.
     """
-    rho = reduced.rho
-    bases = reduced.clusters
-    gaps = [abs(cb.gamma - gamma) for cb in bases]
-    ci = int(np.argmin(gaps))
-    cb = bases[ci]
+    cb = min(reduced.clusters, key=lambda cb: abs(cb.gamma - gamma))
     tol = cb.tol
-    if gaps[ci] > max(10 * tol, 1e-8 * max(1.0, abs(gamma))):
+    if abs(cb.gamma - gamma) > max(10 * tol, 1e-8 * max(1.0, abs(gamma))):
         raise ValueError(f"gamma={gamma:.6g} is not an eigenvalue of S_rho")
-    r = cb.count
     svals = la.svdvals(reduced.s_rho - cb.gamma * cl.eye(reduced.s_rho.shape[0]))
     geo = int(np.sum(svals < max(10 * tol, 1e-10 * max(1.0, float(svals[0])))))
-    if geo != r:
+    if geo != cb.count:
         raise NotSemisimple(
-            f"gamma={cb.gamma:.6g}: geometric multiplicity {geo} < algebraic {r}"
+            f"gamma={cb.gamma:.6g}: geometric multiplicity {geo} < algebraic {cb.count}"
         )
-
-    if not 0 <= root_index < rho:
-        raise ValueError(f"root_index={root_index} outside 0..{rho - 1}")
-    mu = complex(reduced.branches.roots[ci, root_index])
-    omega = mu * cl.eye(r)
-    phi = np.vstack([cb.q * mu**j for j in range(rho)])
-    sel = SubspaceSelection(
-        rho=rho, q1=cb.q, omega=omega, phi=phi, chosen=((ci, int(root_index)),)
-    )
+    sel = select_subspace(reduced, lambda g: g == cb.gamma, root_index)
     return first_order_expansion(reduced, sel, complement_pair(reduced, sel), xi)
 
 

@@ -37,7 +37,7 @@ def _distinct_gammas(pair: CanonicalPair, tol_rel: float = 1e-3) -> bool:
     """True when, for every rho with s_rho > 0, the eigenvalues of S_rho are
     pairwise separated relative to their spread."""
     for rho in pair.structure.valid_rhos():
-        reduced = reduce_pencil(assemble_pencil(pair, rho, validate=False))
+        reduced = reduce_pencil(assemble_pencil(pair, rho))
         vals = cl.eig(reduced.s_rho)
         if vals.size < 2:
             continue

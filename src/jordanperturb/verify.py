@@ -5,7 +5,7 @@ Each theoretical claim is operationalized as a log-log slope fit: a claim
 ``error = O(t^c)`` passes when the fitted slope is at least ``c - slack``
 with a tight linear fit.  Samples at the numerical noise floor are dropped;
 claims whose every sample sits at the floor are reported as floor-limited
-passes rather than fitted.
+passes rather than fitted, and a claim with a non-finite sample fails.
 
 Order-table claims (the per-block decay rates of the invariant-subspace
 bases) are measured against the exact small-z solutions from
@@ -19,7 +19,7 @@ report fitted without it.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -212,11 +212,17 @@ def slope_fit(
 ) -> ConvergenceReport:
     """Least-squares fit of log error against log t.
 
-    Samples with error below ``100 * eps * scale`` are dropped as
-    floor-limited; at least ``MIN_SAMPLES`` must survive or
-    :class:`InsufficientSamples` is raised.
+    A claim with a non-finite error sample fails, with NaN slope and r^2 and
+    a note that names those samples.  Otherwise samples with error below
+    ``100 * eps * scale`` are dropped as floor-limited; at least
+    ``MIN_SAMPLES`` must survive or :class:`InsufficientSamples` is raised.
     """
     samples = [(float(t), float(e)) for t, e in samples]
+    bad = [f"{e} at t={t:.3e}" for t, e in samples if not np.isfinite(e)]
+    if bad:
+        note = "; ".join(n for n in (note, "non-finite error " + ", ".join(bad)) if n)
+        nan = float("nan")
+        return ConvergenceReport(quantity, float(claimed), nan, nan, False, tuple(samples), note=note)
     floor = FLOOR_FACTOR * cl.EPS * scale
     usable = [(t, e) for t, e in samples if e > floor]
     if len(usable) < MIN_SAMPLES:
@@ -314,7 +320,6 @@ def verify_all(
     residual fit fail.
     """
     st = pair.structure
-    lam0 = st.lambda0
     if plan is None:
         plan = SweepPlan.default(rho)
     ts = list(plan.t_values)
@@ -370,44 +375,32 @@ def verify_all(
     # --- (ii) first-order subspace relation residual per cluster.
     rng = np.random.default_rng(0)
     for ci, (exp, _) in enumerate(clusters):
-        gamma = exp.gamma
-        sel = select_subspace(reduced, lambda lam, g=gamma: abs(lam - g) < 1e-6 * max(1.0, abs(g)), 0)
+        near = lambda lam, g=exp.gamma: abs(lam - g) < 1e-6 * max(1.0, abs(g))
+        sel = select_subspace(reduced, near, 0)
         comp = complement_pair(reduced, sel)
+        if ci == 0:  # the subspace of the order tables in (iii)
+            sel0, comp0 = sel, comp
         fo = first_order_expansion(reduced, sel, comp)
-        h0, h1 = fo.h0, fo.h1
-        omega, delta11 = sel.omega, fo.delta11
         note = ""
         if perturb_h1:
-            noise = rng.normal(size=h1.shape) + 1j * rng.normal(size=h1.shape)
-            noise *= perturb_h1 * max(1.0, cl.frob(h1)) / cl.frob(noise)
-            h1 = h1 + noise
+            noise = rng.normal(size=fo.h1.shape) + 1j * rng.normal(size=fo.h1.shape)
+            noise *= perturb_h1 * max(1.0, cl.frob(fo.h1)) / cl.frob(noise)
+            fo = replace(fo, h1=fo.h1 + noise)
             note = f"H1 corrupted by {perturb_h1:.1e} noise"
         if swap_root:
             if rho == 1:
                 raise ValueError("swap_root needs rho >= 2 (a single branch cannot be swapped)")
-            sel2 = select_subspace(
-                reduced, lambda lam, g=gamma: abs(lam - g) < 1e-6 * max(1.0, abs(g)), 1
-            )
-            omega = sel2.omega
+            fo = replace(fo, omega=select_subspace(reduced, near, 1).omega)
             note = (note + "; " if note else "") + "Omega swapped to root branch 1"
         samples = []
         for t in ts:
-            z = t ** (1.0 / rho)
-            h = h0 + z * h1
-            c = lam0 * cl.eye(sel.r) + z * omega + z * z * delta11
-            samples.append((t, cl.frob((a_mat + t * d_mat) @ h - h @ c)))
+            h = fo.h_of(t)
+            samples.append((t, cl.frob((a_mat + t * d_mat) @ h - h @ fo.c_of(t))))
         reports.append(
             _fit_or_floor(samples, 2.0 / rho, scale, f"subspace-resid[rho={rho},cluster={ci}]", note)
         )
 
     # --- (iii) per-block order tables from the exact small-z solutions.
-    sel0 = select_subspace(
-        reduced,
-        lambda lam, g=clusters[0][0].gamma: abs(lam - g) < 1e-6 * max(1.0, abs(g)),
-        0,
-    )
-    comp0 = complement_pair(reduced, sel0)
-
     def solve_point(t):
         z = t ** (1.0 / rho)
         try:

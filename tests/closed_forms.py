@@ -17,6 +17,9 @@ pencil's constant basis ``ReducedPencil.x0``; the displayed form
 ``XiTilde_rho [I; G_rho] Q1`` and the block layout of X0 are built here from
 the block index map alone.
 
+The sub-blocks G_ij of the elimination G (``g_sub``) and the residual of the
+reduced pencil identity (``reduced_identity_residual``) are read only here.
+
 The verifier reads the exact subspace basis off one ordered Schur form of
 Theta-hat(z); ``fixed_point_subspace_basis`` finds the same invariant
 subspace by a Stewart-type fixed point, with no Schur reordering.
@@ -44,6 +47,21 @@ def xi_tilde(pair, rho, xi=None, col=1):
     return np.hstack(parts) if parts else cl.zeros(xi.shape[0], 0)
 
 
+def g_sub(reduced, i, j):
+    """G_{ij}: the s_i x s_j sub-block of G^(rho)_j for i > rho."""
+    st = reduced.structure
+    start = sum(st.s(p) for p in range(reduced.rho + 1, i))
+    return reduced.g_blocks[j - 1][start : start + st.s(i), :]
+
+
+def reduced_identity_residual(reduced, z, mu):
+    """Residual of Pi_L L (z mu I - (N + z^rho D)) R Pi_R G = mu U-hat(z) - V-hat(z)."""
+    ap = reduced.assembled
+    lhs = reduced.hat(ap.scaled_problem(z, mu))
+    rhs = reduced.hat(mu * ap.u_of(z) - ap.v_of(z))
+    return cl.frob(lhs - rhs) / max(1.0, cl.frob(lhs))
+
+
 def eigvec_stack(reduced):
     """[I_{s_rho}; G_rho^(rho)]: pencil eigenvector coordinates over XiTilde_rho."""
     s_rho = reduced.structure.s(reduced.rho)
@@ -62,7 +80,7 @@ def gtilde_matrix(reduced):
         return out
     out[idx.rows(rho, 1), :s_rho] = np.eye(s_rho)
     for i in range(rho + 1, st.k + 1):
-        out[idx.rows(i, 1), :s_rho] = reduced.g_sub(i, rho)
+        out[idx.rows(i, 1), :s_rho] = g_sub(reduced, i, rho)
     return out
 
 
@@ -115,11 +133,11 @@ def closed_form_x_blocks(reduced):
         ci = cl.zeros(s(i), s_rho)
         if s(i) and s_rho:
             if i == rho + 1:
-                ci += reduced.g_sub(rho + 1, rho) @ s_rho_mat
+                ci += g_sub(reduced, rho + 1, rho) @ s_rho_mat
             ci -= bhat(reduced, i, rho, i - 1)
             ci -= block(pair, i, rho, i, 2)
             for j in range(rho + 1, k + 1):
-                ci -= block(pair, i, j, i, 2) @ reduced.g_sub(j, rho)
+                ci -= block(pair, i, j, i, 2) @ g_sub(reduced, j, rho)
         ct_rows.append(ci)
     c_tilde = np.vstack(ct_rows) if ct_rows else cl.zeros(0, s_rho)
     c_hat = la.solve(reduced.w_rho_next, c_tilde) if shat else cl.zeros(0, s_rho)
@@ -137,7 +155,7 @@ def closed_form_x_blocks(reduced):
     for i in range(rho + 1, k + 1):
         blk_i = cl.zeros((i - 1) * s(i), n2)
         if s(i) and s_rho:
-            gi = reduced.g_sub(i, rho)
+            gi = g_sub(reduced, i, rho)
             if i == rho + 1:
                 for ell in range(1, rho):
                     blk_i[(ell - 1) * s(i) : ell * s(i), ell * s_rho : (ell + 1) * s_rho] = gi

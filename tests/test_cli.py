@@ -235,8 +235,12 @@ class TestGeneralFormProblem:
         ["verify", "{f}", "--points", "4"],
         ["generate", "--sizes", "1,x", "--out", "{f}"],
         ["generate", "--sizes", "1,0", "--out", "{f}"],
+        ["verify", "{f}", "--swap-root"],
+        ["verify", "{f}", "--rho", "1", "--swap-root"],
+        ["verify", "{f}", "--rho", "2", "--perturb-h1", "nan"],
     ],
-    ids=["root_5", "root_-1", "expand_rho_7", "verify_rho_7", "verify_rho_0", "analyze_rho_0", "tmax", "points_4", "sizes_x", "sizes_0"],
+    ids=["root_5", "root_-1", "expand_rho_7", "verify_rho_7", "verify_rho_0", "analyze_rho_0", "tmax", "points_4", "sizes_x", "sizes_0",
+         "swap_root_all_rhos", "swap_root_rho_1", "perturb_h1_nan"],
 )
 def test_bad_argument_value_exit_3(tmp_path, capsys, argv):
     # a value the library rejects is a parse error (one line, exit 3), not a

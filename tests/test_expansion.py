@@ -44,7 +44,6 @@ class TestEigenvalueExpansions:
         assert len(exps) == 1
         e = exps[0]
         assert abs(e.gamma - 1.0) < 1e-12 and e.simple
-        assert e.order_next == Fraction(2, 4) and not e.little_o
         expected = {1.0, 1.0j, -1.0, -1.0j}
         assert all(min(abs(m - x) for x in expected) < 1e-12 for m in e.mus)
         # lambda ~ t^(1/4) e^{i pi (j-1)/2}
@@ -66,8 +65,7 @@ class TestEigenvalueExpansions:
         rp = reduce_pencil(assemble_pencil(pair, 2))
         exps = eigenvalue_expansions(rp)
         assert len(exps) == 2 and exps[0] is exps[1]
-        assert not exps[0].simple and exps[0].little_o
-        assert exps[0].order_next == Fraction(1, 2)
+        assert not exps[0].simple
 
     def test_rho1_coefficient_against_oracle(self):
         pair = random_pair((1, 1), seed=11)
@@ -153,7 +151,7 @@ class TestSelectSubspace:
         sel = select_subspace(rp, lambda g: abs(g - 1) < 0.5, 0)
         assert np.allclose(sel.omega, [[1.0]])
         assert subspace_expansion(rp, sel).h0.shape == (2, 1)
-        assert eigenvector_expansion(rp, 1, 0).constant.shape == (2, 1)
+        assert eigenvector_expansion(rp, 1, 0).h0.shape == (2, 1)
         # the complement of a selection takes every cluster, the singular one too
         with pytest.raises(MatrixRootFailure):
             complement_pair(rp, sel)
@@ -203,6 +201,29 @@ class TestSelectSubspace:
         assert sel.r == 3
         mus = np.diag(sel.omega)
         assert np.allclose(mus, [1.0, 1.0j, -1.0], atol=1e-12)
+
+    @pytest.mark.parametrize("sizes", SUITE_SIZES)
+    def test_selection_invariants(self, sizes):
+        # S_rho Q1 = Q1 Omega^rho and a full-column-rank phi with psi as its
+        # left inverse, for every single branch and for all branches at once;
+        # the first two at the bounds select_subspace once asserted per call
+        pair = random_pair(sizes, seed=1)
+        for rho in pair.structure.valid_rhos():
+            rp = reduce_pencil(assemble_pencil(pair, rho))
+            s, tab = rp.s_rho, rp.branches
+            sels = [
+                select_subspace(rp, lambda g, cb=cb: g == cb.gamma, b)
+                for cb in rp.clusters
+                for b in range(rho)
+            ]
+            sels.append(select_subspace(rp, lambda g: True, [tuple(range(rho))] * len(rp.clusters)))
+            assert sels[-1].r == s.shape[0] * rho
+            for sel in sels:
+                res = np.linalg.norm(s @ sel.q1 - sel.q1 @ np.linalg.matrix_power(sel.omega, rho))
+                assert res <= 1e-8 * max(1.0, np.linalg.norm(s))
+                assert cl.smallest_singular_value(sel.phi) > 1e-8
+                psi = tab.psi[tab.cols(sel.chosen)]
+                assert np.linalg.norm(psi @ sel.phi - np.eye(sel.r)) <= 1e-10
 
     def test_pencil_eigenvector_relation(self):
         # W_rho [I; G] Q1 = diag(I, 0) [I; G] Q1 Omega^rho
@@ -270,12 +291,11 @@ class TestSubspaceExpansion:
         assert np.arccos(min(cosang, 1.0)) < 1e-4
 
     def test_x_full_constant(self):
+        # the full constant basis X0 of the pencil
         pair, rp = example1_reduced()
-        sel = select_subspace(rp, lambda g: True, 1)
-        sub = subspace_expansion(rp, sel)
         expected = np.zeros((4, 4))
         expected[0, 0] = 1.0
-        assert np.array_equal(sub.x_full.real, expected)
+        assert np.array_equal(rp.x0.real, expected)
 
     def test_c_of(self):
         pair, rp = example1_reduced()
@@ -290,7 +310,7 @@ class TestEigenvectorExpansion:
         pair, rp = example1_reduced()
         for idx in range(4):
             ev = eigenvector_expansion(rp, 0, idx)
-            assert np.allclose(ev.constant.ravel(), [1.0, 0.0, 0.0, 0.0])
+            assert np.allclose(ev.h0.ravel(), [1.0, 0.0, 0.0, 0.0])
 
     def test_not_simple(self):
         pair = pair_with_s2(9.0 * np.eye(2))
@@ -307,7 +327,7 @@ class TestEigenvectorExpansion:
         e = eigenvalue_expansions(rp)[0]
         j = int(np.argmin(np.abs(w - e.predict(t)[0])))
         vec = v[:, j]
-        h = ev.constant.ravel()
+        h = ev.h0.ravel()
         cosang = abs(np.vdot(vec, h)) / (np.linalg.norm(vec) * np.linalg.norm(h))
         assert 1.0 - cosang < 1e-6  # angle O(t)
 

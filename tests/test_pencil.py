@@ -16,7 +16,7 @@ from jordanperturb import (
 from jordanperturb.errors import SingularW
 from jordanperturb.pencil import scalar_roots, sort_complex
 
-from closed_forms import assemble_pencil_blocks
+from closed_forms import assemble_pencil_blocks, reduced_identity_residual
 from conftest import SUITE_SIZES, random_pair
 
 # the verify-ladder structures (seed 1), and two with void size groups
@@ -212,14 +212,14 @@ class TestReduce:
         for rho in pair.structure.valid_rhos():
             rp = reduce_pencil(assemble_pencil(pair, rho))
             for z, mu in [(1e-1, 0.37 + 0.21j), (1e-2, -0.53 + 0.11j)]:
-                assert rp.identity_residual(z, mu) <= 1e-12
+                assert reduced_identity_residual(rp, z, mu) <= 1e-12
 
     def test_void_rho_block(self):
         # rho with s_rho = 0: Theta is empty but the reduction still holds
         pair = random_pair((1, 0, 1), seed=0)
         rp = reduce_pencil(assemble_pencil(pair, 2))
         assert rp.theta.shape == (0, 0) and rp.s_rho.shape == (0, 0)
-        assert rp.identity_residual(1e-1, 0.2 + 0.1j) <= 1e-12
+        assert reduced_identity_residual(rp, 1e-1, 0.2 + 0.1j) <= 1e-12
         st = pair.structure
         shat = st.shat(3)
         top = np.block(

@@ -201,6 +201,19 @@ class TestSlopeFit:
         assert rep.passed and rep.fitted_slope == pytest.approx(1.0, abs=1e-6)
 
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_sample_fails(self, bad):
+        # a non-finite error is neither fitted nor floor-limited: the claim fails
+        ts = np.geomspace(1e-2, 1e-8, 8)
+        for samples in ([(t, t) for t in ts[:3]] + [(ts[3], bad)] + [(t, t) for t in ts[4:]],
+                        [(t, bad) for t in ts]):
+            rep = slope_fit(samples, claimed=1.0, note="n")
+            assert not rep.passed and not rep.floor_limited
+            assert np.isnan(rep.fitted_slope) and np.isnan(rep.r_squared)
+            assert rep.note.startswith("n; non-finite error ") and f"t={ts[3]:.3e}" in rep.note
+            assert len(rep.samples) == len(samples)
+
+
 class TestVerifyAll:
     def test_example1_all_pass(self):
         pair = example1_pair()
@@ -239,6 +252,14 @@ class TestVerifyAll:
         reports = verify_all(pair, 2, perturb_h1=1e-3)
         resid = [r for r in reports if r.quantity.startswith("subspace-resid")]
         assert resid and all(not r.passed for r in resid)
+
+    def test_non_finite_perturb_h1_fails(self):
+        # NaN H1 gives NaN residuals, which must fail, not pass as floor-limited
+        pair = random_pair((0, 2), seed=2)
+        reports = verify_all(pair, 2, perturb_h1=float("nan"))
+        resid = [r for r in reports if r.quantity.startswith("subspace-resid")]
+        assert resid and all(not r.passed and not r.floor_limited for r in resid)
+        assert all("non-finite error" in r.note for r in resid)
 
     def test_negative_control_swap_root(self):
         pair = random_pair((0, 2), seed=2)
