@@ -304,8 +304,9 @@ def cmd_verify(args) -> int:
                 f"(claimed {rep.claimed_slope:.3f}), r^2 {rep.r_squared:.4f}"
             )
     if args.out_json:
+        text = canonical_json([r.to_dict() for r in all_reports])
         with open(args.out_json, "w", encoding="utf-8") as fh:
-            fh.write(canonical_json([r.to_dict() for r in all_reports]))
+            fh.write(text)
     if args.out_csv:
         import csv
 
@@ -314,7 +315,8 @@ def cmd_verify(args) -> int:
             writer.writerow(["quantity", "t", "error"])
             for rep in all_reports:
                 for t, e in rep.samples:
-                    writer.writerow([rep.quantity, _fmt_float(t), _fmt_float(e)])
+                    err = _fmt_float(e) if np.isfinite(e) else ""  # a non-finite error fails its claim
+                    writer.writerow([rep.quantity, _fmt_float(t), err])
     return EXIT_OK if all(r.passed for r in all_reports) else EXIT_VERIFY_FAIL
 
 

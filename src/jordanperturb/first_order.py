@@ -16,9 +16,11 @@ for the complement coupling Y follow.
 it solves the exact coupling equations by Newton's method, yielding the
 exact perturbed block Theta-hat(z) and an exact invariant-subspace matrix,
 which the verification module uses as ground truth for every claimed
-fractional order.  Each Newton step is a generalized Sylvester equation,
-solved one column at a time in the complex Schur form of Theta-hat by
-``core_linalg.schur_sylvester``, the kernel of every Sylvester solve.
+fractional order.  Newton starts from zero or from a solution at a nearby
+z, so a sweep can follow the branch from z = 0 by continuation.  Each
+Newton step is a generalized Sylvester equation, solved one column at a
+time in the complex Schur form of Theta-hat by ``core_linalg.schur_sylvester``,
+the kernel of every Sylvester solve.
 """
 
 from __future__ import annotations
@@ -294,27 +296,35 @@ def coupling_series(r: ReducedPencil, order: int, x=(), theta=()):
     return tuple(x), tuple(theta)
 
 
-def solve_riccati(p: AssembledPencil, r: ReducedPencil, z: complex) -> RiccatiSolution:
+def solve_riccati(
+    p: AssembledPencil, r: ReducedPencil, z: complex, start: RiccatiSolution | None = None
+) -> RiccatiSolution:
     """Exact deflating-subspace coupling at a fixed z by Newton's method.
 
-    Starting from X1 = X2 = 0, each step solves the coupling equations
-    linearized at the current X = [X1; X2], a generalized Sylvester equation
-    A dX - B dX Theta-hat = -F: in the Schur coordinates of Theta-hat it is
-    one (m - n2)-square solve per column, n2 in all (the Kronecker form is
-    one solve of size (m - n2) n2), and convergence is quadratic once the
-    iterate is close.  z may be complex.
+    Newton starts from X1 = X2 = 0, or from the [X1; X2] of ``start``, a
+    solution of the same pencil at a nearby z: along one branch the solution
+    is analytic in z, so the last point solved is a close first iterate for
+    the next (natural-parameter continuation).  Each step solves the coupling
+    equations linearized at the current X = [X1; X2], a generalized Sylvester
+    equation A dX - B dX Theta-hat = -F: in the Schur coordinates of
+    Theta-hat it is one (m - n2)-square solve per column, n2 in all (the
+    Kronecker form is one solve of size (m - n2) n2), and convergence is
+    quadratic once the iterate is close.  z may be complex.
     Stops once the residual is at most 1e-12 max(1, ||V-hat(z)||_F); raises
-    :class:`NoConvergence` when the residual diverges or ``RICCATI_MAX_ITER``
-    steps do not reach that (z too large).
+    :class:`NoConvergence` when the residual grows past 1e6 times the first
+    one or ``RICCATI_MAX_ITER`` steps do not reach the tolerance (z too
+    large), and ``ValueError`` when ``start`` belongs to another pencil.
     """
     if z == 0:
         raise ValueError("z must be nonzero")
+    if start is not None and start.reduced is not r:
+        raise ValueError("start must be a solution of the same reduced pencil")
     uz = r.hat(p.u_of(z))
     vz = r.hat(p.v_of(z))
     n1 = r.n1
     tol = 1e-12 * max(1.0, cl.frob(vz))
 
-    x = cl.zeros(r.structure.dim - r.n2, r.n2)
+    x = cl.zeros(r.structure.dim - r.n2, r.n2) if start is None else np.vstack([start.x1, start.x2])
     resid = np.inf
     first_resid = None
     for it in range(RICCATI_MAX_ITER + 1):

@@ -10,10 +10,16 @@ passes rather than fitted, and a claim with a non-finite sample fails.
 Order-table claims (the per-block decay rates of the invariant-subspace
 bases) are measured against the exact small-z solutions from
 :func:`jordanperturb.first_order.solve_riccati`, whose output is itself
-validated against the oracle to machine precision.  A sweep point where the
-Riccati solve raises :class:`NoConvergence` is left out of those fits,
-logged at INFO on this module's logger, and counted in the note of each
-report fitted without it.
+validated against the oracle to machine precision.  The sweep points are
+solved as one continuation path along the branch: in ascending z, each
+Newton solve starting from the last converged solution and the first from
+zero (natural-parameter continuation; Allgower & Georg, Introduction to
+Numerical Continuation Methods, SIAM 2003).  Each solved point is logged at
+DEBUG on this module's logger with its start, Newton iterations and
+residual.  A sweep point where the Riccati solve raises
+:class:`NoConvergence` is left out of those fits, logged at INFO, and
+counted in the note of each report fitted without it; the reports keep the
+plan's order.
 """
 
 from __future__ import annotations
@@ -93,8 +99,10 @@ class ConvergenceReport:
     note: str = ""
 
     def to_dict(self) -> dict:
+        """JSON-ready fields, with every non-finite number (NaN or inf) as None."""
+
         def num(x):
-            return None if x != x else float(x)
+            return float(x) if np.isfinite(x) else None
 
         return {
             "quantity": self.quantity,
@@ -104,7 +112,7 @@ class ConvergenceReport:
             "passed": self.passed,
             "floor_limited": self.floor_limited,
             "note": self.note,
-            "samples": [[t, e] for t, e in self.samples],
+            "samples": [[num(t), num(e)] for t, e in self.samples],
         }
 
 
@@ -310,7 +318,9 @@ def verify_all(
     first-order subspace relation residual (slope 2/rho), the per-block
     order tables of the exact bases, and the consistency of the exact
     Theta-hat(z) with its first-order model (slope 2 in z).  The last two
-    rest on the sweep points where the Riccati refinement converged; when
+    rest on the sweep points where the Riccati refinement converged, solved
+    in ascending z with each Newton solve started from the last converged
+    solution (see the module docstring); when
     points were dropped and fewer than ``MIN_SAMPLES`` remain, each of those
     claims is reported failed, with NaN slope and r^2.
 
@@ -400,17 +410,25 @@ def verify_all(
             _fit_or_floor(samples, 2.0 / rho, scale, f"subspace-resid[rho={rho},cluster={ci}]", note)
         )
 
-    # --- (iii) per-block order tables from the exact small-z solutions.
-    def solve_point(t):
+    # --- (iii) per-block order tables from the exact small-z solutions.  The
+    # points are solved in ascending z along the branch, each Newton solve
+    # starting from the last converged one (the first from zero), and kept in
+    # plan order.
+    points, prev = [], None
+    for t in reversed(ts):
         z = t ** (1.0 / rho)
         try:
-            ric = solve_riccati(assembled, reduced, z)
+            ric = solve_riccati(assembled, reduced, z, start=prev)
         except NoConvergence as exc:
             _log.info("rho=%d: sweep point z=%.6g dropped, solve_riccati raised NoConvergence: %s", rho, z, exc)
-            return None
-        return z, ric, exact_subspace_basis(ric, sel0, comp0)[0]
-
-    points = [p for p in map(solve_point, ts) if p is not None]
+            continue
+        _log.debug(
+            "rho=%d: sweep point z=%.6g solved from start %s in %d Newton iterations, residual %.3e",
+            rho, z, "zero" if prev is None else prev.z, ric.iterations, ric.residual,
+        )
+        points.append((z, ric, exact_subspace_basis(ric, sel0, comp0)[0]))
+        prev = ric
+    points.reverse()
     dropped = len(ts) - len(points)
     drop_note = f"{dropped} of {len(ts)} sweep points dropped (NoConvergence)" if dropped else ""
 

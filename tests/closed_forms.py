@@ -257,9 +257,10 @@ def kron_newton_step(ap, reduced, z, x1, x2):
     )
 
 
-def kron_riccati(ap, reduced, z, max_iter=200):
-    """The Newton iteration of ``solve_riccati`` (start at zero, same
-    tolerance and divergence test) driven by ``kron_newton_step``.
+def kron_riccati(ap, reduced, z, max_iter=200, start=None):
+    """The Newton iteration of ``solve_riccati`` (start at zero, or at the
+    (X1, X2) pair ``start``; same tolerance and divergence test) driven by
+    ``kron_newton_step``.
 
     Returns (theta_hat, iterations, iterates), the iterates being the
     (X1, X2) pairs visited; raises :class:`NoConvergence` as the library does.
@@ -271,6 +272,8 @@ def kron_riccati(ap, reduced, z, max_iter=200):
     tol = 1e-12 * max(1.0, np.linalg.norm(vz))
     x1 = np.zeros((n1, n2), dtype=complex)
     x2 = np.zeros((reduced.structure.dim - n1 - n2, n2), dtype=complex)
+    if start is not None:
+        x1, x2 = start
     iterates, first = [], None
     for it in range(max_iter + 1):
         iterates.append((x1, x2))

@@ -186,6 +186,32 @@ class TestVerify:
         main(["generate", "--sizes", "0,2", "--seed", "2", "--out", str(f)])
         assert main(["verify", str(f), "--rho", "2", "--perturb-h1", "1e-3"]) == EXIT_VERIFY_FAIL
 
+    def test_non_finite_sample_written_as_null(self, tmp_path):
+        # --perturb-h1 1e300 makes the residual samples overflow: both files
+        # are written and parse, with null and an empty field for each
+        # non-finite error, and the run fails verification (exit 1)
+        f, out_json, out_csv = tmp_path / "case.json", tmp_path / "r.json", tmp_path / "s.csv"
+        main(["generate", "--sizes", "1,2", "--seed", "1", "--out", str(f)])
+        code = main(
+            [
+                "verify", str(f), "--rho", "2", "--perturb-h1", "1e300",
+                "--out-json", str(out_json), "--out-csv", str(out_csv),
+            ]
+        )
+        assert code == EXIT_VERIFY_FAIL
+        reports = json.loads(out_json.read_text())
+        bad = [r for r in reports if any(e is None for _, e in r["samples"])]
+        assert bad and all(not r["passed"] and r["fitted_slope"] is None for r in bad)
+        import csv
+
+        with open(out_csv, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["quantity", "t", "error"]
+        assert len(rows) - 1 == sum(len(r["samples"]) for r in reports)
+        for row, (rep, (t, e)) in zip(rows[1:], [(r, s) for r in reports for s in r["samples"]]):
+            assert row[0] == rep["quantity"] and float(row[1]) == t
+            assert row[2] == "" if e is None else float(row[2]) == e
+
     def test_two_block_default_all_rhos(self, tmp_path):
         f = tmp_path / "mix.json"
         main(["generate", "--sizes", "1,2", "--seed", "1", "--out", str(f)])

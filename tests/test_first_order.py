@@ -4,12 +4,14 @@ import scipy.linalg
 
 from jordanperturb import (
     CanonicalPair,
+    CaseSpec,
     JordanStructure,
     SweepPlan,
     assemble_pencil,
     complement_pair,
     eigenvalue_expansions,
     first_order_expansion,
+    generate,
     reduce_pencil,
     select_subspace,
     semisimple_expansion,
@@ -771,6 +773,48 @@ class TestRiccati:
                         theta_ref
                     )
         assert set(wandering) <= {((3, 3, 3, 3), 4, 1e-2)}
+
+    @pytest.mark.parametrize(
+        "sizes", [(1, 2), (2, 2, 2), (1, 1, 1, 1, 1), (3, 3, 3, 3), (4, 4, 4, 4, 4)], ids=str
+    )
+    def test_continuation_matches_kronecker_loop(self, sizes):
+        # on the seed-1 ladder at rho = k, swept in ascending z as verify_all
+        # does: started from the last converged solution, solve_riccati takes
+        # the same Newton steps as the Kronecker-driven loop from that start,
+        # reaches the same Theta-hat, and diverges where it diverges
+        pair = generate(CaseSpec(JordanStructure(0.0, sizes), seed=1, ensure_distinct_gammas=True))
+        rho = len(sizes)
+        ap = assemble_pencil(pair, rho)
+        rp = reduce_pencil(ap)
+        prev, solved = None, 0
+        for t in reversed(SweepPlan.default(rho).t_values):
+            z = t ** (1.0 / rho)
+            start = None if prev is None else (prev.x1, prev.x2)
+            try:
+                theta_ref, its, _ = kron_riccati(ap, rp, z, start=start)
+            except NoConvergence:
+                with pytest.raises(NoConvergence):
+                    solve_riccati(ap, rp, z, start=prev)
+                continue
+            ric = solve_riccati(ap, rp, z, start=prev)
+            assert ric.iterations == its, z
+            assert np.linalg.norm(ric.theta_hat - theta_ref) <= 1e-12 * np.linalg.norm(theta_ref)
+            prev, solved = ric, solved + 1
+        assert solved >= 12
+
+    def test_start_from_own_solution_is_immediate(self):
+        # a converged solution is a fixed point of the iteration; a solution
+        # of another pencil is rejected
+        pair = random_pair((1, 2), seed=1)
+        ap = assemble_pencil(pair, 2)
+        rp = reduce_pencil(ap)
+        ric = solve_riccati(ap, rp, 1e-2)
+        again = solve_riccati(ap, rp, 1e-2, start=ric)
+        assert ric.iterations > 0 and again.iterations == 0
+        assert np.array_equal(again.theta_hat, ric.theta_hat)
+        other = reduce_pencil(assemble_pencil(pair, 2))
+        with pytest.raises(ValueError, match="same reduced pencil"):
+            solve_riccati(ap, other, 1e-2, start=ric)
 
     @pytest.mark.parametrize("sizes", SUITE_SIZES)
     def test_complex_z_invariant_relation(self, sizes):

@@ -297,28 +297,30 @@ def ladder_pair(sizes):
 
 class TestDroppedPoints:
     def test_dropped_point_logged(self, caplog):
-        # (3,3,3,3), rho=4 loses its largest sweep point, z = 1e-2^(1/4)
+        # (4,4,4,4,4), rho=5 loses its largest sweep point, z = 1e-2^(1/5),
+        # where Newton diverges even from the solution at the next smaller z
         with caplog.at_level(logging.INFO, logger="jordanperturb.verify"):
-            reports = verify_all(ladder_pair((3, 3, 3, 3)), 4)
+            reports = verify_all(ladder_pair((4, 4, 4, 4, 4)), 5)
         msgs = [r.getMessage() for r in caplog.records if "dropped" in r.getMessage()]
         assert len(msgs) == 1
-        assert f"z={1e-2 ** 0.25:.6g}" in msgs[0]
+        assert f"z={1e-2 ** 0.2:.6g}" in msgs[0]
         assert "solve_riccati raised NoConvergence" in msgs[0]
-        delta = next(r for r in reports if r.quantity == "riccati-delta[rho=4]")
+        delta = next(r for r in reports if r.quantity == "riccati-delta[rho=5]")
         assert delta.note.endswith("1 of 13 sweep points dropped (NoConvergence)")
 
     @pytest.mark.parametrize("dropped", [13, 9, 8])
     def test_too_few_points_fail_riccati_claims(self, monkeypatch, dropped):
-        # the largest `dropped` sweep points raise in solve_riccati; with
-        # fewer than five points left the X, H and riccati-delta claims are
-        # still reported, each failed with NaN slope and r^2; five points fit
+        # the smallest `dropped` sweep points (the first solved) raise in
+        # solve_riccati; with fewer than five points left the X, H and
+        # riccati-delta claims are still reported, each failed with NaN slope
+        # and r^2; five points fit
         calls = []
 
-        def fail_first(ap, rp, z):
+        def fail_first(ap, rp, z, start=None):
             calls.append(z)
             if len(calls) <= dropped:
                 raise NoConvergence("forced")
-            return solve_riccati(ap, rp, z)
+            return solve_riccati(ap, rp, z, start=start)
 
         monkeypatch.setattr(jordanperturb.verify, "solve_riccati", fail_first)
         reports = verify_all(random_pair((1, 2), seed=1), 2)
@@ -333,12 +335,37 @@ class TestDroppedPoints:
             else:
                 assert r.floor_limited or np.isfinite(r.fitted_slope), r.quantity
 
+    def test_continuation_in_ascending_z(self, monkeypatch, caplog):
+        # solve_riccati runs once per sweep point in ascending z; the first
+        # call starts from zero and each later one from the last solution that
+        # converged (the 4th and 5th calls are forced to fail); one DEBUG line
+        # per solved point names its start
+        calls, solved = [], []
+
+        def recording(ap, rp, z, start=None):
+            calls.append((z, start, solved[-1] if solved else None))
+            if len(calls) in (4, 5):
+                raise NoConvergence("forced")
+            solved.append(solve_riccati(ap, rp, z, start=start))
+            return solved[-1]
+
+        monkeypatch.setattr(jordanperturb.verify, "solve_riccati", recording)
+        with caplog.at_level(logging.DEBUG, logger="jordanperturb.verify"):
+            verify_all(random_pair((1, 2), seed=1), 2)
+        zs = [z for z, _, _ in calls]
+        assert zs == pytest.approx(sorted(t**0.5 for t in SweepPlan.default(2).t_values), rel=1e-12)
+        assert calls[0][1] is None and all(start is last for _, start, last in calls)
+        assert calls[5][1] is solved[2] and len(solved) == 11
+        msgs = [r.getMessage() for r in caplog.records if "solved from start" in r.getMessage()]
+        assert len(msgs) == 11 and "start zero" in msgs[0] and "Newton iterations" in msgs[0]
+        assert f"start {solved[2].z}" in msgs[3]
+
     def test_reports_count_dropped_points(self, largest_ladder_run):
-        # (4,4,4,4,4), rho=5 keeps 9 of its 13 sweep points; each report
-        # fitted without the other 4 says so, and only those reports do
+        # (4,4,4,4,4), rho=5 keeps 12 of its 13 sweep points; each report
+        # fitted without the other one says so, and only those reports do
         _, reports, kept = largest_ladder_run
-        assert len(kept) == 9
-        tag = "4 of 13 sweep points dropped (NoConvergence)"
+        assert len(kept) == 12
+        tag = "1 of 13 sweep points dropped (NoConvergence)"
         for r in reports:
             on_riccati_points = r.quantity.startswith(("X[", "H[", "riccati-delta["))
             assert (tag in r.note) == on_riccati_points, (r.quantity, r.note)
@@ -392,13 +419,25 @@ def invariant_residual(pair, rho, ric, h, rep):
 class TestExactSubspaceBasis:
     def test_agrees_with_fixed_point_on_ladder(self, ladder_runs):
         # at every kept sweep point of the seed-1 ladder the ordered Schur
-        # form gives the fixed point's basis and block
-        for sizes, (_, _, _, kept) in ladder_runs.items():
+        # form gives the fixed point's basis and block, except at the top
+        # point of (3,3,3,3), rho=4: there the fixed point reaches another
+        # invariant subspace (Lambda(rep) = -0.156-1.14i, the fixed point's
+        # -0.418-0.948i), and both bases are invariant
+        seen = []
+        for sizes, (pair, rho, _, kept) in ladder_runs.items():
             assert kept, sizes
             for ric, sel, comp, (h, rep) in kept:
                 h_fp, rep_fp = fixed_point_subspace_basis(ric, sel, comp)
+                if sizes == (3, 3, 3, 3) and ric.z == pytest.approx(1e-2**0.25, rel=1e-12):
+                    seen.append(ric.z)
+                    assert np.linalg.eigvals(rep) == pytest.approx([-0.156 - 1.14j], abs=5e-3)
+                    assert np.linalg.eigvals(rep_fp) == pytest.approx([-0.418 - 0.948j], abs=5e-3)
+                    assert invariant_residual(pair, rho, ric, h, rep) <= 1e-12
+                    assert invariant_residual(pair, rho, ric, h_fp, rep_fp) <= 1e-12
+                    continue
                 assert np.linalg.norm(h - h_fp) <= 1e-10 * np.linalg.norm(h_fp), (sizes, ric.z)
                 assert np.linalg.norm(rep - rep_fp) <= 1e-10 * np.linalg.norm(rep_fp), (sizes, ric.z)
+        assert len(seen) == 1
 
     def test_solves_where_fixed_point_fails(self):
         # ladder seed 2, (2,2,2), rho=3: the fixed point does not converge at
@@ -406,6 +445,7 @@ class TestExactSubspaceBasis:
         pair = generate(CaseSpec(JordanStructure(0.0, (2, 2, 2)), seed=2, ensure_distinct_gammas=True))
         reports, kept = recorded_run(pair, 3)
         ts = SweepPlan.default(3).t_values
+        kept.sort(key=lambda k: -k[0].z)  # solved in ascending z; index by t
         assert [ric.z**3 for ric, *_ in kept] == pytest.approx(ts, rel=1e-12)
         for i, (ric, sel, comp, (h, rep)) in enumerate(kept):
             if i < 4:
