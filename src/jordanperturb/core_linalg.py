@@ -2,11 +2,15 @@
 
 Thin, contract-checked wrappers around LAPACK (via scipy.linalg) for the
 operations the perturbation pipeline needs: eigenvalues (never
-eigenvectors), ordered Schur form and singular-value queries; plus the
-library's one Sylvester kernel, which wraps no LAPACK Sylvester routine.
-All matrices are ``numpy.ndarray`` with dtype complex128; empty
-dimensions are allowed wherever they make sense (void Jordan blocks produce
-0-width slices).
+eigenvectors), complex Schur forms, ordered or not, and singular-value
+queries.  Two Sylvester solvers sit on them: ``solve_sylvester`` for
+a X - X b + c = 0 is Bartels-Stewart, Schur forms of both sides and one
+LAPACK ``ztrsyl`` back-substitution; ``schur_sylvester`` for the
+generalized a X - e X theta = f (Newton steps, coupling series) solves one
+column at a time in the Schur form of theta.  An upper-triangular matrix is
+its own Schur form and costs no LAPACK call.  All matrices are
+``numpy.ndarray`` with dtype complex128; empty dimensions are allowed
+wherever they make sense (void Jordan blocks produce 0-width slices).
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ __all__ = [
     "EPS",
     "as_matrix",
     "eig",
+    "schur",
     "ordered_schur",
     "schur_sylvester",
     "solve_sylvester",
@@ -89,7 +94,21 @@ def eig(m) -> np.ndarray:
     return w.astype(np.complex128)
 
 
-def ordered_schur(m, select):
+def schur(m) -> tuple[np.ndarray, np.ndarray]:
+    """Complex Schur form (t, q) of a square matrix, ``m = q t q^H``.
+
+    An upper-triangular ``m`` is its own Schur form: it comes back as t, with
+    q = I, and no LAPACK call is made.
+    """
+    m = as_matrix(m, "m")
+    if m.shape[0] != m.shape[1]:
+        raise ValueError(f"schur needs a square matrix, got {m.shape}")
+    if not np.tril(m, -1).any():
+        return m, eye(m.shape[0])
+    return la.schur(m, output="complex", check_finite=False)  # as_matrix has checked
+
+
+def ordered_schur(m, select, q=None):
     """Complex Schur form with selected eigenvalues moved to the leading block.
 
     Parameters
@@ -99,6 +118,10 @@ def ordered_schur(m, select):
         Receives the (n,) diagonal of an unordered Schur form and returns an
         (n,) boolean mask; the masked eigenvalues are reordered to the
         top-left of T (LAPACK ``ztrsen``).
+    q : (n, n) unitary array_like, optional
+        Reorder the Schur form of ``q m q^H`` instead of that of ``m``.  A
+        Schur form (t, q) already at hand is only reordered, with no new one
+        computed, by ``ordered_schur(t, select, q)``.
 
     Returns
     -------
@@ -106,15 +129,13 @@ def ordered_schur(m, select):
     t : (n, n) upper-triangular ndarray
     r : int
         Number of selected eigenvalues; ``m @ q == q @ t`` and the leading
-        ``r`` columns of ``q`` span the selected invariant subspace.
+        ``r`` columns of ``q`` span the selected invariant subspace (with
+        ``q m q^H`` in place of ``m`` when ``q`` is given).
     """
-    m = as_matrix(m, "m")
-    n = m.shape[0]
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"ordered_schur needs a square matrix, got {m.shape}")
-    if n == 0:
-        return zeros(0, 0), zeros(0, 0), 0
-    t, q = la.schur(m, output="complex", check_finite=False)  # as_matrix has checked
+    t, q_m = schur(m)
+    q = q_m if q is None else as_matrix(q, "q") @ q_m
+    if t.shape[0] == 0:
+        return q, t, 0
     mask = np.asarray(select(np.diag(t)), dtype=np.int32)  # ztrsen rejects a mask not of length n
     t, q, _, r, *_ = lapack.ztrsen(mask, t, q, job="N")  # complex swaps cannot fail
     return q, t, int(r)
@@ -133,12 +154,15 @@ def schur_sylvester(a, e, t, q, f) -> np.ndarray:
 
 
 def solve_sylvester(a, b, c) -> np.ndarray:
-    """Solve ``a X - X b + c = 0`` by :func:`schur_sylvester` in the Schur form of ``b``.
+    """Solve ``a X - X b + c = 0`` by Bartels-Stewart (CACM 15, 1972).
 
-    Requires the spectra of ``a`` and ``b`` to be separated: the minimum
-    eigenvalue distance must exceed ``1e-12 * max(1, ||a||, ||b||)``,
-    else :class:`SpectraOverlap` is raised; Lambda(b) is read off the Schur
-    diagonal.  Empty dimensions short-circuit to an empty solution.
+    With a = qa ta qa^H and b = qb tb qb^H in :func:`schur` form (a triangular
+    side costs nothing), Y = qa^H X qb solves ta Y - Y tb = -qa^H c qb, one
+    back-substitution (LAPACK ``ztrsyl``).  Requires the spectra of ``a`` and
+    ``b``, read off the two Schur diagonals, to be separated: the minimum
+    eigenvalue distance must exceed ``1e-12 * max(1, ||a||, ||b||)``, else
+    :class:`SpectraOverlap` is raised.  Empty dimensions short-circuit to an
+    empty solution.
     """
     a = as_matrix(a, "a")
     b = as_matrix(b, "b")
@@ -150,14 +174,17 @@ def solve_sylvester(a, b, c) -> np.ndarray:
         raise ValueError(f"c must be {na}x{nb}, got {c.shape}")
     if na == 0 or nb == 0:
         return zeros(na, nb)
-    t, q = la.schur(b, output="complex", check_finite=False)  # as_matrix has checked
-    sep = np.abs(eig(a)[:, None] - np.diag(t)[None, :]).min()
+    (ta, qa), (tb, qb) = schur(a), schur(b)
+    sep = np.abs(np.diag(ta)[:, None] - np.diag(tb)[None, :]).min()
     scale = max(1.0, frob(a), frob(b))
     if sep < 1e-12 * scale:
         raise SpectraOverlap(
             f"spectra of a and b are separated by only {sep:.3e} (scale {scale:.3e})"
         )
-    return schur_sylvester(a, eye(na), t, q, -c)
+    y, s, info = lapack.ztrsyl(ta, tb, -(qa.conj().T @ c @ qb), isgn=-1)
+    if info == 1:  # ztrsyl perturbed a near-common eigenvalue
+        raise SpectraOverlap("ztrsyl found the spectra of a and b too close to separate")
+    return qa @ (y / s) @ qb.conj().T
 
 
 def smallest_singular_value(m) -> float:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -211,9 +212,11 @@ def select_subspace(reduced: ReducedPencil, cluster, root_index=0) -> SubspaceSe
     return SubspaceSelection(rho=rho, q1=q1, omega=omega, phi=phi, chosen=tuple(chosen))
 
 
+@lru_cache(maxsize=64)
 def h_order_table(structure: JordanStructure, rho: int, full: bool = False) -> tuple[OrderEntry, ...]:
     """Claimed decay exponents for the blocks H_i of the subspace basis, or
-    with ``full`` for the blocks of the full basis X.
+    with ``full`` for the blocks of the full basis X; an immutable tuple,
+    cached per (structure, rho, full).
 
     The two tables differ only in block i = rho.  For H its exponents bound
     the residual after subtracting the explicit terms Q1 (t^(1/rho)

@@ -20,7 +20,8 @@ fractional order.  Newton starts from zero or from a solution at a nearby
 z, so a sweep can follow the branch from z = 0 by continuation.  Each
 Newton step is a generalized Sylvester equation, solved one column at a
 time in the complex Schur form of Theta-hat by ``core_linalg.schur_sylvester``,
-the kernel of every Sylvester solve.
+the kernel of the generalized solves; the ordinary ones (the complement
+coupling Y) go through ``core_linalg.solve_sylvester``.
 """
 
 from __future__ import annotations
@@ -185,31 +186,24 @@ def first_order_expansion(
     at rho = 1 that coupling is itself first order and the relation then
     holds through t only (same truncation caveat as ``effective_d11``).
     """
-    st = reduced.structure
-    r = sel.r
-
-    tp = reduced.theta_perturbation
     c, cc, _ = reduced.branches.split(sel.chosen)
     delta11 = reduced.branch_delta[np.ix_(c, c)]
     delta21 = reduced.branch_delta[np.ix_(cc, c)]
 
     y = cl.solve_sylvester(comp.omega_c, sel.omega, delta21)
 
-    # H1 as the exact z^1 coefficient of Xi R(z) Pi_R G [z X1; I; z X2]
-    # (Phi + z Phi_c Y), whose z^0 coefficient is H0 = X0 Phi: H1 takes the z^1
-    # rows of R(z) from the constant term and its z^0 rows from the rest.
-    n1, n3 = reduced.n1, st.dim - reduced.n1 - reduced.n2
-    f0 = reduced.lift(np.vstack([cl.zeros(n1, r), sel.phi, cl.zeros(n3, r)]))
-    f1 = reduced.lift(np.vstack([tp.x1_coef @ sel.phi, comp.phi_c @ y, tp.x2_coef @ sel.phi]))
-    exps = reduced.assembled.scaling.right_exponents[:, None]
-    h1 = np.where(exps == 1, f0, 0.0) + np.where(exps == 0, f1, 0.0)
+    # H1 is the exact z^1 coefficient of Xi R(z) Pi_R G [z X1; I; z X2]
+    # (Phi + z Phi_c Y), whose z^0 coefficient is H0 = X0 Phi; its parts
+    # that do not depend on Y are lifted once per pencil, over every branch.
+    f, e = reduced.branch_lift
+    h1 = f[:, c] + e[:, cc] @ y
     return replace(
         subspace_expansion(reduced, sel, xi),
         h1=h1 if xi is None else cl.as_matrix(xi) @ h1,
         delta11=delta11,
         delta21=delta21,
         y=y,
-        c_hat=tp.c_hat,
+        c_hat=reduced.theta_perturbation.c_hat,
     )
 
 

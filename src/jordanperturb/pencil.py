@@ -282,19 +282,26 @@ class BranchTable:
         )
 
     def _fill(self, ci: int):
+        """Cluster ci's branches from one power sequence of its principal root R:
+        branch b has omega = w_b R with |w_b| = 1, so phi_b = [w_b^j Q R^j]_j,
+        M_b = w_b^(rho-1) M_0 and psi_b = M_0^-1 [w_b^-j R^(rho-1-j) Qt]_j."""
         cb = self.clusters[ci]
+        pw = [np.linalg.matrix_power(cb.root, j) for j in range(cb.rho)]
+        mm = sum(pw[-1 - j] @ cb.qt @ cb.q @ pw[j] for j in range(cb.rho))
+        m_inv = np.linalg.inv(mm)
+        sigma = (cl.smallest_singular_value(mm), cl.frob(mm))
+        phi = np.vstack([cb.q @ p for p in pw])
+        psi = m_inv @ np.hstack([p @ cb.qt for p in pw[::-1]])
         lam_root = cl.eig(cb.root)
+        s_dim = cb.q.shape[0]
         for b, w in enumerate(_branch_rotations(cb.gamma, cb.rho)[1]):
             c = self.columns[(ci, b)]
-            om = cb.omega(b)
-            pw = [np.linalg.matrix_power(om, j) for j in range(cb.rho)]
-            mm = sum(pw[-1 - j] @ cb.qt @ cb.q @ pw[j] for j in range(cb.rho))
-            m_inv = np.linalg.inv(mm)
-            self.omega[np.ix_(c, c)], self.m_inv[np.ix_(c, c)] = om, m_inv
-            self.phi[:, c] = np.vstack([cb.q @ p for p in pw])
-            self.psi[c] = m_inv @ np.hstack([p @ cb.qt for p in pw[::-1]])
+            wj = np.repeat(w ** np.arange(cb.rho), s_dim)  # w_b^j on block j
+            self.omega[np.ix_(c, c)] = cb.omega(b)
+            self.m_inv[np.ix_(c, c)] = m_inv / w ** (cb.rho - 1)
+            self.phi[:, c], self.psi[c] = wj[:, None] * phi, psi / wj
             self.qt[c], self.lam[c] = cb.qt, w * lam_root
-            self.sigma[(ci, b)] = (cl.smallest_singular_value(mm), cl.frob(mm))
+            self.sigma[(ci, b)] = sigma
 
     def cols(self, pairs) -> np.ndarray:
         """The columns of the branches ``pairs``, in their given order; fills in
@@ -354,7 +361,8 @@ class ReducedPencil:
     shat_{rho+1} x (n1 + n2) block in the eigenvector rows and the g1/g2
     columns that holds G^(rho)_j at the leading sub-column of each block
     j <= rho.  What derives from the pencil alone (``clusters``, ``branches``,
-    ``branch_delta``, ``series``) is computed on first use, once per pencil.
+    ``branch_delta``, ``branch_lift``, ``series``) is computed on first use,
+    once per pencil.
     """
 
     assembled: AssembledPencil
@@ -452,13 +460,15 @@ class ReducedPencil:
     @cached_property
     def clusters(self) -> tuple[ClusterBasis, ...]:
         """All eigenvalue clusters of S_rho with right/left Schur bases,
-        sorted by argument then modulus; computed once per pencil."""
+        sorted by argument then modulus; computed once per pencil from one
+        Schur form of S_rho, reordered once per cluster."""
         s = self.s_rho
         if s.shape[0] == 0:
             return ()
         vals = cl.eig(s)
         scale = max(float(np.abs(vals).max()), 1e-300)
         tol = CLUSTER_GAP_REL * scale
+        t_s, q_s = cl.schur(s)  # the one Schur form, reordered per cluster
         bases = []
         for g in _cluster(vals, tol):
             members = vals[g]
@@ -467,7 +477,7 @@ class ReducedPencil:
             def inside(diag, members=members, tol=tol):
                 return np.abs(diag[:, None] - members[None, :]).min(axis=1) <= 10 * tol
 
-            q_full, t_full, r = cl.ordered_schur(s, inside)
+            q_full, t_full, r = cl.ordered_schur(t_s, inside, q_s)
             if r != len(g):
                 raise ClusterNotSeparated(
                     f"Schur reordering selected {r} eigenvalues for a cluster of {len(g)}"
@@ -501,6 +511,23 @@ class ReducedPencil:
         tab = self.branches
         tab.split(())  # every cluster's entries
         return tab.psi @ self.theta_perturbation.delta_coef @ tab.phi
+
+    @cached_property
+    def branch_lift(self) -> tuple[np.ndarray, np.ndarray]:
+        """(F, E), the lifted bases H1 is read from: a selection with branch
+        columns c, complement columns cc and coupling Y has H1 = F[:, c] +
+        E[:, cc] Y.  With Phi = ``branches.phi`` over every branch, E holds the
+        z^0 rows of Pi_R G [0; Phi; 0] (E = X0 Phi), and F its z^1 rows plus the
+        z^0 rows of Pi_R G [X1_1 Phi; 0; X2_1 Phi], X_1 the first-order term
+        of :meth:`series`."""
+        tab, tp = self.branches, self.theta_perturbation
+        tab.split(())  # every cluster's entries
+        phi, n1, n2 = tab.phi, self.n1, self.n2
+        f0 = self.lift(np.vstack([cl.zeros(n1, n2), phi, cl.zeros(self.structure.dim - n1 - n2, n2)]))
+        f1 = self.lift(np.vstack([tp.x1_coef @ phi, cl.zeros(n2, n2), tp.x2_coef @ phi]))
+        exps = self.assembled.scaling.right_exponents[:, None]
+        f = np.where(exps == 1, f0, 0.0) + np.where(exps == 0, f1, 0.0)
+        return f, np.where(exps == 0, f0, 0.0)
 
     @cached_property
     def theta_perturbation(self):

@@ -23,6 +23,12 @@ reduced pencil identity (``reduced_identity_residual``) are read only here.
 The verifier reads the exact subspace basis off one ordered Schur form of
 Theta-hat(z); ``fixed_point_subspace_basis`` finds the same invariant
 subspace by a Stewart-type fixed point, with no Schur reordering.
+
+The pencil's branch table derives every branch of a cluster from one power
+sequence and one normalizer; ``branch_table_by_branch`` forms each branch
+from its own root, powers and normalizer.  ``first_order_expansion`` reads H1
+off lifted bases cached per pencil; ``h1_by_lift`` lifts each selection's
+basis directly.
 """
 
 import numpy as np
@@ -397,3 +403,41 @@ def complement_pair_union(reduced, sel):
         "q2": q2, "omega_c": omega_c, "q1t": q1t, "q2t": q2t, "m": m, "m_c": m_c,
         "psi": left_rows(m, omega, q1t), "psi_c": left_rows(m_c, omega_c, q2t), "phi_c": phi_c,
     }
+
+
+def branch_table_by_branch(reduced):
+    """{(cluster, branch): {"omega", "phi", "psi", "m_inv", "lam", "sigma"}}, the
+    entries of ``ReducedPencil.branches``, each branch from its own root
+    omega = ``ClusterBasis.omega(b)``: phi = [Q omega^j]_j, the power-sum
+    normalizer M = sum_j omega^(rho-1-j) Qt Q omega^j, psi = M^-1
+    [omega^(rho-1-j) Qt]_j, lam = Lambda(omega) and sigma = (sigma_min(M),
+    ||M||_F)."""
+    out = {}
+    for ci, cb in enumerate(reduced.clusters):
+        for b in range(reduced.rho):
+            om = cb.omega(b)
+            pw = [np.linalg.matrix_power(om, j) for j in range(cb.rho)]
+            mm = sum(pw[-1 - j] @ cb.qt @ cb.q @ pw[j] for j in range(cb.rho))
+            m_inv = np.linalg.inv(mm)
+            out[(ci, b)] = {
+                "omega": om,
+                "phi": np.vstack([cb.q @ p for p in pw]),
+                "psi": m_inv @ np.hstack([p @ cb.qt for p in pw[::-1]]),
+                "m_inv": m_inv,
+                "lam": np.linalg.eigvals(om),
+                "sigma": (la.svdvals(mm)[-1], np.linalg.norm(mm)),
+            }
+    return out
+
+
+def h1_by_lift(reduced, sel, comp, y):
+    """H1 of ``first_order_expansion`` from two lifts of the selection's own
+    basis: the z^1 rows of Pi_R G [0; Phi; 0] plus the z^0 rows of
+    Pi_R G [X1_1 Phi; Phi_c Y; X2_1 Phi], X_1 the first-order coupling term."""
+    tp = reduced.theta_perturbation
+    r, n1 = sel.r, reduced.n1
+    n3 = reduced.structure.dim - n1 - reduced.n2
+    f0 = reduced.lift(np.vstack([cl.zeros(n1, r), sel.phi, cl.zeros(n3, r)]))
+    f1 = reduced.lift(np.vstack([tp.x1_coef @ sel.phi, comp.phi_c @ y, tp.x2_coef @ sel.phi]))
+    exps = reduced.assembled.scaling.right_exponents[:, None]
+    return np.where(exps == 1, f0, 0.0) + np.where(exps == 0, f1, 0.0)

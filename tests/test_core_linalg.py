@@ -12,6 +12,11 @@ def rand_complex(rng, n, m=None):
     return rng.normal(size=(n, m)) + 1j * rng.normal(size=(n, m))
 
 
+def refuse(*args, **kwargs):
+    """Stand-in for a LAPACK wrapper the code under test must not call."""
+    raise AssertionError("unexpected call")
+
+
 class TestEig:
     def test_identity(self):
         w = cl.eig(np.eye(2))
@@ -90,6 +95,19 @@ class TestOrderedSchur:
         w = np.sort_complex(cl.eig(m))
         assert np.abs(np.sort_complex(np.diag(t)) - w).max() < 1e-10
 
+    def test_reorders_given_schur_form(self, monkeypatch):
+        # a Schur form at hand, passed as (t, q), is reordered with no new
+        # Schur form computed, to the same bits as reordering m from scratch
+        rng = np.random.default_rng(3)
+        m = rand_complex(rng, 5)
+        t, q = cl.schur(m)
+        assert np.linalg.norm(q @ t @ q.conj().T - m) < 1e-13 * np.linalg.norm(m)
+        want = cl.ordered_schur(m, lambda diag: diag.real > 0)
+        monkeypatch.setattr(cl.la, "schur", refuse)
+        got = cl.ordered_schur(t, lambda diag: diag.real > 0, q)
+        assert got[2] == want[2] > 0
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
 
 class TestSolveSylvester:
     def test_scalar(self):
@@ -134,9 +152,42 @@ class TestSolveSylvester:
         assert np.linalg.norm(x - x_oracle) <= 1e-10 * max(1.0, np.linalg.norm(x_oracle))
         assert np.linalg.norm(a @ x - x @ b + c) < 1e-10 * max(1.0, np.linalg.norm(c))
 
+    # the shapes (Omega_c, Omega) and (S11, T22) take on the closed-form path
+    @pytest.mark.parametrize("kind", ["triangular", "dense"])
+    @pytest.mark.parametrize("na,nb", [(19, 1), (11, 1), (1, 3), (1, 1)])
+    def test_shapes_against_kronecker_oracle(self, monkeypatch, na, nb, kind):
+        # Separation is read off the Schur diagonals (no eig call), and a
+        # triangular side is its own Schur form (no Schur call at all).
+        rng = np.random.default_rng(100 * na + nb)
+        a = rand_complex(rng, na) + 3 * np.eye(na)
+        b = rand_complex(rng, nb) - 3 * np.eye(nb)
+        if kind == "triangular":
+            a, b = np.triu(a), np.triu(b)
+            monkeypatch.setattr(cl.la, "schur", refuse)
+        c = rand_complex(rng, na, nb)
+        monkeypatch.setattr(cl, "eig", refuse)
+        x = cl.solve_sylvester(a, b, c)
+        x_oracle = kron_sylvester(a, b, c)
+        assert np.linalg.norm(x - x_oracle) <= 1e-12 * max(1.0, np.linalg.norm(x_oracle))
+
+    def test_touching_triangular_diagonals_rejected(self, monkeypatch):
+        monkeypatch.setattr(cl, "eig", refuse)
+        rng = np.random.default_rng(5)
+        a = np.triu(rand_complex(rng, 4))
+        b = np.triu(rand_complex(rng, 3))
+        b[2, 2] = a[1, 1]
+        with pytest.raises(SpectraOverlap):
+            cl.solve_sylvester(a, b, rand_complex(rng, 4, 3))
+        b[2, 2] = a[1, 1] + 1e-3  # separated, though barely
+        x = cl.solve_sylvester(a, b, np.ones((4, 3)))
+        assert np.linalg.norm(x - kron_sylvester(a, b, np.ones((4, 3)))) <= 1e-9 * np.linalg.norm(x)
+
     def test_empty(self):
         x = cl.solve_sylvester(np.zeros((0, 0)), [[1.0]], np.zeros((0, 1)))
         assert x.shape == (0, 1)
+        for na, nb in [(3, 0), (0, 0)]:
+            x = cl.solve_sylvester(np.eye(na), np.zeros((nb, nb)), np.zeros((na, nb)))
+            assert x.shape == (na, nb) and x.dtype == np.complex128
 
 
 class TestSmallestSingularValue:

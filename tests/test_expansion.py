@@ -163,12 +163,13 @@ class TestSelectSubspace:
         # selecting and complementing every (cluster, branch) of one pencil
         # takes each cluster's matrix root once; S_2 = diag(9, 9, 4, 4) makes
         # both clusters 2 x 2, so every root goes through fractional_matrix_power.
-        # The power-sum normalizer of each branch is inverted once, when the
-        # pencil's branch table is built; a complement_pair call inverts nothing.
+        # Branch b's power-sum normalizer is w_b^(rho-1) M_0, so the branch
+        # table inverts M_0 and takes its sigma_min once per cluster; a
+        # complement_pair call inverts nothing.
         import scipy.linalg
 
-        calls, inverses = [], []
-        power, inv = scipy.linalg.fractional_matrix_power, np.linalg.inv
+        calls, inverses, sigmas = [], [], []
+        power, inv, smin = scipy.linalg.fractional_matrix_power, np.linalg.inv, cl.smallest_singular_value
 
         def counted(a, t):
             calls.append(t)
@@ -178,8 +179,13 @@ class TestSelectSubspace:
             inverses.append(a.shape)
             return inv(a)
 
+        def counted_smin(a):
+            sigmas.append(np.array(a))
+            return smin(a)
+
         monkeypatch.setattr(scipy.linalg, "fractional_matrix_power", counted)
         monkeypatch.setattr(np.linalg, "inv", counted_inv)
+        monkeypatch.setattr(cl, "smallest_singular_value", counted_smin)
         st = JordanStructure(0.0, (0, 4))
         d = np.zeros((8, 8), dtype=complex)
         d[4:8, 0:4] = np.diag([9.0, 9.0, 4.0, 4.0])
@@ -192,7 +198,14 @@ class TestSelectSubspace:
                 assert np.allclose(np.abs(np.diag(sel.omega)), np.sqrt(abs(cb.gamma)))
                 assert comp.omega_c.shape == (6, 6)
         assert len(calls) == len(rp.clusters)
-        assert inverses == [(2, 2)] * (2 * len(rp.clusters))
+        assert inverses == [(2, 2)] * len(rp.clusters)
+        # two sigma_min per cluster: the singularity check of S11 before its
+        # root is taken, then M_0 = rho R (Qt Q = I, R = S11^(1/2) = 3 I or 2 I)
+        expected = [a for cb in rp.clusters for a in (cb.s11, 2 * cb.root)]
+        assert len(sigmas) == len(expected)
+        assert all(np.allclose(a, e, rtol=0, atol=1e-13) for a, e in zip(sigmas, expected))
+        tab = rp.branches
+        assert all(tab.sigma[(ci, 0)] is tab.sigma[(ci, 1)] for ci in range(len(rp.clusters)))
         assert rp.branches is rp.branches
 
     def test_multi_branch_selection(self):

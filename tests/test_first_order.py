@@ -29,6 +29,7 @@ from closed_forms import (
     complement_pair_union,
     eigvec_stack,
     gtilde_matrix,
+    h1_by_lift,
     hatb_terms,
     kron_newton_step,
     kron_riccati,
@@ -418,11 +419,34 @@ class TestFirstOrderExpansion:
                 space = np.hstack([p for p in parts if p.size])
                 assert proj_resid(space, fo.h1) <= 1e-10 * max(1.0, np.linalg.norm(fo.h1))
 
+    @pytest.mark.parametrize(
+        "sizes", [(2, 2, 2), (3, 3, 3, 3), (2, 3, 2, 3, 2), (4, 4, 4, 4, 4)], ids=str
+    )
+    def test_h1_against_per_selection_lift(self, sizes):
+        # the expand-batch structures, seed 1: H1 read off the pencil's lifted
+        # bases equals the lift of each selection's own basis
+        pair = generate(CaseSpec(JordanStructure(0.0, sizes), seed=1, ensure_distinct_gammas=True))
+        for rho in pair.structure.valid_rhos():
+            rp = reduce_pencil(assemble_pencil(pair, rho))
+            for ci, cb in enumerate(rp.clusters):
+                for b in range(rho):
+                    pick = lambda g, cb=cb: abs(g - cb.gamma) < 1e-6 * max(1.0, abs(cb.gamma))
+                    sel = select_subspace(rp, pick, b)
+                    assert sel.chosen == ((ci, b),)
+                    comp = complement_pair(rp, sel)
+                    fo = first_order_expansion(rp, sel, comp)
+                    want = h1_by_lift(rp, sel, comp, fo.y)
+                    assert np.linalg.norm(fo.h1 - want) <= 1e-12 * np.linalg.norm(want)
+
     def test_pencil_data_computed_once(self, monkeypatch):
         # repeated expansions on one pencil compute the Theta perturbation
-        # once and the S_rho clusters (one ordered Schur form each) once;
-        # each order of the coupling series is one Sylvester solve, made once
-        calls = {"theta": 0, "schur": 0, "sylvester": 0}
+        # once and the S_rho clusters once: one Schur form of S_rho, reordered
+        # once per cluster.  Each order of the coupling series is one kernel
+        # solve, made once; the cluster bases and Y are triangular Sylvester
+        # solves, which take no Schur form and do not use that kernel.
+        cl = jordanperturb.core_linalg
+        calls = {"theta": 0, "schur": 0, "reorder": 0, "sylvester": 0}
+        schur, schur_args = scipy.linalg.schur, []
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -431,31 +455,17 @@ class TestFirstOrderExpansion:
 
             return wrapper
 
+        def counted_schur(a, *args, **kwargs):
+            schur_args.append(np.array(a))
+            return schur(a, *args, **kwargs)
+
         monkeypatch.setattr(
             jordanperturb.first_order, "theta_perturbation", counted("theta", theta_perturbation)
         )
-        monkeypatch.setattr(
-            jordanperturb.core_linalg,
-            "ordered_schur",
-            counted("schur", jordanperturb.core_linalg.ordered_schur),
-        )
-        # kernel calls made inside solve_sylvester (cluster bases, Y) are not series orders
-        cl = jordanperturb.core_linalg
-        kernel, solve, open_solves = cl.schur_sylvester, cl.solve_sylvester, []
-
-        def series_kernel(*args):
-            calls["sylvester"] += not open_solves
-            return kernel(*args)
-
-        def counted_solve(*args):
-            open_solves.append(args)
-            try:
-                return solve(*args)
-            finally:
-                open_solves.pop()
-
-        monkeypatch.setattr(cl, "schur_sylvester", series_kernel)
-        monkeypatch.setattr(cl, "solve_sylvester", counted_solve)
+        monkeypatch.setattr(cl, "ordered_schur", counted("schur", cl.ordered_schur))
+        monkeypatch.setattr(cl.lapack, "ztrsen", counted("reorder", cl.lapack.ztrsen))
+        monkeypatch.setattr(scipy.linalg, "schur", counted_schur)
+        monkeypatch.setattr(cl, "schur_sylvester", counted("sylvester", cl.schur_sylvester))
         pair = random_pair((0, 2), seed=1)
         rp = reduce_pencil(assemble_pencil(pair, 2))
         for _ in range(2):
@@ -464,7 +474,10 @@ class TestFirstOrderExpansion:
                     sel = select_subspace(rp, lambda g, e=e: abs(g - e.gamma) < 1e-9, root)
                     first_order_expansion(rp, sel, complement_pair(rp, sel))
         assert calls["theta"] == 1
-        assert calls["schur"] == len(rp.clusters) == 2
+        assert calls["schur"] == calls["reorder"] == len(rp.clusters) == 2
+        # S_rho, then Theta_rho for the coupling series
+        assert [a.shape for a in schur_args] == [rp.s_rho.shape, rp.theta.shape]
+        assert np.array_equal(schur_args[0], rp.s_rho)
         assert calls["sylvester"] == 1
         rp.series(1)
         assert calls["sylvester"] == 1

@@ -16,11 +16,28 @@ from jordanperturb import (
 from jordanperturb.errors import SingularW
 from jordanperturb.pencil import scalar_roots, sort_complex
 
-from closed_forms import assemble_pencil_blocks, reduced_identity_residual
+from closed_forms import assemble_pencil_blocks, branch_table_by_branch, reduced_identity_residual
 from conftest import SUITE_SIZES, random_pair
 
 # the verify-ladder structures (seed 1), and two with void size groups
 LADDER_SIZES = [(1, 2), (2, 2, 2), (1, 1, 1, 1, 1), (3, 3, 3, 3), (4, 4, 4, 4, 4)]
+# the expand-batch structures
+EXPAND_SIZES = [(2, 2, 2), (3, 3, 3, 3), (2, 3, 2, 3, 2), (4, 4, 4, 4, 4)]
+
+
+def distinct_gammas_pair(sizes, seed):
+    return generate(CaseSpec(JordanStructure(0.0, sizes), seed=seed, ensure_distinct_gammas=True))
+
+
+def s2_diag_pair():
+    """sizes (0, 4) with S_2 = diag(9, 9, 4, 4): two non-simple 2 x 2 clusters."""
+    d = np.zeros((8, 8), dtype=complex)
+    d[4:8, 0:4] = np.diag([9.0, 9.0, 4.0, 4.0])
+    return CanonicalPair(JordanStructure(0.0, (0, 4)), d)
+
+
+def rel_err(got, want) -> float:
+    return float(np.linalg.norm(got - want)) / max(float(np.linalg.norm(want)), 1e-300)
 
 
 def example1_pair():
@@ -309,3 +326,38 @@ class TestSpectra:
 
             r, c = linear_sum_assignment(cost)
             assert cost[r, c].max() <= 1e-10 * max(1.0, np.abs(roots).max())
+
+
+class TestBranchTable:
+    @pytest.mark.parametrize(
+        "pair",
+        [pytest.param(distinct_gammas_pair(s, 1), id=f"ladder-{s}") for s in LADDER_SIZES]
+        + [
+            pytest.param(distinct_gammas_pair(s, seed), id=f"expand-{seed}-{s}")
+            for seed in (1, 102)
+            for s in EXPAND_SIZES
+        ]
+        + [pytest.param(s2_diag_pair(), id="s2-diag-9-9-4-4")],
+    )
+    def test_matches_per_branch_oracle(self, pair):
+        # one power sequence, normalizer and inverse per cluster give every
+        # branch's entries as each branch's own root, powers and inverse do
+        for rho in pair.structure.valid_rhos():
+            rp = reduce_pencil(assemble_pencil(pair, rho))
+            tab = rp.branches
+            tab.split(())
+            oracle = branch_table_by_branch(rp)
+            assert oracle.keys() == tab.columns.keys() == tab.sigma.keys()
+            for key, want in oracle.items():
+                c = tab.columns[key]
+                got = {
+                    "omega": tab.omega[np.ix_(c, c)], "phi": tab.phi[:, c], "psi": tab.psi[c],
+                    "m_inv": tab.m_inv[np.ix_(c, c)],
+                    "lam": np.sort_complex(tab.lam[c]),
+                    "sigma": np.array(tab.sigma[key]),
+                }
+                want = dict(want, lam=np.sort_complex(want["lam"]), sigma=np.array(want["sigma"]))
+                for name in got:
+                    assert rel_err(got[name], want[name]) <= 1e-13, (rho, key, name)
+            n = tab.phi.shape[0]
+            assert np.linalg.norm(tab.psi @ tab.phi - np.eye(n)) <= 1e-13 * n
