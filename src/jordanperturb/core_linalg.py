@@ -6,11 +6,12 @@ eigenvectors), complex Schur forms, ordered or not, and singular-value
 queries.  Two Sylvester solvers sit on them: ``solve_sylvester`` for
 a X - X b + c = 0 is Bartels-Stewart, Schur forms of both sides and one
 LAPACK ``ztrsyl`` back-substitution; ``schur_sylvester`` for the
-generalized a X - e X theta = f (Newton steps, coupling series) solves one
-column at a time in the Schur form of theta.  An upper-triangular matrix is
-its own Schur form and costs no LAPACK call.  All matrices are
-``numpy.ndarray`` with dtype complex128; empty dimensions are allowed
-wherever they make sense (void Jordan blocks produce 0-width slices).
+generalized a X - e X theta = f (Newton steps, coupling series; e=None is
+I) makes one LAPACK ``zgesv`` per column in the Schur form of theta.  A
+triangular matrix is its own Schur form: no LAPACK call, no product with its
+identity Schur vectors.  All matrices are ``numpy.ndarray`` with dtype
+complex128; empty dimensions are allowed wherever they make sense (void
+Jordan blocks produce 0-width slices).
 """
 
 from __future__ import annotations
@@ -62,8 +63,7 @@ def eye(n: int) -> np.ndarray:
 
 def frob(m) -> float:
     """Frobenius norm; 0.0 for empty matrices."""
-    m = np.asarray(m)
-    return float(np.linalg.norm(m)) if m.size else 0.0
+    return float(np.linalg.norm(m))
 
 
 def eig(m) -> np.ndarray:
@@ -103,9 +103,12 @@ def schur(m) -> tuple[np.ndarray, np.ndarray]:
     m = as_matrix(m, "m")
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"schur needs a square matrix, got {m.shape}")
-    if not np.tril(m, -1).any():
-        return m, eye(m.shape[0])
-    return la.schur(m, output="complex", check_finite=False)  # as_matrix has checked
+    t, q = _schur(m)
+    return t, eye(len(m)) if q is None else q
+
+
+def _schur(m):  # schur of a checked square matrix, q = None when it is triangular
+    return la.schur(m, output="complex", check_finite=False) if np.tril(m, -1).any() else (m, None)
 
 
 def ordered_schur(m, select, q=None):
@@ -143,13 +146,20 @@ def ordered_schur(m, select, q=None):
 
 def schur_sylvester(a, e, t, q, f) -> np.ndarray:
     """X with ``a X - e X theta = f``, given theta = q t q^H in complex Schur form:
-    column k of Y = X q solves (a - t_kk e) y_k = (f q)_k + e Y[:, :k] t[:k, k]
-    (Bartels-Stewart with one triangular factor; Golub, Nash & Van Loan 1979).
-    ``a`` and ``e`` may be singular if no a - t_kk e is; no overlap check."""
+    column k of Y = X q solves (a - t_kk e) y_k = (f q)_k + e Y[:, :k] t[:k, k], one
+    LAPACK ``zgesv`` (Bartels-Stewart with one triangular factor; Golub, Nash & Van
+    Loan 1979).  e=None is I.  a, e may be singular if no a - t_kk e is; no overlap check."""
     fq = f @ q
     y = np.empty_like(fq)
-    for k in range(t.shape[0]):
-        y[:, k] = np.linalg.solve(a - t[k, k] * e, fq[:, k] + e @ (y[:, :k] @ t[:k, k]))
+    for k in range(t.shape[0] if len(a) else 0):
+        if e is None:
+            m, rhs = a.astype(np.complex128), fq[:, k] + y[:, :k] @ t[:k, k]
+            m.flat[:: len(a) + 1] -= t[k, k]
+        else:
+            m, rhs = a - t[k, k] * e, fq[:, k] + e @ (y[:, :k] @ t[:k, k])
+        _, _, y[:, k], info = lapack.zgesv(m, rhs, overwrite_a=True, overwrite_b=True)
+        if info > 0:
+            raise la.LinAlgError("Singular matrix")
     return y @ q.conj().T
 
 
@@ -174,17 +184,19 @@ def solve_sylvester(a, b, c) -> np.ndarray:
         raise ValueError(f"c must be {na}x{nb}, got {c.shape}")
     if na == 0 or nb == 0:
         return zeros(na, nb)
-    (ta, qa), (tb, qb) = schur(a), schur(b)
+    (ta, qa), (tb, qb) = _schur(a), _schur(b)
     sep = np.abs(np.diag(ta)[:, None] - np.diag(tb)[None, :]).min()
     scale = max(1.0, frob(a), frob(b))
     if sep < 1e-12 * scale:
         raise SpectraOverlap(
             f"spectra of a and b are separated by only {sep:.3e} (scale {scale:.3e})"
         )
-    y, s, info = lapack.ztrsyl(ta, tb, -(qa.conj().T @ c @ qb), isgn=-1)
+    c = -c if qa is None else -(qa.conj().T @ c)
+    y, s, info = lapack.ztrsyl(ta, tb, c if qb is None else c @ qb, isgn=-1)
     if info == 1:  # ztrsyl perturbed a near-common eigenvalue
         raise SpectraOverlap("ztrsyl found the spectra of a and b too close to separate")
-    return qa @ (y / s) @ qb.conj().T
+    y = y / s if qa is None else qa @ (y / s)
+    return y if qb is None else y @ qb.conj().T
 
 
 def smallest_singular_value(m) -> float:

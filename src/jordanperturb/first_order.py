@@ -238,27 +238,29 @@ def semisimple_expansion(
     return first_order_expansion(reduced, sel, complement_pair(reduced, sel), xi)
 
 
-def _coupling(r: ReducedPencil, vz, uz, x):
-    """Residual and Newton linearization of the coupling equations at X = [X1; X2].
+def _coupling(r: ReducedPencil, vz, uz):
+    """Residual and Newton linearization of the coupling equations at one z, as
+    a function of X = [X1; X2]; what depends on z alone is sliced once.
 
-    With S = [X1; I; X2] and gc the rows g1 followed by g3, returns
-    (Theta-hat, F, A, B): Theta-hat = V(z)[g2,:] S, the residual
-    F = V(z)[gc,:] S - [X1; U(z)[g3,:] S] Theta-hat, and the Jacobian
-    dX -> A dX - B dX Theta-hat of F, where
-    A = V(z)[gc,gc] - [X1; U(z)[g3,:] S] V(z)[g2,gc] and B = [[I, 0]; U(z)[g3,gc]].
-    """
+    With S = [X1; I; X2] and gc the rows g1 followed by g3, it returns (Theta-hat,
+    F, A, B): Theta-hat = V(z)[g2,:] S, the residual F = V(z)[gc,:] S - P Theta-hat
+    with P = [X1; U(z)[g3,:] S], and the Jacobian dX -> A dX - B dX Theta-hat of F:
+    A = V(z)[gc,gc] - P V(z)[g2,gc] and B = [[I, 0]; U(z)[g3,gc]], None for I if g3 is empty."""
     n1, n2 = r.n1, r.n2
     gc = np.r_[0:n1, n1 + n2 : r.structure.dim]
-    stack = np.vstack([x[:n1], cl.eye(n2), x[n1:]])
-    theta_hat = vz[r.g2, :] @ stack
-    p = np.vstack([x[:n1], uz[r.g3, :] @ stack])
-    res = vz[gc, :] @ stack - p @ theta_hat
-    a = vz[np.ix_(gc, gc)] - p @ vz[r.g2, gc]
-    b = np.vstack([np.eye(n1, len(gc), dtype=np.complex128), uz[r.g3, gc]])
-    return theta_hat, res, a, b
+    v2, vc, v2c, vcc, u3 = vz[r.g2], vz[gc], vz[r.g2, gc], vz[np.ix_(gc, gc)], uz[r.g3]
+    b = np.vstack([np.eye(n1, len(gc), dtype=np.complex128), u3[:, gc]]) if len(u3) else None
+
+    def newton_terms(x):
+        stack = np.vstack([x[:n1], cl.eye(n2), x[n1:]])
+        theta_hat = v2 @ stack
+        p = np.vstack([x[:n1], u3 @ stack])
+        return theta_hat, vc @ stack - p @ theta_hat, vcc - p @ v2c, b
+
+    return newton_terms
 
 
-def coupling_series(r: ReducedPencil, order: int, x=(), theta=()):
+def coupling_series(r: ReducedPencil, order: int, x=(), theta=(), jac=None):
     """Taylor coefficients X[k] = [X1_k; X2_k] and Theta[k], k = 0..order, of
     the exact coupling at z = 0, resuming after the terms already in x, theta.
 
@@ -266,15 +268,16 @@ def coupling_series(r: ReducedPencil, order: int, x=(), theta=()):
     the coupling of ``_coupling`` is (V-hat S - U-hat S Theta-hat)[gc] = 0 with
     Theta-hat = (V-hat S)[g2].  Its z^k coefficient is A0 X_k - B0 X_k Theta +
     R_k, with (A0, B0) the Newton Jacobian at z = 0 and R_k the coefficient at
-    X_k = 0: one solve of A0 X_k - B0 X_k Theta = -R_k per order.
-    """
+    X_k = 0: one solve of A0 X_k - B0 X_k Theta = -R_k per order.  Returns (X,
+    Theta, jac), jac = (A0, B0) and the Schur form of Theta_rho, to resume from."""
     ap, n1, n2, m = r.assembled, r.n1, r.n2, r.structure.dim
     gc = np.r_[0:n1, n1 + n2 : m]
-    theta0, _, a0, b0 = _coupling(r, r.v_hat, r.u_hat, cl.zeros(m - n2, n2))
-    t0, q0 = la.schur(theta0, output="complex")
+    if jac is None:  # the z^0 terms and the Jacobian at z = 0
+        theta0, _, a0, b0 = _coupling(r, r.v_hat, r.u_hat)(cl.zeros(m - n2, n2))
+        x, theta, jac = [cl.zeros(m - n2, n2)], [theta0], (a0, b0, *la.schur(theta0, output="complex"))
     v = [r.v_hat] + [r.hat(ap.ev_coeffs.get(e, cl.zeros(m, m))) for e in range(1, order + 1)]
     u0, u1 = r.u_hat[gc], r.hat(ap.eu)[gc]
-    x, theta = list(x) or [cl.zeros(m - n2, n2)], list(theta) or [theta0]
+    x, theta = list(x), list(theta)
     s = [np.vstack([xk[:n1], cl.eye(n2) * (k == 0), xk[n1:]]) for k, xk in enumerate(x)]
 
     def s_theta(j):  # z^j coefficient of S Theta-hat, S_j = 0 for j not yet solved
@@ -284,10 +287,10 @@ def coupling_series(r: ReducedPencil, order: int, x=(), theta=()):
         vs = sum(v[e] @ s[k - e] for e in range(1, k + 1))
         theta.append(vs[r.g2])
         res = vs[gc] - u0 @ s_theta(k) - u1 @ s_theta(k - 1)
-        x.append(cl.schur_sylvester(a0, b0, t0, q0, -res))
+        x.append(cl.schur_sylvester(*jac, -res))
         s.append(np.vstack([x[k][:n1], cl.zeros(n2, n2), x[k][n1:]]))
         theta[k] = theta[k] + r.v_hat[r.g2, gc] @ x[k]
-    return tuple(x), tuple(theta)
+    return tuple(x), tuple(theta), jac
 
 
 def solve_riccati(
@@ -313,20 +316,18 @@ def solve_riccati(
         raise ValueError("z must be nonzero")
     if start is not None and start.reduced is not r:
         raise ValueError("start must be a solution of the same reduced pencil")
-    uz = r.hat(p.u_of(z))
     vz = r.hat(p.v_of(z))
-    n1 = r.n1
+    newton_terms = _coupling(r, vz, r.hat(p.u_of(z)))
     tol = 1e-12 * max(1.0, cl.frob(vz))
 
     x = cl.zeros(r.structure.dim - r.n2, r.n2) if start is None else np.vstack([start.x1, start.x2])
-    resid = np.inf
     first_resid = None
     for it in range(RICCATI_MAX_ITER + 1):
-        theta_hat, res, a, b = _coupling(r, vz, uz, x)
+        theta_hat, res, a, b = newton_terms(x)
         resid = cl.frob(res)
         if resid <= tol:
             return RiccatiSolution(
-                z=z, x1=x[:n1], x2=x[n1:], theta_hat=theta_hat,
+                z=z, x1=x[: r.n1], x2=x[r.n1 :], theta_hat=theta_hat,
                 iterations=it, residual=resid, reduced=r,
             )
         if first_resid is None:
@@ -337,7 +338,8 @@ def solve_riccati(
             )
         if it == RICCATI_MAX_ITER:
             break
-        x = x - cl.schur_sylvester(a, b, *la.schur(theta_hat, output="complex"), res)
+        t, q = la.schur(theta_hat, output="complex", check_finite=False)  # finite, as res is
+        x = x - cl.schur_sylvester(a, b, t, q, res)
     raise NoConvergence(
         f"riccati iteration stalled at residual {resid:.3e} (tol {tol:.3e}) after {RICCATI_MAX_ITER} sweeps; z may be too large"
     )

@@ -415,7 +415,8 @@ class ReducedPencil:
         """
         n12 = self.n1 + self.n2
         out = np.asarray(m, dtype=np.complex128)[np.ix_(self.row_order, self.col_order)]
-        out[:, :n12] = out[:, : self.eig_rows.stop] @ np.vstack([cl.eye(n12), self.g_block])
+        if len(self.g_block):  # else G = I
+            out[:, :n12] = out[:, : self.eig_rows.stop] @ np.vstack([cl.eye(n12), self.g_block])
         return out
 
     def lift(self, y: np.ndarray) -> np.ndarray:
@@ -544,9 +545,9 @@ class ReducedPencil:
         order is solved once per pencil; a higher order resumes from the last."""
         from . import first_order
 
-        x, theta = self.__dict__.get("_series", ((), ()))
+        x, theta, jac = self.__dict__.get("_series", ((), (), None))
         if len(x) <= order:
-            x, theta = self.__dict__["_series"] = first_order.coupling_series(self, order, x, theta)
+            x, theta, jac = self.__dict__["_series"] = first_order.coupling_series(self, order, x, theta, jac)
         return x[: order + 1], theta[: order + 1]
 
 
@@ -650,8 +651,6 @@ def theta_spectrum(r: ReducedPencil) -> np.ndarray:
 
     As a multiset this equals all rho-th roots of the eigenvalues of S_rho.
     """
-    if r.theta.shape[0] == 0:
-        return np.zeros(0, dtype=np.complex128)
     return sort_complex(cl.eig(r.theta))
 
 

@@ -167,14 +167,18 @@ def _min_sum_assignment(cost) -> np.ndarray:
     """Distinct column of each row in a minimum-sum assignment of a (p, o)
     cost matrix with nonnegative entries and p <= o.
 
-    Each row in turn is added by a shortest augmenting path over reduced
-    costs, with row and column potentials u and v kept so that
-    u_i + v_j <= cost_ij, with equality on assigned pairs and v_j = 0 on free
-    columns (Jonker & Volgenant 1987, Computing 38; the rectangular form of
-    Crouse 2016, IEEE Trans. Aerosp. Electron. Syst. 52).  Each step of the
-    path search is vectorised over the columns.
+    Finite row minima in distinct columns are optimal at once: no sum is lower
+    (JV's row reduction).  Otherwise each row in turn is added by a shortest
+    augmenting path over reduced costs, with row and column potentials u and v
+    kept so that u_i + v_j <= cost_ij, with equality on assigned pairs and
+    v_j = 0 on free columns (Jonker & Volgenant 1987, Computing 38; the
+    rectangular form of Crouse 2016, IEEE Trans. Aerosp. Electron. Syst. 52),
+    each step of the path search vectorised over the columns.
     """
     p, o = cost.shape
+    col = cost.argmin(axis=1)
+    if np.isfinite(cost[np.arange(p), col]).all() and np.unique(col).size == p:
+        return col
     u, v = np.zeros(p), np.zeros(o)
     col = np.full(p, -1)
     owner = np.full(o, -1)  # row assigned to each column

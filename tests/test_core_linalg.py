@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from jordanperturb import core_linalg as cl
 from jordanperturb.errors import SpectraOverlap
@@ -188,6 +189,32 @@ class TestSolveSylvester:
         for na, nb in [(3, 0), (0, 0)]:
             x = cl.solve_sylvester(np.eye(na), np.zeros((nb, nb)), np.zeros((na, nb)))
             assert x.shape == (na, nb) and x.dtype == np.complex128
+
+
+class TestSchurSylvester:
+    # the (N, n2) shapes of the ladder's Newton steps, and empty sides
+    @pytest.mark.parametrize("n,n2", [(40, 20), (18, 12), (6, 6), (5, 0), (0, 4)])
+    def test_identity_e_against_kronecker_oracle(self, n, n2):
+        # a X - X theta = f, with e = None and with an explicit identity e
+        rng = np.random.default_rng(100 * n + n2)
+        a = rand_complex(rng, n) / max(n, 1) ** 0.5 + 3 * np.eye(n)
+        theta = rand_complex(rng, n2) / max(n2, 1) ** 0.5 - 3 * np.eye(n2)
+        t, q = scipy.linalg.schur(theta, output="complex") if n2 else (theta, theta)
+        f = rand_complex(rng, n, n2)
+        x_none = cl.schur_sylvester(a, None, t, q, f)
+        x_eye = cl.schur_sylvester(a, np.eye(n, dtype=complex), t, q, f)
+        assert x_none.shape == x_eye.shape == (n, n2)
+        if n and n2:
+            x_oracle = kron_sylvester(a, theta, -f)
+            for x in (x_none, x_eye):
+                assert np.linalg.norm(x - x_oracle) <= 1e-13 * np.linalg.norm(x_oracle)
+
+    @pytest.mark.parametrize("e", [None, np.eye(2)], ids=["none", "identity"])
+    def test_singular_column_rejected(self, e):
+        # a - t_11 e is exactly singular
+        a, one = np.diag([1.0, 2.0]).astype(complex), np.ones((1, 1))
+        with pytest.raises(np.linalg.LinAlgError):
+            cl.schur_sylvester(a, e, one, one, np.ones((2, 1), dtype=complex))
 
 
 class TestSmallestSingularValue:

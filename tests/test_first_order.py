@@ -483,6 +483,8 @@ class TestFirstOrderExpansion:
         assert calls["sylvester"] == 1
         x, theta = rp.series(4)
         assert calls["sylvester"] == 4 and len(x) == len(theta) == 5
+        # the resume reuses the z = 0 Jacobian and the Schur form of Theta_rho
+        assert [a.shape for a in schur_args] == [rp.s_rho.shape, rp.theta.shape]
         rp.series(1)
         rp.series(4)
         assert calls["sylvester"] == 4 and calls["theta"] == 1
@@ -747,12 +749,12 @@ class TestRiccati:
             # the Kronecker form reads U(z)[g3,g1] from E_U; U-hat[g3,g1] is zero
             assert not np.any(rp.u_hat[rp.g3, rp.g1])
             z = 1e-3 ** (1.0 / rho)
-            uz, vz = rp.hat(ap.u_of(z)), rp.hat(ap.v_of(z))
+            newton_terms = jordanperturb.first_order._coupling(
+                rp, rp.hat(ap.v_of(z)), rp.hat(ap.u_of(z))
+            )
             for x1, x2 in kron_riccati(ap, rp, z)[2][:-1]:
                 ref = np.vstack(kron_newton_step(ap, rp, z, x1, x2))
-                theta_hat, res, a, b = jordanperturb.first_order._coupling(
-                    rp, vz, uz, np.vstack([x1, x2])
-                )
+                theta_hat, res, a, b = newton_terms(np.vstack([x1, x2]))
                 t, q = scipy.linalg.schur(theta_hat, output="complex")
                 step = -jordanperturb.core_linalg.schur_sylvester(a, b, t, q, res)
                 assert np.linalg.norm(step - ref) <= 1e-12 * np.linalg.norm(ref)

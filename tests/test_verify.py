@@ -154,6 +154,36 @@ class TestMatchEigenvalues:
         assert abs(total - total_ref) <= 1e-12 * total_ref
         assert abs(err - cost[r, c].max()) <= 1e-12 * cost[r, c].max()
 
+    @pytest.mark.parametrize("kind", ["distinct", "colliding", "tied", "infinite"])
+    def test_min_sum_assignment_against_scipy(self, kind):
+        # scipy's linear_sum_assignment is the oracle, on costs whose row
+        # minima fall in distinct columns (answered by the row minima alone),
+        # share a column, tie within a row, or are infinite in some entries
+        from scipy.optimize import linear_sum_assignment
+
+        rng = np.random.default_rng(["distinct", "colliding", "tied", "infinite"].index(kind))
+        for _ in range(50):
+            p = int(rng.integers(1, 9))
+            o = p + int(rng.integers(0, 5))
+            cost = rng.random((p, o)) + 1.0
+            perm = rng.permutation(o)[:p]
+            if kind == "distinct":
+                cost[np.arange(p), perm] = rng.random(p)
+            elif kind == "colliding":
+                cost[:, perm[0]] = rng.random(p)
+            elif kind == "tied":
+                cost = rng.integers(0, 3, size=(p, o)).astype(float)
+            else:
+                cost[rng.random((p, o)) < 0.5] = np.inf
+                cost[np.arange(p), perm] = rng.random(p) + 2.0 * (rng.random(p) < 0.5)
+            cols = jordanperturb.verify._min_sum_assignment(cost)
+            assert len(set(cols.tolist())) == p
+            if kind == "distinct":
+                assert np.array_equal(cols, cost.argmin(axis=1))
+            r, c = linear_sum_assignment(cost)
+            total, total_ref = cost[np.arange(p), cols].sum(), cost[r, c].sum()
+            assert abs(total - total_ref) <= 1e-12 * max(1.0, total_ref)
+
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             match_eigenvalues([np.nan], [1.0, 2.0])
