@@ -189,8 +189,7 @@ def _parse_cluster(spec: str, reduced):
             raise ParseError(f"bad cluster spec {spec!r}") from exc
         if not 0 <= n < len(bases):
             raise ParseError(f"cluster index {n} outside 0..{len(bases) - 1}")
-        target = bases[n].gamma
-        return lambda lam: abs(lam - target) < 1e-6 * max(1.0, abs(target))
+        return lambda lam, target=bases[n].gamma: lam == target  # the cluster's representative
     if spec.startswith("val:"):
         try:
             value_part, radius_part = spec[4:].rsplit(":", 1)

@@ -21,8 +21,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import core_linalg as cl
-from .errors import ClusterNotSeparated, NotSimple
-from .pencil import CLUSTER_GAP_REL, ReducedPencil
+from .errors import NotSimple
+from .pencil import CLUSTER_GAP_REL, ReducedPencil, check_separated
 from .structure import JordanStructure
 
 __all__ = [
@@ -157,13 +157,14 @@ def select_subspace(reduced: ReducedPencil, cluster, root_index=0) -> SubspaceSe
     -------
     SubspaceSelection
         With ``S_rho Q1 = Q1 Omega^rho`` (each Q_i is an ordered Schur basis and
-        ``ClusterBasis.root`` bounds its root's residual) and full-column-rank
+        the branch table bounds its root's residual) and full-column-rank
         ``phi`` (the table's ``psi`` rows are its left inverse).
 
     Raises
     ------
     ClusterNotSeparated
-        If some selected root is too close to an unselected one.
+        If some selected root is too close to an unselected one
+        (:func:`jordanperturb.pencil.check_separated`).
     MatrixRootFailure
         If a triangular root cannot be formed (singular S11).
     """
@@ -192,19 +193,11 @@ def select_subspace(reduced: ReducedPencil, cluster, root_index=0) -> SubspaceSe
                 raise ValueError(f"root_index={b} repeated for cluster {ci}")
             chosen.append((ci, b))
 
-    # Separation of the selected mu set from every other root of Theta_rho.
     tab = reduced.branches
     mask = np.zeros(tab.roots.shape, dtype=bool)
     for ci, b in chosen:
         mask[ci, b] = True
-    sel_vals, other_vals = tab.roots[mask], tab.roots[~mask]
-    if sel_vals.size and other_vals.size:
-        gap = np.abs(sel_vals[:, None] - other_vals[None, :]).min()
-        root_scale = max(np.abs(tab.roots).max(), 1e-300)
-        if gap <= CLUSTER_GAP_REL * root_scale:
-            raise ClusterNotSeparated(
-                f"selected and unselected Theta eigenvalues separated by only {gap:.3e}"
-            )
+    check_separated(tab.roots[mask], tab.roots[~mask], "selected and unselected Theta eigenvalues")
 
     c = tab.cols(chosen)
     phi = tab.phi[:, c]

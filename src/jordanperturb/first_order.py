@@ -32,9 +32,9 @@ import numpy as np
 import scipy.linalg as la
 
 from . import core_linalg as cl
-from .errors import ClusterNotSeparated, NoConvergence, NotSemisimple, SingularNormalizer
+from .errors import NoConvergence, NotSemisimple, SingularNormalizer
 from .expansion import SubspaceExpansion, SubspaceSelection, select_subspace, subspace_expansion
-from .pencil import CLUSTER_GAP_REL, AssembledPencil, ReducedPencil
+from .pencil import AssembledPencil, ReducedPencil, check_separated
 
 __all__ = [
     "ComplementPair",
@@ -113,14 +113,7 @@ def complement_pair(reduced: ReducedPencil, sel: SubspaceSelection) -> Complemen
     tab = reduced.branches
     c, cc, comp = tab.split(sel.chosen)
 
-    if c.size and cc.size:
-        w1, w2 = tab.lam[c], tab.lam[cc]
-        gap = np.abs(w1[:, None] - w2[None, :]).min()
-        scale = max(np.abs(w1).max(), np.abs(w2).max(), 1e-300)
-        if gap <= CLUSTER_GAP_REL * scale:
-            raise ClusterNotSeparated(
-                f"Lambda(Omega) and Lambda(Omega_c) separated by only {gap:.3e}"
-            )
+    check_separated(tab.lam[c], tab.lam[cc], "Lambda(Omega) and Lambda(Omega_c)")
 
     for pairs, name in ((sel.chosen, "M"), (comp, "M_c")):
         if pairs:
@@ -310,14 +303,17 @@ def solve_riccati(
     Stops once the residual is at most 1e-12 max(1, ||V-hat(z)||_F); raises
     :class:`NoConvergence` when the residual grows past 1e6 times the first
     one or ``RICCATI_MAX_ITER`` steps do not reach the tolerance (z too
-    large), and ``ValueError`` when ``start`` belongs to another pencil.
+    large), and ``ValueError`` when ``start`` belongs to another pencil or
+    ``p`` is not ``r.assembled``, the pencil ``r`` was reduced from.
     """
     if z == 0:
         raise ValueError("z must be nonzero")
     if start is not None and start.reduced is not r:
         raise ValueError("start must be a solution of the same reduced pencil")
-    vz = r.hat(p.v_of(z))
-    newton_terms = _coupling(r, vz, r.hat(p.u_of(z)))
+    if p is not r.assembled:
+        raise ValueError("p must be the assembled pencil that r was reduced from")
+    vz = r.hat(r.assembled.v_of(z))
+    newton_terms = _coupling(r, vz, r.hat(r.assembled.u_of(z)))
     tol = 1e-12 * max(1.0, cl.frob(vz))
 
     x = cl.zeros(r.structure.dim - r.n2, r.n2) if start is None else np.vstack([start.x1, start.x2])

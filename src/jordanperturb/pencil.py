@@ -44,12 +44,24 @@ __all__ = [
     "reduce_pencil",
     "theta_spectrum",
     "finite_pencil_eigs",
+    "check_separated",
     "CLUSTER_GAP_REL",
 ]
 
 # Relative gap (times the spectral radius of S_rho) below which two
 # eigenvalues of S_rho are treated as one cluster.
 CLUSTER_GAP_REL = 1e-6
+
+
+def check_separated(a, b, what: str) -> None:
+    """Raise :class:`ClusterNotSeparated` when the eigenvalue sets a and b come
+    within ``CLUSTER_GAP_REL`` times the largest modulus in either; an empty
+    set is separated from any other."""
+    a, b = np.ravel(a), np.ravel(b)
+    if a.size and b.size:
+        gap = np.abs(a[:, None] - b[None, :]).min()
+        if gap <= CLUSTER_GAP_REL * max(np.abs(a).max(), np.abs(b).max(), 1e-300):
+            raise ClusterNotSeparated(f"{what} separated by only {gap:.3e}")
 
 
 def _argsort_complex(vals: np.ndarray) -> list[int]:
@@ -212,40 +224,15 @@ class ClusterBasis:
     s11: np.ndarray = field(repr=False)
     qt: np.ndarray = field(repr=False)    # left basis: qt S = s11 qt, qt q = I
     tol: float                            # absolute clustering radius on Lambda(S_rho)
-    rho: int                              # root order of the cluster's branches
-
-    @cached_property
-    def root(self) -> np.ndarray:
-        """Principal rho-th root of S11 (exact for a 1x1 block).
-
-        Computed on first use, so that a singular S11 fails only the
-        selections that take this cluster; raises :class:`MatrixRootFailure`.
-        """
-        s11 = self.s11
-        if cl.smallest_singular_value(s11) < 1e-14 * max(1.0, cl.frob(s11)):
-            raise MatrixRootFailure("S11 is numerically singular; no invertible rho-th root")
-        if self.count == 1:
-            root = np.array([[complex(s11[0, 0]) ** (1.0 / self.rho)]])
-        else:
-            root = la.fractional_matrix_power(s11, 1.0 / self.rho).astype(np.complex128)
-        res = cl.frob(np.linalg.matrix_power(root, self.rho) - s11) / max(1.0, cl.frob(s11))
-        if res > 1e-10:
-            raise MatrixRootFailure(f"matrix root residual {res:.3e} too large")
-        return root
-
-    def omega(self, branch: int) -> np.ndarray:
-        """Triangular rho-th root of S11 on root branch ``branch``, indexed
-        like :func:`scalar_roots` of gamma."""
-        if not 0 <= branch < self.rho:
-            raise ValueError(f"root_index={branch} outside 0..{self.rho - 1}")
-        return _branch_rotations(self.gamma, self.rho)[1][branch] * self.root
 
 
 @dataclass(frozen=True)
 class BranchTable:
     """The biorthogonal basis of Theta_rho over every root branch.
 
-    Branch (i, b), with omega = ``clusters[i].omega(b)``, owns the columns
+    Branch (i, b), with omega = w_b R, R the principal rho-th root of the S11
+    block of ``clusters[i]`` and w_b the rotation that takes R's eigenvalues to
+    root b of :func:`scalar_roots` of gamma_i, owns the columns
     ``columns[(i, b)]``, in (cluster, branch) order, of phi_ib = [Q_i omega^j]_j
     (j = 0..rho-1) and the same rows of Qt_i and of psi_ib =
     M_ib^-1 [omega^(rho-1-j) Qt_i]_j, with M_ib = sum_j omega^(rho-1-j) Qt_i Q_i
@@ -253,7 +240,8 @@ class BranchTable:
     Lambda(omega) under the same columns, ``sigma[(i, b)]`` = (sigma_min(M_ib),
     ||M_ib||_F) and ``roots[i, b]`` = ``scalar_roots(gamma_i, rho)[b]``.  A
     cluster's entries are filled in when :meth:`cols` first names its branches,
-    so a cluster with no rho-th root fails only the calls that need it.
+    so a cluster with no rho-th root (a singular S11) fails only the calls that
+    need it, with :class:`MatrixRootFailure`.
     """
 
     clusters: tuple = field(repr=False)
@@ -282,23 +270,35 @@ class BranchTable:
         )
 
     def _fill(self, ci: int):
-        """Cluster ci's branches from one power sequence of its principal root R:
-        branch b has omega = w_b R with |w_b| = 1, so phi_b = [w_b^j Q R^j]_j,
-        M_b = w_b^(rho-1) M_0 and psi_b = M_0^-1 [w_b^-j R^(rho-1-j) Qt]_j."""
-        cb = self.clusters[ci]
-        pw = [np.linalg.matrix_power(cb.root, j) for j in range(cb.rho)]
-        mm = sum(pw[-1 - j] @ cb.qt @ cb.q @ pw[j] for j in range(cb.rho))
+        """Cluster ci's branches from one power sequence of the principal root R
+        of its S11 (exact for a 1x1 block): branch b has omega = w_b R with
+        |w_b| = 1, so phi_b = [w_b^j Q R^j]_j, M_b = w_b^(rho-1) M_0 and
+        psi_b = M_0^-1 [w_b^-j R^(rho-1-j) Qt]_j (the Lidskii branch structure;
+        Moro, Burke & Overton, SIMAX 18, 1997)."""
+        cb, rho = self.clusters[ci], self.roots.shape[1]
+        s11 = cb.s11
+        if cl.smallest_singular_value(s11) < 1e-14 * max(1.0, cl.frob(s11)):
+            raise MatrixRootFailure("S11 is numerically singular; no invertible rho-th root")
+        if cb.count == 1:
+            root = np.array([[complex(s11[0, 0]) ** (1.0 / rho)]])
+        else:
+            root = la.fractional_matrix_power(s11, 1.0 / rho).astype(np.complex128)
+        res = cl.frob(np.linalg.matrix_power(root, rho) - s11) / max(1.0, cl.frob(s11))
+        if res > 1e-10:
+            raise MatrixRootFailure(f"matrix root residual {res:.3e} too large")
+        pw = [np.linalg.matrix_power(root, j) for j in range(rho)]
+        mm = sum(pw[-1 - j] @ cb.qt @ cb.q @ pw[j] for j in range(rho))
         m_inv = np.linalg.inv(mm)
         sigma = (cl.smallest_singular_value(mm), cl.frob(mm))
         phi = np.vstack([cb.q @ p for p in pw])
         psi = m_inv @ np.hstack([p @ cb.qt for p in pw[::-1]])
-        lam_root = cl.eig(cb.root)
+        lam_root = cl.eig(root)
         s_dim = cb.q.shape[0]
-        for b, w in enumerate(_branch_rotations(cb.gamma, cb.rho)[1]):
+        for b, w in enumerate(_branch_rotations(cb.gamma, rho)[1]):
             c = self.columns[(ci, b)]
-            wj = np.repeat(w ** np.arange(cb.rho), s_dim)  # w_b^j on block j
-            self.omega[np.ix_(c, c)] = cb.omega(b)
-            self.m_inv[np.ix_(c, c)] = m_inv / w ** (cb.rho - 1)
+            wj = np.repeat(w ** np.arange(rho), s_dim)  # w_b^j on block j
+            self.omega[np.ix_(c, c)] = w * root
+            self.m_inv[np.ix_(c, c)] = m_inv / w ** (rho - 1)
             self.phi[:, c], self.psi[c] = wj[:, None] * phi, psi / wj
             self.qt[c], self.lam[c] = cb.qt, w * lam_root
             self.sigma[(ci, b)] = sigma
@@ -492,9 +492,7 @@ class ReducedPencil:
                 qt = np.hstack([cl.eye(r), -rr]) @ q_full.conj().T
             else:
                 qt = q_full.conj().T
-            bases.append(
-                ClusterBasis(gamma=rep, count=r, q=q, s11=s11, qt=qt, tol=tol, rho=self.rho)
-            )
+            bases.append(ClusterBasis(gamma=rep, count=r, q=q, s11=s11, qt=qt, tol=tol))
         return tuple(bases)
 
     @cached_property

@@ -1,11 +1,14 @@
 """Brute-force verification of every claimed fractional order.
 
 The oracle is a dense eigensolve of ``A + tD`` over a geometric t-sweep.
-Each theoretical claim is operationalized as a log-log slope fit: a claim
-``error = O(t^c)`` passes when the fitted slope is at least ``c - slack``
-with a tight linear fit.  Samples at the numerical noise floor are dropped;
-claims whose every sample sits at the floor are reported as floor-limited
-passes rather than fitted, and a claim with a non-finite sample fails.
+Each theoretical claim ``error = O(t^c)`` becomes a report by one rule,
+``_verdict``, in this order: a claim on the Riccati sweep points fails, with
+NaN slope and r^2, when points were dropped and fewer than ``MIN_SAMPLES``
+remain; a claim with a non-finite error sample fails; a claim with fewer
+than ``MIN_SAMPLES`` samples above the noise floor ``100 eps scale`` is a
+floor-limited pass; any other claim is a log-log slope fit of the samples
+above the floor (:func:`slope_fit`), which passes when the fitted slope is
+at least ``c - slack`` and r^2 at least ``DEFAULT_R2``.
 
 Order-table claims (the per-block decay rates of the invariant-subspace
 bases) are measured against the exact small-z solutions from
@@ -30,10 +33,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import core_linalg as cl
-from .errors import CardinalityMismatch, ClusterNotSeparated, InsufficientSamples, NoConvergence
+from .errors import CardinalityMismatch, InsufficientSamples, NoConvergence
 from .expansion import eigenvalue_expansions, h_order_table, select_subspace
 from .first_order import complement_pair, first_order_expansion, solve_riccati
-from .pencil import CLUSTER_GAP_REL, assemble_pencil, reduce_pencil, sort_complex
+from .pencil import assemble_pencil, check_separated, reduce_pencil, sort_complex
 from .structure import CanonicalPair
 
 __all__ = [
@@ -54,6 +57,12 @@ FLOOR_FACTOR = 100.0
 MIN_SAMPLES = 5
 
 
+def _resolvable_floor(rho: int) -> float:
+    """The least t at which t^(1/rho) effects stand clear of rounding:
+    10 eps^(rho/(rho+1))."""
+    return 10.0 * cl.EPS ** (rho / (rho + 1))
+
+
 @dataclass(frozen=True)
 class SweepPlan:
     """Geometric t-sweep for one splitting order rho: at least ``MIN_SAMPLES``
@@ -69,7 +78,7 @@ class SweepPlan:
             raise ValueError(f"a sweep needs at least {MIN_SAMPLES} t values, got {len(ts)}")
         if any(b >= a for a, b in zip(ts, ts[1:])):
             raise ValueError("t_values must be strictly decreasing")
-        floor = 10.0 * cl.EPS ** (self.rho / (self.rho + 1))
+        floor = _resolvable_floor(self.rho)
         if any(t <= floor for t in ts):
             raise ValueError(
                 f"t values below {floor:.3e} cannot resolve t^(1/{self.rho}) effects"
@@ -79,8 +88,7 @@ class SweepPlan:
     def default(cls, rho: int, tmax: float = 1e-2, tmin: float = 1e-8, points: int = 13):
         """13 geometric points from 1e-2 down to 1e-8, with tmin clamped to
         the resolvability floor for the given rho."""
-        floor = 10.0 * cl.EPS ** (rho / (rho + 1))
-        tmin = max(tmin, 1.01 * floor)
+        tmin = max(tmin, 1.01 * _resolvable_floor(rho))
         ts = np.geomspace(tmax, tmin, points)
         return cls(t_values=tuple(ts), rho=rho)
 
@@ -249,31 +257,26 @@ def slope_fit(
     ss_tot = float(np.sum((le - le.mean()) ** 2))
     r2 = 1.0 if ss_tot < 1e-30 else 1.0 - ss_res / ss_tot
     passed = bool(slope >= claimed - slack and r2 >= r2_min)
-    return ConvergenceReport(
-        quantity=quantity,
-        claimed_slope=float(claimed),
-        fitted_slope=float(slope),
-        r_squared=r2,
-        passed=passed,
-        samples=tuple(samples),
-        note=note,
-    )
+    return ConvergenceReport(quantity, float(claimed), float(slope), r2, passed, tuple(samples), note=note)
 
 
-def _fit_or_floor(samples, claimed, scale, quantity, note="", slack=DEFAULT_SLACK):
+def _verdict(samples, claimed, scale, quantity, note="", slack=DEFAULT_SLACK, short=False):
+    """The one rule that turns a claim's error samples into a report.
+
+    ``short`` (sweep points were dropped and fewer than ``MIN_SAMPLES``
+    remain) fails the claim with NaN slope and r^2.  Otherwise the claim is
+    the :func:`slope_fit` of its samples, or, when fewer than ``MIN_SAMPLES``
+    lie above the noise floor, a floor-limited pass with NaN slope and r^2.
+    """
+    samples = tuple((float(t), float(e)) for t, e in samples)
+    nan = float("nan")
+    if short:
+        return ConvergenceReport(quantity, float(claimed), nan, nan, False, samples, note=note)
     try:
         return slope_fit(samples, claimed, scale=scale, quantity=quantity, note=note, slack=slack)
     except InsufficientSamples:
-        return ConvergenceReport(
-            quantity=quantity,
-            claimed_slope=float(claimed),
-            fitted_slope=float("nan"),
-            r_squared=float("nan"),
-            passed=True,
-            samples=tuple((float(t), float(e)) for t, e in samples),
-            floor_limited=True,
-            note=(note + "; " if note else "") + "floor-limited",
-        )
+        note = (note + "; " if note else "") + "floor-limited"
+        return ConvergenceReport(quantity, float(claimed), nan, nan, True, samples, True, note)
 
 
 def exact_subspace_basis(ric, sel, comp):
@@ -285,7 +288,8 @@ def exact_subspace_basis(ric, sel, comp):
     to Lambda(t11) rather than Lambda(t22); with them leading in one ordered
     Schur form tt U = U T, Y = U2 U1^-1 and rep = t11 + t12 Y.  Raises
     :class:`ClusterNotSeparated` when a selected and an unselected eigenvalue
-    of tt lie within ``CLUSTER_GAP_REL`` max|Lambda(tt)|.
+    of tt lie within ``CLUSTER_GAP_REL`` max|Lambda(tt)|
+    (:func:`jordanperturb.pencil.check_separated`).
     """
     tt = np.vstack([comp.psi, comp.psi_c]) @ ric.theta_hat @ np.hstack([sel.phi, comp.phi_c])
     r = sel.r
@@ -298,10 +302,7 @@ def exact_subspace_basis(ric, sel, comp):
 
     u, t, _ = cl.ordered_schur(tt, continues_omega)
     w = np.diag(t)
-    if 0 < r < w.size:
-        gap = np.abs(w[:r, None] - w[None, r:]).min()
-        if gap <= CLUSTER_GAP_REL * max(np.abs(w).max(), 1e-300):
-            raise ClusterNotSeparated(f"Theta-hat eigenvalues continuing Omega separated by only {gap:.3e}")
+    check_separated(w[:r], w[r:], "Theta-hat eigenvalues continuing Omega")
     y = np.linalg.solve(u[:r, :r].T, u[r:, :r].T).T  # U2 U1^-1
     h = ric.invariant_matrix() @ (sel.phi + comp.phi_c @ y)
     return h, tt[:r, :r] + tt[:r, r:] @ y
@@ -340,18 +341,9 @@ def verify_all(
     scale = 1.0 + cl.frob(pair.d11)
 
     if cl.frob(pair.d11) == 0.0:
-        return [
-            ConvergenceReport(
-                quantity=f"degenerate-zero-perturbation[rho={rho}]",
-                claimed_slope=0.0,
-                fitted_slope=float("nan"),
-                r_squared=float("nan"),
-                passed=True,
-                samples=tuple((t, 0.0) for t in ts),
-                floor_limited=True,
-                note="D11 = 0: all claims vacuous",
-            )
-        ]
+        nan, samples = float("nan"), tuple((t, 0.0) for t in ts)
+        quantity = f"degenerate-zero-perturbation[rho={rho}]"
+        return [ConvergenceReport(quantity, 0.0, nan, nan, True, samples, True, "D11 = 0: all claims vacuous")]
 
     assembled = assemble_pencil(pair, rho)
     reduced = reduce_pencil(assembled)
@@ -370,26 +362,19 @@ def verify_all(
             clusters.append((e, sum(1 for x in exps if x is e)))
 
     for ci, (exp, count) in enumerate(clusters):
-        samples = []
-        for t, obs in zip(ts, observed):
-            preds = np.repeat(exp.predict(t), count)
-            samples.append((t, match_eigenvalues(preds, obs)[1]))
+        samples = [
+            (t, match_eigenvalues(np.repeat(exp.predict(t), count), obs)[1]) for t, obs in zip(ts, observed)
+        ]
         if exp.simple:
-            claimed, note = 2.0 / rho, ""
+            claimed, note, slack = 2.0 / rho, "", DEFAULT_SLACK
         else:
-            claimed, note = 1.0 / rho + 0.02, "weakly verified o(t^(1/rho)) bound"
-        reports.append(
-            _fit_or_floor(
-                samples, claimed, scale,
-                f"eig[rho={rho},cluster={ci}]", note,
-                slack=0.0 if not exp.simple else DEFAULT_SLACK,
-            )
-        )
+            claimed, note, slack = 1.0 / rho + 0.02, "weakly verified o(t^(1/rho)) bound", 0.0
+        reports.append(_verdict(samples, claimed, scale, f"eig[rho={rho},cluster={ci}]", note, slack))
 
     # --- (ii) first-order subspace relation residual per cluster.
     rng = np.random.default_rng(0)
     for ci, (exp, _) in enumerate(clusters):
-        near = lambda lam, g=exp.gamma: abs(lam - g) < 1e-6 * max(1.0, abs(g))
+        near = lambda lam, target=exp.gamma: lam == target  # the cluster's representative
         sel = select_subspace(reduced, near, 0)
         comp = complement_pair(reduced, sel)
         if ci == 0:  # the subspace of the order tables in (iii)
@@ -410,9 +395,7 @@ def verify_all(
         for t in ts:
             h = fo.h_of(t)
             samples.append((t, cl.frob((a_mat + t * d_mat) @ h - h @ fo.c_of(t))))
-        reports.append(
-            _fit_or_floor(samples, 2.0 / rho, scale, f"subspace-resid[rho={rho},cluster={ci}]", note)
-        )
+        reports.append(_verdict(samples, 2.0 / rho, scale, f"subspace-resid[rho={rho},cluster={ci}]", note))
 
     # --- (iii) per-block order tables from the exact small-z solutions.  The
     # points are solved in ascending z along the branch, each Newton solve
@@ -435,47 +418,33 @@ def verify_all(
     points.reverse()
     dropped = len(ts) - len(points)
     drop_note = f"{dropped} of {len(ts)} sweep points dropped (NoConvergence)" if dropped else ""
-
-    def riccati_report(samples, claimed, quantity, note):
-        note = "; ".join(n for n in (note, drop_note) if n)
-        if dropped and len(points) < MIN_SAMPLES:  # too few points left to fit: the claim fails
-            nan = float("nan")
-            return ConvergenceReport(quantity, claimed, nan, nan, False, tuple(samples), note=note)
-        return _fit_or_floor(samples, claimed, scale, quantity, note)
-
-    base = reduced.x0
-    idx = pair.index
-    q1, om = sel0.q1, sel0.omega
-    xdev, hdev = [], []
+    base, idx = reduced.x0, pair.index
+    # the explicit terms Q1 Omega^(l-1) of block rho, subtracted from H at z^(l-1)
+    explicit = [
+        (idx.rows(rho, ell), ell - 1, sel0.q1 @ np.linalg.matrix_power(sel0.omega, ell - 1))
+        for ell in range(2, rho + 1)
+    ]
+    devs = {"X": [], "H": []}
     for z, ric, h in points:
-        xdev.append(ric.invariant_matrix() - base)
+        devs["X"].append(ric.invariant_matrix() - base)
         hrow = h - base @ sel0.phi
-        for ell in range(2, rho + 1):
-            rows = idx.rows(rho, ell)
-            hrow[rows, :] -= z ** (ell - 1) * (q1 @ np.linalg.matrix_power(om, ell - 1))
-        hdev.append(hrow)
-    for entry in h_order_table(st, rho, full=True):
-        rows = idx.rows(entry.block, entry.subrow)
-        samples = [(z**rho, cl.frob(dev[rows, :])) for (z, _, _), dev in zip(points, xdev)]
-        reports.append(
-            riccati_report(
-                samples, float(entry.exponent), f"X[rho={rho},i={entry.block},l={entry.subrow}]", entry.note
-            )
-        )
-    if sel0.r:
-        for entry in h_order_table(st, rho):
+        for rows, power, term in explicit:
+            hrow[rows, :] -= z**power * term
+        devs["H"].append(hrow)
+    claims = []  # (samples, claimed slope, quantity, note) of every claim on the Riccati points
+    for name, full in (("X", True), ("H", False)):
+        for entry in h_order_table(st, rho, full=full):
             rows = idx.rows(entry.block, entry.subrow)
-            samples = [(z**rho, cl.frob(dev[rows, :])) for (z, _, _), dev in zip(points, hdev)]
-            reports.append(
-                riccati_report(
-                    samples, float(entry.exponent), f"H[rho={rho},i={entry.block},l={entry.subrow}]", entry.note
-                )
-            )
+            samples = [(z**rho, cl.frob(dev[rows, :])) for (z, _, _), dev in zip(points, devs[name])]
+            quantity = f"{name}[rho={rho},i={entry.block},l={entry.subrow}]"
+            claims.append((samples, float(entry.exponent), quantity, entry.note))
 
     # --- (iv) exact Theta-hat vs its first-order model, slope 2 in z.
     delta_coef = reduced.theta_perturbation.delta_coef
-    samples = [
-        (z, cl.frob(ric.theta_hat - reduced.theta - z * delta_coef)) for z, ric, _ in points
-    ]
-    reports.append(riccati_report(samples, 2.0, f"riccati-delta[rho={rho}]", "error measured against z"))
+    samples = [(z, cl.frob(ric.theta_hat - reduced.theta - z * delta_coef)) for z, ric, _ in points]
+    claims.append((samples, 2.0, f"riccati-delta[rho={rho}]", "error measured against z"))
+    short = bool(dropped) and len(points) < MIN_SAMPLES  # too few points left to fit
+    for samples, claimed, quantity, note in claims:
+        note = "; ".join(n for n in (note, drop_note) if n)
+        reports.append(_verdict(samples, claimed, scale, quantity, note, short=short))
     return reports

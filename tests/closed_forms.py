@@ -26,9 +26,10 @@ subspace by a Stewart-type fixed point, with no Schur reordering.
 
 The pencil's branch table derives every branch of a cluster from one power
 sequence and one normalizer; ``branch_table_by_branch`` forms each branch
-from its own root, powers and normalizer.  ``first_order_expansion`` reads H1
-off lifted bases cached per pencil; ``h1_by_lift`` lifts each selection's
-basis directly.
+from its own root (``branch_root``: scipy's ``fractional_matrix_power`` of
+S11 and a root of unity read off ``scalar_roots``), powers and normalizer.
+``first_order_expansion`` reads H1 off lifted bases cached per pencil;
+``h1_by_lift`` lifts each selection's basis directly.
 """
 
 import numpy as np
@@ -36,7 +37,7 @@ import scipy.linalg as la
 
 from jordanperturb import core_linalg as cl
 from jordanperturb.errors import NoConvergence
-from jordanperturb.pencil import left_exponent, right_exponent
+from jordanperturb.pencil import left_exponent, right_exponent, scalar_roots
 from jordanperturb.structure import block
 
 
@@ -375,11 +376,11 @@ def complement_pair_union(reduced, sel):
     def bases(pairs):
         if not pairs:
             return cl.zeros(s_dim, 0), cl.zeros(0, 0), cl.zeros(0, s_dim)
-        cbs = [(reduced.clusters[ci], b) for ci, b in pairs]
+        cbs = [reduced.clusters[ci] for ci, _ in pairs]
         return (
-            np.hstack([cb.q for cb, _ in cbs]),
-            la.block_diag(*[cb.omega(b) for cb, b in cbs]),
-            np.vstack([cb.qt for cb, _ in cbs]),
+            np.hstack([cb.q for cb in cbs]),
+            la.block_diag(*[branch_root(reduced, ci, b) for ci, b in pairs]),
+            np.vstack([cb.qt for cb in cbs]),
         )
 
     def pw(om, j):
@@ -405,19 +406,35 @@ def complement_pair_union(reduced, sel):
     }
 
 
+def branch_root(reduced, ci, b):
+    """The rho-th root omega of S11 on branch b of cluster ci: the principal
+    root R (scipy's ``fractional_matrix_power``; the scalar principal root of
+    a 1x1 block, which the matrix function can miss by a last bit) times the
+    rho-th root of unity w that takes Lambda(R) to root b of
+    ``scalar_roots(gamma, rho)``."""
+    cb, rho = reduced.clusters[ci], reduced.rho
+    if cb.count == 1:
+        root = np.array([[complex(cb.s11[0, 0]) ** (1.0 / rho)]])
+    else:
+        root = la.fractional_matrix_power(cb.s11, 1.0 / rho).astype(np.complex128)
+    units = scalar_roots(1.0, rho)
+    target = scalar_roots(cb.gamma, rho)[b]
+    return units[np.argmin(np.abs(units * np.linalg.eigvals(root)[0] - target))] * root
+
+
 def branch_table_by_branch(reduced):
     """{(cluster, branch): {"omega", "phi", "psi", "m_inv", "lam", "sigma"}}, the
     entries of ``ReducedPencil.branches``, each branch from its own root
-    omega = ``ClusterBasis.omega(b)``: phi = [Q omega^j]_j, the power-sum
+    omega = ``branch_root``: phi = [Q omega^j]_j, the power-sum
     normalizer M = sum_j omega^(rho-1-j) Qt Q omega^j, psi = M^-1
     [omega^(rho-1-j) Qt]_j, lam = Lambda(omega) and sigma = (sigma_min(M),
     ||M||_F)."""
-    out = {}
+    out, rho = {}, reduced.rho
     for ci, cb in enumerate(reduced.clusters):
-        for b in range(reduced.rho):
-            om = cb.omega(b)
-            pw = [np.linalg.matrix_power(om, j) for j in range(cb.rho)]
-            mm = sum(pw[-1 - j] @ cb.qt @ cb.q @ pw[j] for j in range(cb.rho))
+        for b in range(rho):
+            om = branch_root(reduced, ci, b)
+            pw = [np.linalg.matrix_power(om, j) for j in range(rho)]
+            mm = sum(pw[-1 - j] @ cb.qt @ cb.q @ pw[j] for j in range(rho))
             m_inv = np.linalg.inv(mm)
             out[(ci, b)] = {
                 "omega": om,

@@ -140,6 +140,17 @@ class TestExpand:
             ["expand", str(example1_file), "--rho", "4", "--cluster", "nope"]
         ) == EXIT_PARSE
 
+    def test_index_names_one_cluster(self, tmp_path, capsys):
+        # S_1 = diag(1e-3, 1e-3 + 5e-7) has two clusters within 1e-6 of each
+        # other; idx:0 selects the first alone, a 1 x 1 Omega
+        f = tmp_path / "close.json"
+        doc = {"lambda0": [0.0, 0.0], "sizes": [2], "d11": matrix_to_json(np.diag([1e-3, 1e-3 + 5e-7]))}
+        f.write_text(canonical_json(doc), encoding="utf-8")
+        for idx, gamma in ((0, 1e-3), (1, 1e-3 + 5e-7)):
+            assert main(["expand", str(f), "--rho", "1", "--cluster", f"idx:{idx}", "--order", "0"]) == EXIT_OK
+            omega = np.array(json.loads(capsys.readouterr().out)["omega"])
+            assert omega.shape == (1, 1, 2) and omega[0, 0, 0] == pytest.approx(gamma, rel=1e-12)
+
     def test_two_block_mixed_full_json(self, tmp_path):
         f = tmp_path / "mix.json"
         main(["generate", "--sizes", "1,2", "--seed", "1", "--out", str(f)])

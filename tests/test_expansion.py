@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from fractions import Fraction
+from types import SimpleNamespace
 
 from jordanperturb import (
     CanonicalPair,
@@ -16,6 +17,7 @@ from jordanperturb import core_linalg as cl
 from jordanperturb.errors import ClusterNotSeparated, MatrixRootFailure, NotSimple
 from jordanperturb.expansion import h_order_table
 from jordanperturb.first_order import complement_pair, semisimple_expansion
+from jordanperturb.verify import exact_subspace_basis
 
 from closed_forms import eigvec_stack, gtilde_matrix, xi_tilde
 from conftest import SUITE_SIZES, random_pair
@@ -139,6 +141,25 @@ class TestSelectSubspace:
         with pytest.raises(ClusterNotSeparated):
             select_subspace(rp, lambda g: abs(g - 1.0) < 5e-7, 0)
 
+    def test_separation_message_at_each_call_site(self):
+        # S_2 = diag(1e-13, 1): the two branches +-3.2e-7 of cluster 0 lie
+        # within CLUSTER_GAP_REL max|mu| = 1e-6 of each other
+        rp = reduce_pencil(assemble_pencil(pair_with_s2(np.diag([1.0, 1e-13])), 2))
+        gap = "separated by only 6.325e-07"
+        with pytest.raises(ClusterNotSeparated, match="^selected and unselected Theta eigenvalues " + gap):
+            select_subspace(rp, lambda g: g == rp.clusters[0].gamma, 0)
+        # complement_pair reads only the selection's branches
+        with pytest.raises(ClusterNotSeparated, match=r"^Lambda\(Omega\) and Lambda\(Omega_c\) " + gap):
+            complement_pair(rp, SimpleNamespace(chosen=((0, 0),)))
+        # Theta-hat = diag(1, 1 + 9e-7) in the basis [e1, e2], e1 selected
+        eye = np.eye(2, dtype=complex)
+        ric = SimpleNamespace(theta_hat=np.diag([1.0, 1.0 + 9e-7]).astype(complex))
+        sel = SimpleNamespace(phi=eye[:, :1], r=1)
+        comp = SimpleNamespace(psi=eye[:1], psi_c=eye[1:], phi_c=eye[:, 1:])
+        prefix = "^Theta-hat eigenvalues continuing Omega separated by only 9.000e-07"
+        with pytest.raises(ClusterNotSeparated, match=prefix):
+            exact_subspace_basis(ric, sel, comp)
+
     def test_matrix_root_failure_on_singular(self):
         # S_1 = diag(0, 1): only calls that need the singular cluster's root
         # fail, whether or not the pencil's branch table was tried first
@@ -201,7 +222,7 @@ class TestSelectSubspace:
         assert inverses == [(2, 2)] * len(rp.clusters)
         # two sigma_min per cluster: the singularity check of S11 before its
         # root is taken, then M_0 = rho R (Qt Q = I, R = S11^(1/2) = 3 I or 2 I)
-        expected = [a for cb in rp.clusters for a in (cb.s11, 2 * cb.root)]
+        expected = [a for cb in rp.clusters for a in (cb.s11, 2 * power(cb.s11, 0.5))]
         assert len(sigmas) == len(expected)
         assert all(np.allclose(a, e, rtol=0, atol=1e-13) for a, e in zip(sigmas, expected))
         tab = rp.branches

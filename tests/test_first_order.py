@@ -727,6 +727,17 @@ class TestRiccati:
         with pytest.raises(NoConvergence, match="after 1 sweeps"):
             solve_riccati(ap, rp, 1e-2)
 
+    def test_rejects_a_pencil_not_its_own(self):
+        # the rho = 2 pencil with the rho = 3 reduction of (2,2,2) used to
+        # converge to a wrong Theta-hat; an equal but distinct pencil is
+        # rejected too
+        pair = random_pair((2, 2, 2), seed=1)
+        rp = reduce_pencil(assemble_pencil(pair, 3))
+        for ap in (assemble_pencil(pair, 2), assemble_pencil(pair, 3)):
+            with pytest.raises(ValueError, match="p must be the assembled pencil"):
+                solve_riccati(ap, rp, 1e-2)
+        assert solve_riccati(rp.assembled, rp, 1e-2).reduced is rp
+
     def test_rejects_zero_z(self):
         pair = random_pair((1, 1), seed=0)
         ap = assemble_pencil(pair, 1)

@@ -13,8 +13,8 @@ from jordanperturb import (
     reduce_pencil,
     theta_spectrum,
 )
-from jordanperturb.errors import SingularW
-from jordanperturb.pencil import scalar_roots, sort_complex
+from jordanperturb.errors import ClusterNotSeparated, SingularW
+from jordanperturb.pencil import CLUSTER_GAP_REL, check_separated, scalar_roots, sort_complex
 
 from closed_forms import assemble_pencil_blocks, branch_table_by_branch, reduced_identity_residual
 from conftest import SUITE_SIZES, random_pair
@@ -361,3 +361,22 @@ class TestBranchTable:
                     assert rel_err(got[name], want[name]) <= 1e-13, (rho, key, name)
             n = tab.phi.shape[0]
             assert np.linalg.norm(tab.psi @ tab.phi - np.eye(n)) <= 1e-13 * n
+
+
+class TestCheckSeparated:
+    def test_empty_sets_pass(self):
+        for a, b in (([], []), ([], [1.0, 1.0]), ([2.0, 2.0], [])):
+            check_separated(np.array(a, dtype=complex), np.array(b, dtype=complex), "x")
+
+    def test_boundary_is_not_separated(self):
+        # the largest modulus is 4, a power of two, so the threshold
+        # 4 CLUSTER_GAP_REL is exact, and so is the gap from 0 to it
+        limit = CLUSTER_GAP_REL * 4.0
+        with pytest.raises(ClusterNotSeparated, match=r"^x and y separated by only "):
+            check_separated(np.array([0.0, 4.0]), np.array([limit]), "x and y")
+        check_separated(np.array([0.0, 4.0]), np.array([np.nextafter(limit, np.inf)]), "x and y")
+
+    def test_message_names_the_gap(self):
+        with pytest.raises(ClusterNotSeparated) as exc:
+            check_separated(np.array([1.0]), np.array([1.0 + 1e-9j]), "two sets")
+        assert str(exc.value) == f"two sets separated by only {1e-9:.3e}"

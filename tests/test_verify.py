@@ -26,7 +26,7 @@ from jordanperturb import (
     verify_all,
 )
 from jordanperturb.errors import CardinalityMismatch, InsufficientSamples, NoConvergence
-from jordanperturb.verify import exact_subspace_basis
+from jordanperturb.verify import _verdict, exact_subspace_basis
 
 from closed_forms import fixed_point_subspace_basis
 from conftest import random_pair
@@ -244,6 +244,37 @@ class TestSlopeFit:
             assert len(rep.samples) == len(samples)
 
 
+class TestVerdict:
+    """``verify._verdict``, the one rule from a claim's samples to a report."""
+
+    ts = np.geomspace(1e-2, 1e-8, 8)
+
+    def test_short_claim_fails_with_nan(self):
+        samples = [(t, t) for t in self.ts[:3]]
+        rep = _verdict(samples, 1.0, 1.0, "q", "10 of 13 sweep points dropped (NoConvergence)", short=True)
+        assert not rep.passed and not rep.floor_limited
+        assert np.isnan(rep.fitted_slope) and np.isnan(rep.r_squared)
+        assert rep.note == "10 of 13 sweep points dropped (NoConvergence)"
+        assert rep.quantity == "q" and rep.claimed_slope == 1.0
+        assert rep.samples == tuple((float(t), float(e)) for t, e in samples)
+
+    def test_fit_is_the_slope_fit(self):
+        samples = [(t, t**0.5) for t in self.ts]
+        for slack in (0.1, 0.6):
+            rep = _verdict(samples, 1.0, 1.0, "q", "n", slack=slack)
+            assert rep == slope_fit(samples, 1.0, scale=1.0, slack=slack, quantity="q", note="n")
+        assert not _verdict(samples, 1.0, 1.0, "q").passed
+        assert _verdict(samples, 1.0, 1.0, "q", slack=0.6).passed
+
+    def test_floor_limited_pass(self):
+        samples = [(t, 1e-20) for t in self.ts]
+        for note, want in (("", "floor-limited"), ("exact", "exact; floor-limited")):
+            rep = _verdict(samples, 0.5, 1.0, "q", note)
+            assert rep.passed and rep.floor_limited and rep.note == want
+            assert np.isnan(rep.fitted_slope) and np.isnan(rep.r_squared)
+            assert rep.claimed_slope == 0.5 and len(rep.samples) == len(samples)
+
+
 class TestVerifyAll:
     def test_example1_all_pass(self):
         pair = example1_pair()
@@ -301,6 +332,25 @@ class TestVerifyAll:
         pair = random_pair((1, 1), seed=0)
         with pytest.raises(ValueError):
             verify_all(pair, 1, swap_root=True)
+
+    def test_subspace_claim_takes_its_cluster_only(self, monkeypatch):
+        # S_1 = diag(1e-3, 1e-3 + 5e-7): two clusters (CLUSTER_GAP_REL max|gamma|
+        # is 1e-9) within 1e-6 of each other; each subspace claim selects its own
+        selected = []
+        select = jordanperturb.verify.select_subspace
+
+        def recorded(reduced, cluster, root_index=0):
+            sel = select(reduced, cluster, root_index)
+            selected.append(sel.chosen)
+            return sel
+
+        monkeypatch.setattr(jordanperturb.verify, "select_subspace", recorded)
+        pair = CanonicalPair(JordanStructure(0.0, (2,)), np.diag([1e-3, 1e-3 + 5e-7]))
+        reports = verify_all(pair, 1)
+        assert selected == [((0, 0),), ((1, 0),)]
+        assert [r.quantity for r in reports if r.quantity.startswith("subspace-resid")] == [
+            "subspace-resid[rho=1,cluster=0]", "subspace-resid[rho=1,cluster=1]"
+        ]
 
     def test_exact_subspace_tracks_oracle(self):
         # the exact basis from the riccati route satisfies the invariant
