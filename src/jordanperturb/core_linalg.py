@@ -1,9 +1,10 @@
 """Dense complex linear-algebra substrate.
 
-Thin, contract-checked wrappers around LAPACK (via scipy.linalg) for the
-operations the perturbation pipeline needs: eigenvalues (never
-eigenvectors), complex Schur forms, ordered or not, and singular-value
-queries.  Two Sylvester solvers sit on them: ``solve_sylvester`` for
+Thin, contract-checked wrappers around LAPACK for the operations the
+perturbation pipeline needs: eigenvalues (never eigenvectors), complex
+Schur forms, ordered or not, and singular values (numpy's ``gesdd``: scipy's
+``svdvals``, like its ``solve``, wakes a BLAS worker thread even at 4x4).
+Two Sylvester solvers sit on them: ``solve_sylvester`` for
 a X - X b + c = 0 is Bartels-Stewart, Schur forms of both sides and one
 LAPACK ``ztrsyl`` back-substitution; ``schur_sylvester`` for the
 generalized a X - e X theta = f (Newton steps, coupling series; e=None is
@@ -107,8 +108,13 @@ def schur(m) -> tuple[np.ndarray, np.ndarray]:
     return t, eye(len(m)) if q is None else q
 
 
+_STRICT_LOWER = {}  # n -> flat indices of the strict lower triangle of an n x n matrix
+
+
 def _schur(m):  # schur of a checked square matrix, q = None when it is triangular
-    return la.schur(m, output="complex", check_finite=False) if np.tril(m, -1).any() else (m, None)
+    if len(m) not in _STRICT_LOWER:
+        _STRICT_LOWER[len(m)] = np.flatnonzero(np.tri(len(m), k=-1, dtype=bool))
+    return la.schur(m, output="complex", check_finite=False) if m.ravel()[_STRICT_LOWER[len(m)]].any() else (m, None)
 
 
 def ordered_schur(m, select, q=None):
@@ -204,4 +210,4 @@ def smallest_singular_value(m) -> float:
     m = as_matrix(m, "m")
     if m.size == 0:
         raise ValueError("smallest_singular_value needs a nonempty matrix")
-    return float(la.svdvals(m)[-1])
+    return float(np.linalg.svd(m, compute_uv=False)[-1])

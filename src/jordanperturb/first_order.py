@@ -221,7 +221,7 @@ def semisimple_expansion(
     tol = cb.tol
     if abs(cb.gamma - gamma) > max(10 * tol, 1e-8 * max(1.0, abs(gamma))):
         raise ValueError(f"gamma={gamma:.6g} is not an eigenvalue of S_rho")
-    svals = la.svdvals(reduced.s_rho - cb.gamma * cl.eye(reduced.s_rho.shape[0]))
+    svals = np.linalg.svd(reduced.s_rho - cb.gamma * cl.eye(reduced.s_rho.shape[0]), compute_uv=False)
     geo = int(np.sum(svals < max(10 * tol, 1e-10 * max(1.0, float(svals[0])))))
     if geo != cb.count:
         raise NotSemisimple(
@@ -277,7 +277,8 @@ def coupling_series(r: ReducedPencil, order: int, x=(), theta=(), jac=None):
         return sum(s[i] @ theta[j - i] for i in range(min(j + 1, len(s))))
 
     for k in range(len(x), order + 1):
-        vs = sum(v[e] @ s[k - e] for e in range(1, k + 1))
+        # v[e] @ s[k - e], with s[0] = [0; I; 0] a column slice and s[j] = [X1_j; 0; X2_j]
+        vs = v[k][:, r.g2] + sum(v[e][:, gc] @ x[k - e] for e in range(1, k))
         theta.append(vs[r.g2])
         res = vs[gc] - u0 @ s_theta(k) - u1 @ s_theta(k - 1)
         x.append(cl.schur_sylvester(*jac, -res))

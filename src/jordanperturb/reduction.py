@@ -64,7 +64,7 @@ class SpectralTransformation:
         n = t.shape[0]
         if a.shape != (n, n):
             raise InvalidTransformation(f"a must be {n}x{n} to match the transformation")
-        svals = la.svdvals(t)
+        svals = np.linalg.svd(t, compute_uv=False)
         if svals[-1] <= 1e-12 * svals[0]:
             raise InvalidTransformation(
                 f"[xi xi_c] is numerically singular (sigma_min/sigma_max = {svals[-1] / svals[0]:.3e})"
@@ -107,15 +107,11 @@ def reduce(a, d, trans: SpectralTransformation) -> ReducedProblem:
     trans.validate(a)
     t = trans.full
     m = trans.structure.dim
-    dt = la.solve(t, d @ t)
-    d11 = dt[:m, :m]
-    d12 = dt[:m, m:]
-    d21 = dt[m:, :m]
-    d22 = dt[m:, m:]
+    dt = np.linalg.solve(t, d @ t)
     st = trans.structure
     a11 = st.lambda0 * cl.eye(m) + build_nilpotent(st)
-    p1 = cl.solve_sylvester(trans.a22, a11, d21)
-    return ReducedProblem(pair=CanonicalPair(st, d11), d12=d12, d21=d21, d22=d22, p1=p1)
+    p1 = cl.solve_sylvester(trans.a22, a11, dt[m:, :m])
+    return ReducedProblem(pair=CanonicalPair(st, dt[:m, :m]), d12=dt[:m, m:], d21=dt[m:, :m], d22=dt[m:, m:], p1=p1)
 
 
 def effective_d11(red: ReducedProblem, t: float) -> np.ndarray:

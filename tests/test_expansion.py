@@ -134,11 +134,13 @@ class TestSelectSubspace:
         sel = select_subspace(rp, lambda g: False, 0)
         assert sel.r == 0 and sel.q1.shape == (1, 0) and sel.omega.shape == (0, 0)
 
-    def test_cluster_not_separated_at_root_level(self):
-        # two gammas whose square roots nearly collide
+    def test_near_gammas_fail_schur_reordering(self):
+        # two gammas 1.8e-6 apart, within 10 CLUSTER_GAP_REL max|gamma| of
+        # each other: the per-cluster reordering takes both, before the
+        # selection's own separation check is reached
         pair = pair_with_s2(np.diag([1.0, 1.0 + 1.8e-6]))
         rp = reduce_pencil(assemble_pencil(pair, 2))
-        with pytest.raises(ClusterNotSeparated):
+        with pytest.raises(ClusterNotSeparated, match="^Schur reordering selected 2 eigenvalues for a cluster of 1"):
             select_subspace(rp, lambda g: abs(g - 1.0) < 5e-7, 0)
 
     def test_separation_message_at_each_call_site(self):

@@ -17,6 +17,7 @@ from jordanperturb import (
     semisimple_expansion,
     solve_riccati,
     theta_perturbation,
+    verify_all,
 )
 import jordanperturb.core_linalg
 import jordanperturb.first_order
@@ -629,31 +630,48 @@ class TestCouplingSeries:
         sizes (0, 2) at rho = 2): there Theta-hat(z) is the polynomial
         V-hat(z), R is infinite, and the series must return its coefficients.
         """
-        n_pts = 32
         pair = random_pair(sizes, seed=1)
         for rho in pair.structure.valid_rhos():
             ap = assemble_pencil(pair, rho)
             rp = reduce_pencil(ap)
             _, theta = rp.series(4)
-            if rp.n2 == rp.structure.dim:
-                for k in range(1, 5):
-                    ref = rp.hat(ap.ev_coeffs.get(k, np.zeros_like(ap.v0)))
-                    assert np.linalg.norm(theta[k] - ref) <= 1e-14 * np.linalg.norm(ref)
-                continue
-            norms = [np.linalg.norm(t) for t in theta]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                big_r = min(norms[2] / norms[3], np.sqrt(norms[2] / norms[4]))
-            assert np.isfinite(big_r) and big_r > 0, (sizes, rho, norms)
-            r = big_r / 8
-            zs = r * np.exp(2j * np.pi * np.arange(n_pts) / n_pts)
-            sols = [solve_riccati(ap, rp, z).theta_hat for z in zs]
-            u = 1e4 * np.finfo(float).eps * max(
-                max(1.0, np.linalg.norm(rp.hat(ap.v_of(z)))) for z in zs
-            )
-            for k in range(1, 5):
-                t_k = sum(s * z ** (-k) for s, z in zip(sols, zs)) / n_pts
-                bound = (r / big_r) ** n_pts * norms[k] + u * r ** (-k)
-                assert np.linalg.norm(t_k - theta[k]) <= bound, (sizes, rho, k)
+            assert_series_matches_cauchy(ap, rp, theta, (sizes, rho))
+
+    @pytest.mark.parametrize("rho", [4, 5])
+    def test_fresh_and_resumed_at_m60(self, rho):
+        # (4,4,4,4,4), m = 60: V-hat_e S_(k-e) is 60x60 @ 60x20 at rho = 5 as
+        # a full product; series(4) computed at once and resumed after
+        # series(1) both meet the Cauchy-integral bound
+        ap = assemble_pencil(random_pair((4, 4, 4, 4, 4), seed=1), rho)
+        fresh, resumed = reduce_pencil(ap), reduce_pencil(ap)
+        resumed.series(1)
+        for name, rp in (("fresh", fresh), ("resumed", resumed)):
+            _, theta = rp.series(4)
+            assert_series_matches_cauchy(ap, rp, theta, (name, rho))
+
+
+def assert_series_matches_cauchy(ap, rp, theta, label, n_pts=32):
+    """The bound of ``TestCouplingSeries.test_against_cauchy_integral`` on
+    Theta_1..Theta_4 of one pencil."""
+    if rp.n2 == rp.structure.dim:
+        for k in range(1, 5):
+            ref = rp.hat(ap.ev_coeffs.get(k, np.zeros_like(ap.v0)))
+            assert np.linalg.norm(theta[k] - ref) <= 1e-14 * np.linalg.norm(ref)
+        return
+    norms = [np.linalg.norm(t) for t in theta]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        big_r = min(norms[2] / norms[3], np.sqrt(norms[2] / norms[4]))
+    assert np.isfinite(big_r) and big_r > 0, (label, norms)
+    r = big_r / 8
+    zs = r * np.exp(2j * np.pi * np.arange(n_pts) / n_pts)
+    sols = [solve_riccati(ap, rp, z).theta_hat for z in zs]
+    u = 1e4 * np.finfo(float).eps * max(
+        max(1.0, np.linalg.norm(rp.hat(ap.v_of(z)))) for z in zs
+    )
+    for k in range(1, 5):
+        t_k = sum(s * z ** (-k) for s, z in zip(sols, zs)) / n_pts
+        bound = (r / big_r) ** n_pts * norms[k] + u * r ** (-k)
+        assert np.linalg.norm(t_k - theta[k]) <= bound, (label, k)
 
 
 class TestRiccati:
@@ -954,3 +972,24 @@ class TestX1X2Tolerance:
                 errs.append(np.linalg.norm(m @ x0 - x0 @ c))
             slope = fit_slope(ts, errs)
             assert slope is None or slope >= 1.0 / rho - 0.1
+
+
+class TestCallingThreadOnly:
+    def test_no_threaded_scipy_drivers(self, monkeypatch):
+        # scipy.linalg.solve and scipy.linalg.svdvals wake a BLAS worker thread
+        # even at 4x4; the closed-form path and verify_all call the LAPACK
+        # drivers directly instead
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy.linalg.solve or svdvals called")
+
+        monkeypatch.setattr(scipy.linalg, "solve", refuse)
+        monkeypatch.setattr(scipy.linalg, "svdvals", refuse)
+        pair = generate(CaseSpec(JordanStructure(0.0, (4, 4, 4, 4, 4)), seed=1, ensure_distinct_gammas=True))
+        for rho in pair.structure.valid_rhos():
+            rp = reduce_pencil(assemble_pencil(pair, rho))
+            for cb in rp.clusters:
+                for b in range(rho):
+                    sel = select_subspace(rp, lambda g, cb=cb: g == cb.gamma, b)
+                    first_order_expansion(rp, sel, complement_pair(rp, sel))
+        for sizes, rho in (((1, 2), 2), ((2, 2, 2), 3)):
+            assert verify_all(random_pair(sizes, seed=1), rho)

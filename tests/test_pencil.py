@@ -175,7 +175,7 @@ class TestReduce:
         with pytest.raises(SingularW):
             reduce_pencil(assemble_pencil(bad, 1))
 
-    @pytest.mark.parametrize("sizes", SUITE_SIZES)
+    @pytest.mark.parametrize("sizes", SUITE_SIZES + [(4, 4, 4, 4, 4)])
     def test_permutation_sanity(self, sizes):
         # the row and column orders are permutations, and hat / lift agree with
         # the dense products Pi_L M Pi_R G and Pi_R G Y built from them

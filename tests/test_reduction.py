@@ -87,6 +87,19 @@ class TestReduce:
         p1_oracle = kron_sylvester(trans.a22, a11, red.d21)
         assert np.linalg.norm(red.p1 - p1_oracle) <= 1e-10 * max(1, np.linalg.norm(p1_oracle))
 
+    def test_no_threaded_scipy_drivers(self, monkeypatch):
+        # the validation and the split of D call the LAPACK drivers directly:
+        # scipy.linalg.solve and svdvals wake a BLAS worker thread
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy.linalg.solve or svdvals called")
+
+        a, d, trans = random_transformed((1, 2), 0.3 - 0.2j, 2, 0)
+        monkeypatch.setattr(la, "solve", refuse)
+        monkeypatch.setattr(la, "svdvals", refuse)
+        red = reduce(a, d, trans)
+        t, dt = trans.full, np.block([[red.pair.d11, red.d12], [red.d21, red.d22]])
+        assert np.linalg.norm(t @ dt - d @ t) <= 1e-12 * np.linalg.norm(d @ t)
+
     def test_invalid_singular_basis(self):
         a, trans = j2_plus_scalar()
         bad = SpectralTransformation(
