@@ -32,7 +32,8 @@ print("\npredicted lambda ~ t^(1/4) * mu   vs   dense eigensolver:")
 expansion = jp.eigenvalue_expansions(reduced)[0]
 print(f"{'t':>10} {'max |predicted - oracle|':>28}")
 for t in (1e-2, 1e-4, 1e-6, 1e-8):
-    observed = jp.oracle_eigs(pair.a_matrix(), pair.d11, t, 0.0, radius_exponent=1 / 5)
+    w = np.linalg.eigvals(pair.a_matrix() + t * pair.d11)
+    observed = w[np.abs(w) <= 10 * t ** (1 / 5)]  # the eigenvalues that split off lambda0 = 0
     _, err = jp.match_eigenvalues(expansion.predict(t), observed)
     print(f"{t:10.0e} {err:28.3e}")
 

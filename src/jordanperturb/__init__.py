@@ -38,7 +38,7 @@ from .first_order import (
     solve_riccati,
     theta_perturbation,
 )
-from .verify import ConvergenceReport, SweepPlan, match_eigenvalues, oracle_eigs, slope_fit, verify_all
+from .verify import ConvergenceReport, SweepPlan, match_eigenvalues, slope_fit, verify_all
 from .generator import CaseSpec, KnownCase, generate, known_case
 
 __version__ = "0.1.0"
@@ -76,7 +76,6 @@ __all__ = [
     "solve_riccati",
     "SweepPlan",
     "ConvergenceReport",
-    "oracle_eigs",
     "match_eigenvalues",
     "slope_fit",
     "verify_all",

@@ -55,17 +55,13 @@ RICCATI_MAX_ITER = 200
 class ComplementPair:
     """Right/left bases splitting Theta_rho into Omega and its complement.
 
-    ``psi`` and ``psi_c`` stack to the exact inverse of [phi phi_c]; ``m`` and
-    ``m_c`` are the block-diagonal inverse power-sum normalizers behind it.
-    All are slices of the pencil's branch table ``ReducedPencil.branches``.
+    ``omega_c`` is the block-diagonal Omega_c of the unselected branches and
+    ``phi_c`` their right basis; ``psi`` and ``psi_c`` stack to the exact
+    inverse of [phi phi_c].  All are slices of the pencil's branch table
+    ``ReducedPencil.branches``; the normalizers M and M_c enter through psi.
     """
 
-    q2: np.ndarray = field(repr=False)
     omega_c: np.ndarray = field(repr=False)
-    q1t: np.ndarray = field(repr=False)
-    q2t: np.ndarray = field(repr=False)
-    m: np.ndarray = field(repr=False)
-    m_c: np.ndarray = field(repr=False)
     psi: np.ndarray = field(repr=False)
     psi_c: np.ndarray = field(repr=False)
     phi_c: np.ndarray = field(repr=False)
@@ -123,9 +119,7 @@ def complement_pair(reduced: ReducedPencil, sel: SubspaceSelection) -> Complemen
                 raise SingularNormalizer(f"power-sum normalizer {name} is singular")
 
     return ComplementPair(
-        q2=tab.phi[: reduced.s_rho.shape[0], cc], omega_c=tab.omega[np.ix_(cc, cc)],
-        q1t=tab.qt[c], q2t=tab.qt[cc], m=tab.m_inv[np.ix_(c, c)], m_c=tab.m_inv[np.ix_(cc, cc)],
-        psi=tab.psi[c], psi_c=tab.psi[cc], phi_c=tab.phi[:, cc],
+        omega_c=tab.omega[np.ix_(cc, cc)], psi=tab.psi[c], psi_c=tab.psi[cc], phi_c=tab.phi[:, cc]
     )
 
 

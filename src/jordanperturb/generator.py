@@ -33,9 +33,9 @@ class CaseSpec:
     ensure_distinct_gammas: bool = False
 
 
-def _distinct_gammas(pair: CanonicalPair, tol_rel: float = 1e-3) -> bool:
+def _distinct_gammas(pair: CanonicalPair) -> bool:
     """True when, for every rho with s_rho > 0, the eigenvalues of S_rho are
-    pairwise separated relative to their spread."""
+    pairwise more than 1e-3 times their largest modulus apart."""
     for rho in pair.structure.valid_rhos():
         reduced = reduce_pencil(assemble_pencil(pair, rho))
         vals = cl.eig(reduced.s_rho)
@@ -45,7 +45,7 @@ def _distinct_gammas(pair: CanonicalPair, tol_rel: float = 1e-3) -> bool:
         gap = min(
             abs(vals[i] - vals[j]) for i in range(vals.size) for j in range(i + 1, vals.size)
         )
-        if gap <= tol_rel * scale:
+        if gap <= 1e-3 * scale:
             return False
     return True
 
@@ -145,7 +145,7 @@ def known_case(name: str) -> KnownCase:
         w = np.linalg.eigvals(a + t_ref * pair.d11)
         expected = {
             "t_ref": t_ref,
-            "oracle_eigs_at_t_ref": np.sort_complex(w),
+            "eigenvalues_at_t_ref": np.sort_complex(w),
             "valid_rhos": st.valid_rhos(),
         }
         return KnownCase(name=name, a=a, d=pair.d11, structure=st, expected=expected)

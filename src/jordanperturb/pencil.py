@@ -136,8 +136,7 @@ class AssembledPencil:
     """The polynomial pencil mu(U + z E_U) - (V + E_V(z)) for one rho.
 
     ``ev_coeffs`` maps each exponent e >= 1 to the coefficient matrix of
-    z^e in E_V(z); ``ev_orders`` records per entry the leading exponent
-    (0 marks entries with no z-dependence at all).
+    z^e in E_V(z).
     """
 
     pair: CanonicalPair
@@ -146,7 +145,6 @@ class AssembledPencil:
     eu: np.ndarray = field(repr=False)
     v0: np.ndarray = field(repr=False)
     ev_coeffs: dict = field(repr=False)
-    ev_orders: np.ndarray = field(repr=False)
     scaling: ScalingPair = field(repr=False)
 
     def u_of(self, z: float) -> np.ndarray:
@@ -197,14 +195,11 @@ def assemble_pencil(pair: CanonicalPair, rho: int) -> AssembledPencil:
     d = pair.d11
     exps = rho + left[:, None] + right[None, :]
     v0 = pair.nilpotent + np.where(exps == 0, d, 0)
-    # One masked copy of D11 per exponent that carries a nonzero entry;
-    # ev_orders is 0 where E_V(z) is identically zero.
-    ev_orders = np.where((exps != 0) & (d != 0), exps, 0)
-    ev_coeffs = {int(e): np.where(exps == e, d, 0) for e in np.unique(ev_orders[ev_orders != 0])}
+    # One masked copy of D11 per exponent that carries a nonzero entry.
+    ev_coeffs = {int(e): np.where(exps == e, d, 0) for e in np.unique(exps[(exps != 0) & (d != 0)])}
 
     out = AssembledPencil(
-        pair=pair, rho=rho, u0=u0, eu=eu, v0=v0, ev_coeffs=ev_coeffs,
-        ev_orders=ev_orders, scaling=scaling,
+        pair=pair, rho=rho, u0=u0, eu=eu, v0=v0, ev_coeffs=ev_coeffs, scaling=scaling,
     )
     if st.dim:
         for z in (1e-1, 1e-2):
@@ -234,23 +229,21 @@ class BranchTable:
     block of ``clusters[i]`` and w_b the rotation that takes R's eigenvalues to
     root b of :func:`scalar_roots` of gamma_i, owns the columns
     ``columns[(i, b)]``, in (cluster, branch) order, of phi_ib = [Q_i omega^j]_j
-    (j = 0..rho-1) and the same rows of Qt_i and of psi_ib =
-    M_ib^-1 [omega^(rho-1-j) Qt_i]_j, with M_ib = sum_j omega^(rho-1-j) Qt_i Q_i
-    omega^j.  ``omega`` and ``m_inv`` are block diagonal, ``lam`` holds
-    Lambda(omega) under the same columns, ``sigma[(i, b)]`` = (sigma_min(M_ib),
-    ||M_ib||_F) and ``roots[i, b]`` = ``scalar_roots(gamma_i, rho)[b]``.  A
-    cluster's entries are filled in when :meth:`cols` first names its branches,
-    so a cluster with no rho-th root (a singular S11) fails only the calls that
-    need it, with :class:`MatrixRootFailure`.
+    (j = 0..rho-1) and the same rows of psi_ib = M_ib^-1 [omega^(rho-1-j) Qt_i]_j,
+    with M_ib = sum_j omega^(rho-1-j) Qt_i Q_i omega^j.  ``omega`` is block
+    diagonal, ``lam`` holds Lambda(omega) under the same columns,
+    ``sigma[(i, b)]`` = (sigma_min(M_ib), ||M_ib||_F) and ``roots[i, b]`` =
+    ``scalar_roots(gamma_i, rho)[b]``; M_ib and Qt_i enter through psi alone.
+    A cluster's entries are filled in when :meth:`cols` first names its
+    branches, so a cluster with no rho-th root (a singular S11) fails only the
+    calls that need it, with :class:`MatrixRootFailure`.
     """
 
     clusters: tuple = field(repr=False)
     columns: dict = field(repr=False)
     phi: np.ndarray = field(repr=False)
     psi: np.ndarray = field(repr=False)
-    qt: np.ndarray = field(repr=False)
     omega: np.ndarray = field(repr=False)
-    m_inv: np.ndarray = field(repr=False)
     lam: np.ndarray = field(repr=False)
     roots: np.ndarray = field(repr=False)
     sigma: dict = field(default_factory=dict, repr=False)
@@ -265,8 +258,8 @@ class BranchTable:
         return cls(
             clusters=tuple(clusters), roots=roots.reshape(-1, rho),
             columns={p: np.arange(a, z) for p, a, z in zip(pairs, ends, ends[1:])},
-            phi=cl.zeros(n, n), psi=cl.zeros(n, n), qt=cl.zeros(n, s_dim),
-            omega=cl.zeros(n, n), m_inv=cl.zeros(n, n), lam=np.zeros(n, dtype=np.complex128),
+            phi=cl.zeros(n, n), psi=cl.zeros(n, n), omega=cl.zeros(n, n),
+            lam=np.zeros(n, dtype=np.complex128),
         )
 
     def _fill(self, ci: int):
@@ -288,19 +281,17 @@ class BranchTable:
             raise MatrixRootFailure(f"matrix root residual {res:.3e} too large")
         pw = [np.linalg.matrix_power(root, j) for j in range(rho)]
         mm = sum(pw[-1 - j] @ cb.qt @ cb.q @ pw[j] for j in range(rho))
-        m_inv = np.linalg.inv(mm)
         sigma = (cl.smallest_singular_value(mm), cl.frob(mm))
         phi = np.vstack([cb.q @ p for p in pw])
-        psi = m_inv @ np.hstack([p @ cb.qt for p in pw[::-1]])
+        psi = np.linalg.inv(mm) @ np.hstack([p @ cb.qt for p in pw[::-1]])
         lam_root = cl.eig(root)
         s_dim = cb.q.shape[0]
         for b, w in enumerate(_branch_rotations(cb.gamma, rho)[1]):
             c = self.columns[(ci, b)]
             wj = np.repeat(w ** np.arange(rho), s_dim)  # w_b^j on block j
             self.omega[np.ix_(c, c)] = w * root
-            self.m_inv[np.ix_(c, c)] = m_inv / w ** (rho - 1)
             self.phi[:, c], self.psi[c] = wj[:, None] * phi, psi / wj
-            self.qt[c], self.lam[c] = cb.qt, w * lam_root
+            self.lam[c] = w * lam_root
             self.sigma[(ci, b)] = sigma
 
     def cols(self, pairs) -> np.ndarray:
@@ -360,7 +351,8 @@ class ReducedPencil:
     M[:, col_order]).  G is the identity except for ``g_block``, the
     shat_{rho+1} x (n1 + n2) block in the eigenvector rows and the g1/g2
     columns that holds G^(rho)_j at the leading sub-column of each block
-    j <= rho.  What derives from the pencil alone (``clusters``, ``branches``,
+    j <= rho.  ``s_rho`` is the core S_rho, the only S_i formed; no W_i is
+    kept.  What derives from the pencil alone (``clusters``, ``branches``,
     ``branch_delta``, ``branch_lift``, ``series``) is computed on first use,
     once per pencil.
     """
@@ -368,11 +360,6 @@ class ReducedPencil:
     assembled: AssembledPencil
     rho: int
     s_rho: np.ndarray = field(repr=False)
-    s_blocks: tuple = field(repr=False)      # S_1..S_rho
-    g_blocks: tuple = field(repr=False)      # G^(rho)_1..G^(rho)_rho
-    w_rho: np.ndarray = field(repr=False)
-    w_rho_next: np.ndarray = field(repr=False)
-    w_cross: np.ndarray = field(repr=False)  # W_{rho,rho+1}
     row_order: np.ndarray = field(repr=False)
     col_order: np.ndarray = field(repr=False)
     g_block: np.ndarray = field(repr=False)
@@ -572,19 +559,20 @@ def _permutations(structure: JordanStructure, rho: int) -> tuple[np.ndarray, np.
 
 
 def reduce_pencil(p: AssembledPencil) -> ReducedPencil:
-    """Permute and eliminate the z = 0 pencil, extracting Theta_rho and S_i.
+    """Permute and eliminate the z = 0 pencil, extracting Theta_rho and S_rho.
 
-    Requires W_{rho+1} to be invertible (vacuous when rho = k); raises
-    :class:`SingularW` otherwise.  The eliminated pencil splits into zero
-    eigenvalues (V11 nilpotent), Lambda(Theta_rho), and infinite eigenvalues.
+    G^(rho)_j = -W_{rho+1}^-1 Z_{rho+1,j} for j = 1..rho and
+    S_rho = B^(rho rho)_{rho 1} + W_{rho,rho+1} G^(rho)_rho.  Requires W_{rho+1}
+    to be invertible (vacuous when rho = k); raises :class:`SingularW`
+    otherwise.  The eliminated pencil splits into zero eigenvalues (V11
+    nilpotent), Lambda(Theta_rho), and infinite eigenvalues.
     """
     pair = p.pair
     st = pair.structure
     rho = p.rho
     k = st.k
-    shat_next = st.shat(rho + 1)
 
-    if rho < k and shat_next > 0:
+    if rho < k:
         w_next = w_matrix(pair, rho + 1)
         sigma = cl.smallest_singular_value(w_next)
         scale = max(cl.frob(pair.d11), 1e-300)
@@ -593,44 +581,29 @@ def reduce_pencil(p: AssembledPencil) -> ReducedPencil:
                 f"W_{rho + 1} has sigma_min {sigma:.3e} <= {GENERIC_THRESHOLD:.1e} * ||D11||; "
                 "the generic condition fails"
             )
-    else:
-        w_next = cl.zeros(0, 0)
-
-    # Z_{rho+1,j} stacks the leading-column blocks of every row group below rho.
-    def z_block(j: int) -> np.ndarray:
-        parts = [block(pair, pp, j, pp, 1) for pp in range(rho + 1, k + 1)]
-        return np.vstack(parts) if parts else cl.zeros(0, st.s(j))
-
-    g_blocks = tuple(
-        -np.linalg.solve(w_next, z_block(j)) if shat_next else cl.zeros(0, st.s(j)) for j in range(1, rho + 1)
-    )
 
     row_order, col_order = _permutations(st, rho)
     n1 = sum(i * st.s(i) for i in range(1, rho))
     n2 = rho * st.s(rho)
-    g_block = cl.zeros(shat_next, n1 + n2)
+    g_block = cl.zeros(st.shat(rho + 1), n1 + n2)
     for j in range(1, rho + 1):
+        # Z_{rho+1,j} stacks the leading-column blocks of every row group below rho.
+        z = [block(pair, pp, j, pp, 1) for pp in range(rho + 1, k + 1)]
+        g = -np.linalg.solve(w_next, np.vstack(z)) if z else cl.zeros(0, st.s(j))
         start = pair.index.offset(j, 1)
-        g_block[:, start : start + st.s(j)] = g_blocks[j - 1]
+        g_block[:, start : start + st.s(j)] = g
 
-    w_cross = (
+    # cross = W_{rho,rho+1}; g is G^(rho)_rho after the loop.
+    cross = (
         np.hstack([block(pair, rho, q, rho, 1) for q in range(rho + 1, k + 1)])
         if rho < k
         else cl.zeros(st.s(rho), 0)
-    )
-    s_blocks = tuple(
-        block(pair, rho, i, rho, 1) + w_cross @ g_blocks[i - 1] for i in range(1, rho + 1)
     )
 
     return ReducedPencil(
         assembled=p,
         rho=rho,
-        s_rho=s_blocks[rho - 1],
-        s_blocks=s_blocks,
-        g_blocks=g_blocks,
-        w_rho=w_matrix(pair, rho),
-        w_rho_next=w_next,
-        w_cross=w_cross,
+        s_rho=block(pair, rho, rho, rho, 1) + cross @ g,
         row_order=row_order,
         col_order=col_order,
         g_block=g_block,
@@ -647,14 +620,13 @@ def theta_spectrum(r: ReducedPencil) -> np.ndarray:
     return sort_complex(cl.eig(r.theta))
 
 
-def finite_pencil_eigs(
-    pair: CanonicalPair, rho: int, threshold: float = GENERIC_THRESHOLD
-) -> np.ndarray:
+def finite_pencil_eigs(pair: CanonicalPair, rho: int) -> np.ndarray:
     """The s_rho finite eigenvalues of gamma*diag(I_{s_rho}, 0) - W_rho.
 
     Computed directly from the generalized eigenvalue problem (independent
     of the Theta_rho route); under the generic condition these coincide with
-    the eigenvalues of S_rho.
+    the eigenvalues of S_rho.  Raises :class:`SingularW` when one of them has
+    a relative weight |beta| / (|alpha| + |beta|) below ``GENERIC_THRESHOLD``.
     """
     st = pair.structure
     if not 1 <= rho <= st.k:
@@ -672,7 +644,7 @@ def finite_pencil_eigs(
     weight = np.abs(beta) / (np.abs(alpha) + np.abs(beta) + 1e-300)
     order = np.argsort(weight)[::-1]
     take = order[:s_rho]
-    if np.any(weight[take] < threshold):
+    if np.any(weight[take] < GENERIC_THRESHOLD):
         raise SingularW(
             "pencil has fewer well-defined finite eigenvalues than s_rho; "
             "W_{rho+1} is numerically singular"

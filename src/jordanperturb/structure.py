@@ -216,15 +216,15 @@ def w_matrix(pair: CanonicalPair, i: int) -> np.ndarray:
     return w
 
 
-def check_generic(pair: CanonicalPair, threshold: float = GENERIC_THRESHOLD) -> GenericityReport:
+def check_generic(pair: CanonicalPair) -> GenericityReport:
     """Compute sigma_min(W_i) for every i and test the generic condition.
 
-    Generic means every W_i clears ``threshold * ||D11||_F``.  A void block
-    row (s_i = 0) only shrinks W_i; W_i itself is never empty since s_k > 0.
+    Generic means every W_i clears ``GENERIC_THRESHOLD * ||D11||_F``.  A void
+    block row (s_i = 0) only shrinks W_i; W_i itself is never empty since s_k > 0.
     """
     scale = cl.frob(pair.d11)
     sigmas = []
     for i in range(1, pair.structure.k + 1):
         sigmas.append(cl.smallest_singular_value(w_matrix(pair, i)))
-    generic = bool(scale > 0 and all(s > threshold * scale for s in sigmas))
-    return GenericityReport(sigma_min=tuple(sigmas), generic=generic, threshold=threshold)
+    generic = bool(scale > 0 and all(s > GENERIC_THRESHOLD * scale for s in sigmas))
+    return GenericityReport(sigma_min=tuple(sigmas), generic=generic, threshold=GENERIC_THRESHOLD)

@@ -36,13 +36,12 @@ from . import core_linalg as cl
 from .errors import CardinalityMismatch, InsufficientSamples, NoConvergence
 from .expansion import eigenvalue_expansions, h_order_table, select_subspace
 from .first_order import complement_pair, first_order_expansion, solve_riccati
-from .pencil import assemble_pencil, check_separated, reduce_pencil, sort_complex
+from .pencil import assemble_pencil, check_separated, reduce_pencil
 from .structure import CanonicalPair
 
 __all__ = [
     "SweepPlan",
     "ConvergenceReport",
-    "oracle_eigs",
     "match_eigenvalues",
     "slope_fit",
     "verify_all",
@@ -122,21 +121,6 @@ class ConvergenceReport:
             "note": self.note,
             "samples": [[num(t), num(e)] for t, e in self.samples],
         }
-
-
-def oracle_eigs(a, d, t: float, lambda0: complex, radius_exponent: float) -> np.ndarray:
-    """Eigenvalues of a + t*d within 10 t^radius_exponent of lambda0.
-
-    Sorted by argument of (lambda - lambda0), then modulus.  A small
-    eps-level floor keeps the t = 0 case meaningful.
-    """
-    a = cl.as_matrix(a, "a")
-    d = cl.as_matrix(d, "d")
-    w = cl.eig(a + t * d)
-    radius = 10.0 * t**radius_exponent if t > 0 else 0.0
-    radius = max(radius, FLOOR_FACTOR * cl.EPS * (1.0 + cl.frob(a)))
-    keep = w[np.abs(w - lambda0) <= radius]
-    return sort_complex(keep - lambda0) + lambda0
 
 
 def match_eigenvalues(predicted, observed):
@@ -226,7 +210,6 @@ def slope_fit(
     claimed: float,
     scale: float = 1.0,
     slack: float = DEFAULT_SLACK,
-    r2_min: float = DEFAULT_R2,
     quantity: str = "quantity",
     note: str = "",
 ) -> ConvergenceReport:
@@ -236,6 +219,7 @@ def slope_fit(
     a note that names those samples.  Otherwise samples with error below
     ``100 * eps * scale`` are dropped as floor-limited; at least
     ``MIN_SAMPLES`` must survive or :class:`InsufficientSamples` is raised.
+    The fit passes at slope >= ``claimed - slack`` and r^2 >= ``DEFAULT_R2``.
     """
     samples = [(float(t), float(e)) for t, e in samples]
     bad = [f"{e} at t={t:.3e}" for t, e in samples if not np.isfinite(e)]
@@ -256,7 +240,7 @@ def slope_fit(
     ss_res = float(np.sum((le - pred) ** 2))
     ss_tot = float(np.sum((le - le.mean()) ** 2))
     r2 = 1.0 if ss_tot < 1e-30 else 1.0 - ss_res / ss_tot
-    passed = bool(slope >= claimed - slack and r2 >= r2_min)
+    passed = bool(slope >= claimed - slack and r2 >= DEFAULT_R2)
     return ConvergenceReport(quantity, float(claimed), float(slope), r2, passed, tuple(samples), note=note)
 
 

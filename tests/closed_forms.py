@@ -17,8 +17,13 @@ pencil's constant basis ``ReducedPencil.x0``; the displayed form
 ``XiTilde_rho [I; G_rho] Q1`` and the block layout of X0 are built here from
 the block index map alone.
 
-The sub-blocks G_ij of the elimination G (``g_sub``) and the residual of the
-reduced pencil identity (``reduced_identity_residual``) are read only here.
+The reduced pencil keeps G only as one block of G - I and S_rho only as
+the core; the display objects are built here from ``structure.w_matrix`` and
+``structure.block``: W_rho, W_{rho+1} and W_{rho,rho+1} (``w_blocks``), each
+G^(rho)_j from its own solve with W_{rho+1} (``g_blocks``, with sub-blocks
+G_ij in ``g_sub``) and S_i = B_{rho,i} + W_{rho,rho+1} G_i (``s_blocks``).
+The residual of the reduced pencil identity (``reduced_identity_residual``)
+is read only here.
 
 The verifier reads the exact subspace basis off one ordered Schur form of
 Theta-hat(z); ``fixed_point_subspace_basis`` finds the same invariant
@@ -29,7 +34,12 @@ sequence and one normalizer; ``branch_table_by_branch`` forms each branch
 from its own root (``branch_root``: scipy's ``fractional_matrix_power`` of
 S11 and a root of unity read off ``scalar_roots``), powers and normalizer.
 ``first_order_expansion`` reads H1 off lifted bases cached per pencil;
-``h1_by_lift`` lifts each selection's basis directly.
+``h1_by_lift`` lifts each selection's basis directly.  The complement's
+right and left Schur bases Q2, Qt and the power-sum normalizers M and M_c
+of a selection are formed only in ``complement_pair_union``.
+
+``oracle_eigs`` is the tests' dense eigenvalue filter: the eigenvalues of
+A + tD near lambda0, from ``numpy.linalg.eigvals``.
 """
 
 import numpy as np
@@ -38,7 +48,56 @@ import scipy.linalg as la
 from jordanperturb import core_linalg as cl
 from jordanperturb.errors import NoConvergence
 from jordanperturb.pencil import left_exponent, right_exponent, scalar_roots
-from jordanperturb.structure import block
+from jordanperturb.structure import block, w_matrix
+
+
+def oracle_eigs(a, d, t, lambda0, radius_exponent):
+    """Eigenvalues of a + t*d within 10 t^radius_exponent of lambda0, sorted by
+    argument of (lambda - lambda0), then modulus.  A radius of at least
+    100 eps (1 + ||a||_F) keeps the t = 0 case meaningful."""
+    a, d = np.asarray(a, dtype=complex), np.asarray(d, dtype=complex)
+    w = np.linalg.eigvals(a + t * d)
+    radius = 10.0 * t**radius_exponent if t > 0 else 0.0
+    radius = max(radius, 100.0 * np.finfo(float).eps * (1.0 + np.linalg.norm(a)))
+    keep = w[np.abs(w - lambda0) <= radius] - lambda0
+    return keep[np.lexsort((np.abs(keep), np.angle(keep)))] + lambda0
+
+
+def w_blocks(reduced):
+    """(W_rho, W_{rho+1}, W_{rho,rho+1}) for the pencil's rho, so that
+    W_rho = [[B_{rho,rho}, W_{rho,rho+1}], [Z_{rho+1,rho}, W_{rho+1}]];
+    at rho = k, W_{rho+1} is 0 x 0 and W_{rho,rho+1} is s_rho x 0."""
+    pair, rho = reduced.pair, reduced.rho
+    st = pair.structure
+    if rho == st.k:
+        return w_matrix(pair, rho), cl.zeros(0, 0), cl.zeros(st.s(rho), 0)
+    cross = np.hstack([block(pair, rho, q, rho, 1) for q in range(rho + 1, st.k + 1)])
+    return w_matrix(pair, rho), w_matrix(pair, rho + 1), cross
+
+
+def g_blocks(reduced):
+    """[G^(rho)_1, ..., G^(rho)_rho]: G_j = -W_{rho+1}^-1 Z_{rho+1,j}, one LAPACK
+    ``gesv`` per j, with Z_{rho+1,j} = [B^{(pj)}_{p1}]_{p > rho}; each has no
+    rows at rho = k.  The library calls the same driver on the same operands,
+    so the displays built from these blocks match its constant terms bit for
+    bit."""
+    pair, rho = reduced.pair, reduced.rho
+    st = pair.structure
+    if rho == st.k:
+        return [cl.zeros(0, st.s(j)) for j in range(1, rho + 1)]
+    w_next = w_blocks(reduced)[1]
+    return [
+        -np.linalg.solve(w_next, np.vstack([block(pair, p, j, p, 1) for p in range(rho + 1, st.k + 1)]))
+        for j in range(1, rho + 1)
+    ]
+
+
+def s_blocks(reduced):
+    """[S_1, ..., S_rho]: S_i = B_{rho,i} + W_{rho,rho+1} G^(rho)_i, with
+    B_{rho,i} = B^{(rho i)}_{rho 1}; S_rho is the core of the pencil."""
+    pair, rho = reduced.pair, reduced.rho
+    cross = w_blocks(reduced)[2]
+    return [block(pair, rho, i, rho, 1) + cross @ g for i, g in enumerate(g_blocks(reduced), start=1)]
 
 
 def xi_tilde(pair, rho, xi=None, col=1):
@@ -58,7 +117,7 @@ def g_sub(reduced, i, j):
     """G_{ij}: the s_i x s_j sub-block of G^(rho)_j for i > rho."""
     st = reduced.structure
     start = sum(st.s(p) for p in range(reduced.rho + 1, i))
-    return reduced.g_blocks[j - 1][start : start + st.s(i), :]
+    return g_blocks(reduced)[j - 1][start : start + st.s(i), :]
 
 
 def reduced_identity_residual(reduced, z, mu):
@@ -72,7 +131,7 @@ def reduced_identity_residual(reduced, z, mu):
 def eigvec_stack(reduced):
     """[I_{s_rho}; G_rho^(rho)]: pencil eigenvector coordinates over XiTilde_rho."""
     s_rho = reduced.structure.s(reduced.rho)
-    return np.vstack([cl.eye(s_rho), reduced.g_blocks[reduced.rho - 1]])
+    return np.vstack([cl.eye(s_rho), g_blocks(reduced)[reduced.rho - 1]])
 
 
 def gtilde_matrix(reduced):
@@ -100,7 +159,7 @@ def bhat(reduced, j, ell, i):
     b = block(pair, j, ell, i, 1)
     if k > rho and st.shat(rho + 1) > 0:
         tail = np.hstack([block(pair, j, q, i, 1) for q in range(rho + 1, k + 1)])
-        b = b + tail @ reduced.g_blocks[ell - 1]
+        b = b + tail @ g_blocks(reduced)[ell - 1]
     return b
 
 
@@ -147,10 +206,10 @@ def closed_form_x_blocks(reduced):
                 ci -= block(pair, i, j, i, 2) @ g_sub(reduced, j, rho)
         ct_rows.append(ci)
     c_tilde = np.vstack(ct_rows) if ct_rows else cl.zeros(0, s_rho)
-    c_hat = la.solve(reduced.w_rho_next, c_tilde) if shat else cl.zeros(0, s_rho)
+    c_hat = la.solve(w_blocks(reduced)[1], c_tilde) if shat else cl.zeros(0, s_rho)
     c_cor = c_hat
     if s(rho - 1) > 0 and shat:
-        c_cor = c_hat + reduced.g_blocks[rho - 2] @ _solve_right_s_rho(
+        c_cor = c_hat + g_blocks(reduced)[rho - 2] @ _solve_right_s_rho(
             reduced, bhat(reduced, rho - 1, rho, rho - 1)
         )
 
@@ -201,11 +260,11 @@ def hatb_terms(reduced):
     if st.s(rho - 1):
         bh = bhat(reduced, rho - 1, rho, rho - 1)
         terms["b_prev1_prev_rho"] = bh
-        b2 = b2 + reduced.s_blocks[rho - 2] @ _solve_right_s_rho(reduced, bh)
+        b2 = b2 + s_blocks(reduced)[rho - 2] @ _solve_right_s_rho(reduced, bh)
     if k > rho:
         c_hat = closed_form_x_blocks(reduced)[3]
         tail = np.hstack([block(pair, rho, q, rho, 2) for q in range(rho + 1, k + 1)])
-        b2 = b2 + reduced.w_cross @ c_hat + tail @ reduced.g_blocks[rho - 1]
+        b2 = b2 + w_blocks(reduced)[2] @ c_hat + tail @ g_blocks(reduced)[rho - 1]
     terms["b_rho2_rho_rho"] = b2
     return terms
 
@@ -317,7 +376,7 @@ def fixed_point_subspace_basis(ric, sel, comp, tol_rel=1e-13, max_iter=100):
 
 
 def assemble_pencil_blocks(pair, rho):
-    """(u0, eu, v0, ev_coeffs, ev_orders) of the pencil for rho, filed block by
+    """(u0, eu, v0, ev_coeffs) of the pencil for rho, filed block by
     block: the z-exponent of sub-block (i, l; j, m) of D11 is
     rho + left_exponent(i, l) + right_exponent(j, m)."""
     st = pair.structure
@@ -357,10 +416,7 @@ def assemble_pencil_blocks(pair, rho):
                         ev_coeffs.setdefault(e, cl.zeros(mdim, mdim))[rows, cols] += b
 
     ev_coeffs = {e: c for e, c in ev_coeffs.items() if cl.frob(c) > 0.0}
-    ev_orders = np.zeros((mdim, mdim), dtype=np.int64)
-    for e in sorted(ev_coeffs, reverse=True):
-        ev_orders[ev_coeffs[e] != 0] = e
-    return u0, eu, v0, ev_coeffs, ev_orders
+    return u0, eu, v0, ev_coeffs
 
 
 def complement_pair_union(reduced, sel):
@@ -423,7 +479,7 @@ def branch_root(reduced, ci, b):
 
 
 def branch_table_by_branch(reduced):
-    """{(cluster, branch): {"omega", "phi", "psi", "m_inv", "lam", "sigma"}}, the
+    """{(cluster, branch): {"omega", "phi", "psi", "lam", "sigma"}}, the
     entries of ``ReducedPencil.branches``, each branch from its own root
     omega = ``branch_root``: phi = [Q omega^j]_j, the power-sum
     normalizer M = sum_j omega^(rho-1-j) Qt Q omega^j, psi = M^-1
@@ -435,12 +491,10 @@ def branch_table_by_branch(reduced):
             om = branch_root(reduced, ci, b)
             pw = [np.linalg.matrix_power(om, j) for j in range(rho)]
             mm = sum(pw[-1 - j] @ cb.qt @ cb.q @ pw[j] for j in range(rho))
-            m_inv = np.linalg.inv(mm)
             out[(ci, b)] = {
                 "omega": om,
                 "phi": np.vstack([cb.q @ p for p in pw]),
-                "psi": m_inv @ np.hstack([p @ cb.qt for p in pw[::-1]]),
-                "m_inv": m_inv,
+                "psi": np.linalg.inv(mm) @ np.hstack([p @ cb.qt for p in pw[::-1]]),
                 "lam": np.linalg.eigvals(om),
                 "sigma": (la.svdvals(mm)[-1], np.linalg.norm(mm)),
             }

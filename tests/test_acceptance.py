@@ -20,7 +20,6 @@ from jordanperturb import (
     first_order_expansion,
     known_case,
     match_eigenvalues,
-    oracle_eigs,
     reduce,
     reduce_pencil,
     select_subspace,
@@ -29,7 +28,7 @@ from jordanperturb import (
     theta_spectrum,
     verify_all,
 )
-from closed_forms import reduced_identity_residual
+from closed_forms import g_blocks, oracle_eigs, reduced_identity_residual, w_blocks
 from conftest import fit_slope, suite_pairs
 
 
@@ -110,17 +109,18 @@ def test_criterion_2_pipeline_identities(suite_cases):
         for z, mu in [(1e-1, 0.37 + 0.21j), (1e-2, -0.53 + 0.11j)]:
             worst_id = max(worst_id, reduced_identity_residual(rp, z, mu))
         if rho < st.k:
+            w_rho, w_next, cross = w_blocks(rp)
             s_r = st.s(rho)
             shat = st.shat(rho + 1)
             top = np.block(
-                [[rp.s_rho, rp.w_cross], [np.zeros((shat, s_r)), rp.w_rho_next]]
+                [[rp.s_rho, cross], [np.zeros((shat, s_r)), w_next]]
             )
             low = np.block(
-                [[np.eye(s_r), np.zeros((s_r, shat))], [-rp.g_blocks[rho - 1], np.eye(shat)]]
+                [[np.eye(s_r), np.zeros((s_r, shat))], [-g_blocks(rp)[rho - 1], np.eye(shat)]]
             )
             worst_fact = max(
                 worst_fact,
-                np.linalg.norm(rp.w_rho - top @ low) / max(1.0, np.linalg.norm(rp.w_rho)),
+                np.linalg.norm(w_rho - top @ low) / max(1.0, np.linalg.norm(w_rho)),
             )
         from jordanperturb import finite_pencil_eigs
 

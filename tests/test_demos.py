@@ -1,13 +1,16 @@
-"""Every script in demos/ runs to the end (in-process, output discarded)."""
+"""Every script in demos/ and README's library quick start run to the end
+(in-process, output discarded)."""
 
 import contextlib
 import io
 import pathlib
+import re
 import runpy
 
 import pytest
 
-DEMOS = sorted((pathlib.Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_demos_found():
@@ -22,4 +25,14 @@ def test_demo_runs(path):
             runpy.run_path(str(path), run_name="__main__")
         except SystemExit as exc:
             assert exc.code in (None, 0)
+    assert out.getvalue()
+
+
+def test_readme_quick_start_runs():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    match = re.search(r"^## Library quick start\n.*?^```python\n(.*?)^```", text, re.S | re.M)
+    assert match, "README has no python block under '## Library quick start'"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(match.group(1), "README.md", "exec"), {"__name__": "__main__"})
     assert out.getvalue()

@@ -19,7 +19,7 @@ from jordanperturb.expansion import h_order_table
 from jordanperturb.first_order import complement_pair, semisimple_expansion
 from jordanperturb.verify import exact_subspace_basis
 
-from closed_forms import eigvec_stack, gtilde_matrix, xi_tilde
+from closed_forms import eigvec_stack, gtilde_matrix, w_blocks, xi_tilde
 from conftest import SUITE_SIZES, random_pair
 
 
@@ -270,7 +270,7 @@ class TestSelectSubspace:
                 sel = select_subspace(rp, lambda g: True, 0)
                 st = pair.structure
                 stack = eigvec_stack(rp) @ sel.q1
-                lhs = rp.w_rho @ stack
+                lhs = w_blocks(rp)[0] @ stack
                 proj = np.zeros_like(lhs)
                 proj[: st.s(rho), :] = stack[: st.s(rho), :] @ np.linalg.matrix_power(
                     sel.omega, rho

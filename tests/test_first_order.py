@@ -65,20 +65,22 @@ class TestComplementPair:
         pair, ap, rp = example1()
         sel = select_subspace(rp, lambda g: True, 1)  # mu = 1
         comp = complement_pair(rp, sel)
-        assert np.allclose(comp.q2, [[1.0, 1.0, 1.0]])
+        assert np.allclose(comp.phi_c[:1], [[1.0, 1.0, 1.0]])  # Q2, the first block row
         mus_c = np.diag(comp.omega_c)
         assert sorted(np.round(mus_c, 10), key=lambda z: np.angle(z)) == [
             pytest.approx(-1.0j),
             pytest.approx(1.0j),
             pytest.approx(-1.0),
         ]
-        assert np.allclose(comp.m, [[0.25]], atol=1e-12)
+        # M^-1 = M^-1 Qt Q, the last block column of psi times Q (Qt Q = I)
+        assert np.allclose(comp.psi[:, -1:] @ sel.phi[:1], [[0.25]], atol=1e-12)
+        assert np.allclose(complement_pair_union(rp, sel)["m"], [[0.25]], atol=1e-12)
 
     def test_whole_space_complement_empty(self):
         pair, ap, rp = example1()
         sel = select_subspace(rp, lambda g: True, [(0, 1, 2, 3)])
         comp = complement_pair(rp, sel)
-        assert comp.q2.shape == (1, 0) and comp.omega_c.shape == (0, 0)
+        assert comp.phi_c.shape == (4, 0) and comp.omega_c.shape == (0, 0)
         # psi rows are then the exact inverse of phi
         assert np.allclose(comp.psi, np.linalg.inv(sel.phi))
 
@@ -88,9 +90,12 @@ class TestComplementPair:
         rp = reduce_pencil(assemble_pencil(pair, 1))
         sel = select_subspace(rp, lambda g: abs(g - 1) < 0.5, 0)
         comp = complement_pair(rp, sel)
-        assert np.allclose(np.abs(comp.q2.ravel()), [0.0, 1.0])
+        assert np.allclose(np.abs(comp.phi_c.ravel()), [0.0, 1.0])  # Q2 at rho = 1
         assert np.allclose(comp.omega_c, [[4.0]])
-        assert np.allclose(comp.m, [[1.0]]) and np.allclose(comp.m_c, [[1.0]])
+        # at rho = 1, psi = M^-1 Qt, so M^-1 = psi Q
+        assert np.allclose(comp.psi @ sel.phi, [[1.0]]) and np.allclose(comp.psi_c @ comp.phi_c, [[1.0]])
+        ref = complement_pair_union(rp, sel)
+        assert np.allclose(ref["m"], [[1.0]]) and np.allclose(ref["m_c"], [[1.0]])
 
     @pytest.mark.parametrize("sizes", SUITE_SIZES)
     def test_biorthogonality(self, sizes):
@@ -113,7 +118,8 @@ class TestComplementPair:
         (cross terms included, ``closed_forms.complement_pair_union``).
 
         Both routes form the same exact quantities from the same Q_i, Qt_i
-        and omega blocks (q2, q1t, q2t and omega_c are equal bit for bit).
+        and omega blocks (Q2, the first block row of phi_c, and omega_c are
+        equal bit for bit).
         The rest takes at most rho products of matrices of order at most
         n = rho s_rho, each with a relative rounding of about n eps, and one
         inverse.  Psi = Phi^-1, and M^-1 is the last block column of psi
@@ -139,10 +145,11 @@ class TestComplementPair:
                     assert sel.chosen == ((ci, b),)
                     comp = complement_pair(rp, sel)
                     ref = complement_pair_union(rp, sel)
-                    for name, want in ref.items():
-                        got = getattr(comp, name)
+                    assert np.array_equal(comp.phi_c[: rp.s_rho.shape[0]], ref["q2"])
+                    for name in ("omega_c", "psi", "psi_c", "phi_c"):
+                        got, want = getattr(comp, name), ref[name]
                         assert got.shape == want.shape, name
-                        if name in ("q2", "q1t", "q2t", "omega_c"):
+                        if name == "omega_c":
                             assert np.array_equal(got, want), name
                         assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want), name
                     left = np.vstack([ref["psi"], ref["psi_c"]])
@@ -171,12 +178,14 @@ class TestComplementPair:
         pair = random_pair((1, 2), seed=2)
         rp = reduce_pencil(assemble_pencil(pair, 2))
         sel, comp = pick_cluster(rp)
+        ref = complement_pair_union(rp, sel)
+        q2, q1t, q2t = comp.phi_c[: rp.s_rho.shape[0]], ref["q1t"], ref["q2t"]
         rho = 2
         om_r = np.linalg.matrix_power(sel.omega, rho)
         omc_r = np.linalg.matrix_power(comp.omega_c, rho)
-        assert np.linalg.norm(rp.s_rho @ comp.q2 - comp.q2 @ omc_r) < 1e-10
-        assert np.linalg.norm(comp.q1t @ rp.s_rho - om_r @ comp.q1t) < 1e-10
-        assert np.linalg.norm(comp.q2t @ rp.s_rho - omc_r @ comp.q2t) < 1e-10
+        assert np.linalg.norm(rp.s_rho @ q2 - q2 @ omc_r) < 1e-10
+        assert np.linalg.norm(q1t @ rp.s_rho - om_r @ q1t) < 1e-10
+        assert np.linalg.norm(q2t @ rp.s_rho - omc_r @ q2t) < 1e-10
 
 
 def assert_matches_closed_form(rp, tol=1e-12):
@@ -330,7 +339,7 @@ class TestFirstOrderExpansion:
                 fo = first_order_expansion(rp, sel, comp)
                 stack = eigvec_stack(rp)
                 term23 = (
-                    xi_tilde(pair, rho, col=1) @ stack @ comp.q2 @ fo.y
+                    xi_tilde(pair, rho, col=1) @ stack @ complement_pair_union(rp, sel)["q2"] @ fo.y
                     + xi_tilde(pair, rho, col=2) @ stack @ sel.q1 @ sel.omega
                 )
                 mid_parts = []
@@ -588,7 +597,7 @@ class TestSemisimple:
         rp0 = reduce_pencil(assemble_pencil(pair0, 1))
         gamma = 1.0 + 0.5j
         d = pair0.d11.copy()
-        d[0:2, 0:2] += gamma * np.eye(2) - rp0.s_blocks[0]
+        d[0:2, 0:2] += gamma * np.eye(2) - rp0.s_rho  # S_1 at rho = 1
         pair = CanonicalPair(st, d)
         rp = reduce_pencil(assemble_pencil(pair, 1))
         assert np.linalg.norm(rp.s_rho - gamma * np.eye(2)) < 1e-12

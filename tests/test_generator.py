@@ -88,7 +88,7 @@ class TestKnownCase:
         assert case.expected["valid_rhos"] == [1, 2]
         t = case.expected["t_ref"]
         w = np.sort_complex(np.linalg.eigvals(case.a + t * case.d))
-        assert np.abs(w - case.expected["oracle_eigs_at_t_ref"]).max() < 1e-14
+        assert np.abs(w - case.expected["eigenvalues_at_t_ref"]).max() < 1e-14
         pair = CanonicalPair(case.structure, case.d)
         assert check_generic(pair).generic
 

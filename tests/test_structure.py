@@ -140,7 +140,7 @@ class TestCheckGeneric:
         d11 = np.zeros((4, 4), dtype=complex)
         d11[3, 0] = 1.0
         pair = CanonicalPair(JordanStructure(0.0, (0, 0, 0, 1)), d11)
-        rep = check_generic(pair, threshold=1e-8)
+        rep = check_generic(pair)
         assert rep.generic
         assert rep.sigma_min == (1.0, 1.0, 1.0, 1.0)
 

@@ -18,7 +18,6 @@ from jordanperturb import (
     complement_pair,
     generate,
     match_eigenvalues,
-    oracle_eigs,
     reduce_pencil,
     select_subspace,
     slope_fit,
@@ -28,7 +27,7 @@ from jordanperturb import (
 from jordanperturb.errors import CardinalityMismatch, InsufficientSamples, NoConvergence
 from jordanperturb.verify import _verdict, exact_subspace_basis
 
-from closed_forms import fixed_point_subspace_basis
+from closed_forms import fixed_point_subspace_basis, oracle_eigs
 from conftest import random_pair
 
 
