@@ -24,7 +24,6 @@ from .expansion import (
     SubspaceExpansion,
     SubspaceSelection,
     eigenvalue_expansions,
-    eigenvector_expansion,
     select_subspace,
     subspace_expansion,
 )
@@ -34,7 +33,6 @@ from .first_order import (
     ThetaPerturbation,
     complement_pair,
     first_order_expansion,
-    semisimple_expansion,
     solve_riccati,
     theta_perturbation,
 )
@@ -65,14 +63,12 @@ __all__ = [
     "eigenvalue_expansions",
     "select_subspace",
     "subspace_expansion",
-    "eigenvector_expansion",
     "ComplementPair",
     "RiccatiSolution",
     "ThetaPerturbation",
     "complement_pair",
     "theta_perturbation",
     "first_order_expansion",
-    "semisimple_expansion",
     "solve_riccati",
     "SweepPlan",
     "ConvergenceReport",

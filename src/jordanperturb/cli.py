@@ -28,8 +28,6 @@ from .errors import (
     InvalidTransformation,
     JordanPerturbError,
     MatrixRootFailure,
-    NotSemisimple,
-    NotSimple,
     ParseError,
     SingularW,
     SpectraOverlap,
@@ -52,8 +50,6 @@ _PRECONDITION_ERRORS = (
     SingularW,
     ClusterNotSeparated,
     InvalidTransformation,
-    NotSemisimple,
-    NotSimple,
     MatrixRootFailure,
     SpectraOverlap,
     UnknownCase,
@@ -123,8 +119,8 @@ def json_to_matrix(rows, what: str) -> np.ndarray:
         )
     except ValueError as exc:
         raise ParseError(f"{what} is ragged") from exc
-    if out.ndim != 2:
-        out = out.reshape(len(rows), -1)
+    if out.ndim != 2:  # [] parses to shape (0,): the 0x0 matrix
+        out = out.reshape(0, 0)
     return out
 
 

@@ -33,14 +33,6 @@ class MatrixRootFailure(JordanPerturbError):
     """A matrix root could not be computed (singular or ill-conditioned block)."""
 
 
-class NotSimple(JordanPerturbError):
-    """An operation requiring a simple eigenvalue was given a multiple one."""
-
-
-class NotSemisimple(JordanPerturbError):
-    """An eigenvalue is not semi-simple (geometric < algebraic multiplicity)."""
-
-
 class SingularNormalizer(JordanPerturbError):
     """A biorthogonal normalizer (M or M_c) is numerically singular."""
 

@@ -21,7 +21,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import core_linalg as cl
-from .errors import NotSimple
 from .pencil import CLUSTER_GAP_REL, ReducedPencil, check_separated
 from .structure import JordanStructure
 
@@ -33,7 +32,6 @@ __all__ = [
     "eigenvalue_expansions",
     "select_subspace",
     "subspace_expansion",
-    "eigenvector_expansion",
     "h_order_table",
     "CLUSTER_GAP_REL",
 ]
@@ -263,26 +261,3 @@ def subspace_expansion(
         h0=h0 if xi is None else cl.as_matrix(xi) @ h0,
         order_table=h_order_table(reduced.structure, reduced.rho),
     )
-
-
-def eigenvector_expansion(
-    reduced: ReducedPencil,
-    which: int,
-    root_index: int,
-    xi: np.ndarray | None = None,
-) -> SubspaceExpansion:
-    """Constant eigenvector term for a simple gamma of S_rho.
-
-    ``which`` indexes the argument-sorted eigenvalue clusters of S_rho; the
-    chosen cluster must be simple.  Returns the :func:`subspace_expansion` of
-    its root branch ``root_index``: ``h0 = X0 Phi = XiTilde_rho [phi; G phi]``
-    (times ``xi`` for a general problem) and ``omega = [[mu]]``.
-    """
-    bases = reduced.clusters
-    if not 0 <= which < len(bases):
-        raise ValueError(f"which={which} outside 0..{len(bases) - 1}")
-    cb = bases[which]
-    if cb.count != 1:
-        raise NotSimple(f"gamma={cb.gamma:.6g} has multiplicity {cb.count}")
-    sel = select_subspace(reduced, lambda g: g == cb.gamma, root_index)
-    return subspace_expansion(reduced, sel, xi)

@@ -32,8 +32,8 @@ import numpy as np
 import scipy.linalg as la
 
 from . import core_linalg as cl
-from .errors import NoConvergence, NotSemisimple, SingularNormalizer
-from .expansion import SubspaceExpansion, SubspaceSelection, select_subspace, subspace_expansion
+from .errors import NoConvergence, SingularNormalizer
+from .expansion import SubspaceExpansion, SubspaceSelection, subspace_expansion
 from .pencil import AssembledPencil, ReducedPencil, check_separated
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "coupling_series",
     "theta_perturbation",
     "first_order_expansion",
-    "semisimple_expansion",
     "solve_riccati",
 ]
 
@@ -85,7 +84,7 @@ class RiccatiSolution:
         r = self.reduced
         stack = np.vstack([self.x1, cl.eye(r.n2), self.x2])
         zc = np.asarray(self.z, dtype=np.complex128)
-        return (zc ** r.assembled.scaling.right_exponents)[:, None] * r.lift(stack)
+        return (zc ** r.assembled.right_exponents)[:, None] * r.lift(stack)
 
 
 def complement_pair(reduced: ReducedPencil, sel: SubspaceSelection) -> ComplementPair:
@@ -164,7 +163,11 @@ def first_order_expansion(
     The Theta perturbation is compressed through the biorthogonal pair:
     Delta11 and Delta21 are the rows and columns of the selection in
     ``ReducedPencil.branch_delta``, computed once per pencil.  The complement
-    coupling Y solves ``Omega_c Y - Y Omega + Delta21 = 0``.
+    coupling Y solves ``Omega_c Y - Y Omega + Delta21 = 0``.  A semi-simple
+    cluster with one branch selected (Omega = mu I) needs no separate path:
+    for rho >= 2 its Delta11 is the scalar closed form
+    (rho mu^(rho-2))^-1 Qt (Bhat_{rho-1,1} + Bhat_{rho,2}) Q, which the test
+    suite asserts.
 
     ``xi`` expresses H0 and H1 in the coordinates of a general problem
     (columns of the spectral transformation).  The cross-block coupling of a
@@ -192,37 +195,6 @@ def first_order_expansion(
         y=y,
         c_hat=reduced.theta_perturbation.c_hat,
     )
-
-
-def semisimple_expansion(
-    reduced: ReducedPencil,
-    gamma: complex,
-    root_index: int,
-    xi: np.ndarray | None = None,
-) -> SubspaceExpansion:
-    """Special case: gamma semi-simple with multiplicity r, Omega = mu I_r.
-
-    The :func:`first_order_expansion` of root branch ``root_index`` of the
-    cluster of S_rho at gamma.  Delta11 is the general biorthogonal
-    compression.  For rho >= 2 it coincides with the scalar closed form
-
-        Delta11 = (rho mu^(rho-2))^{-1} Qt (Bhat_{rho-1,1} + Bhat_{rho,2}) Q,
-
-    which the test suite asserts.  Raises :class:`NotSemisimple` when the
-    geometric multiplicity falls short.
-    """
-    cb = min(reduced.clusters, key=lambda cb: abs(cb.gamma - gamma))
-    tol = cb.tol
-    if abs(cb.gamma - gamma) > max(10 * tol, 1e-8 * max(1.0, abs(gamma))):
-        raise ValueError(f"gamma={gamma:.6g} is not an eigenvalue of S_rho")
-    svals = np.linalg.svd(reduced.s_rho - cb.gamma * cl.eye(reduced.s_rho.shape[0]), compute_uv=False)
-    geo = int(np.sum(svals < max(10 * tol, 1e-10 * max(1.0, float(svals[0])))))
-    if geo != cb.count:
-        raise NotSemisimple(
-            f"gamma={cb.gamma:.6g}: geometric multiplicity {geo} < algebraic {cb.count}"
-        )
-    sel = select_subspace(reduced, lambda g: g == cb.gamma, root_index)
-    return first_order_expansion(reduced, sel, complement_pair(reduced, sel), xi)
 
 
 def _coupling(r: ReducedPencil, vz, uz):

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import core_linalg as cl
 from .errors import GenerationExhausted, UnknownCase
-from .pencil import assemble_pencil, reduce_pencil
+from .pencil import finite_pencil_eigs
 from .structure import CanonicalPair, JordanStructure, check_generic
 
 __all__ = ["CaseSpec", "generate", "known_case", "KnownCase"]
@@ -35,16 +35,15 @@ class CaseSpec:
 
 def _distinct_gammas(pair: CanonicalPair) -> bool:
     """True when, for every rho with s_rho > 0, the eigenvalues of S_rho are
-    pairwise more than 1e-3 times their largest modulus apart."""
+    pairwise more than 1e-3 times their largest modulus apart; Lambda(S_rho)
+    comes from the W_rho pencil (:func:`finite_pencil_eigs`, which raises
+    :class:`SingularW` when W_{rho+1} is numerically singular)."""
     for rho in pair.structure.valid_rhos():
-        reduced = reduce_pencil(assemble_pencil(pair, rho))
-        vals = cl.eig(reduced.s_rho)
+        vals = finite_pencil_eigs(pair, rho)
         if vals.size < 2:
             continue
         scale = max(float(np.abs(vals).max()), 1e-300)
-        gap = min(
-            abs(vals[i] - vals[j]) for i in range(vals.size) for j in range(i + 1, vals.size)
-        )
+        gap = np.abs(vals[:, None] - vals[None, :])[np.triu_indices(vals.size, 1)].min()
         if gap <= 1e-3 * scale:
             return False
     return True

@@ -33,7 +33,6 @@ from .errors import ClusterNotSeparated, MatrixRootFailure, SingularW
 from .structure import GENERIC_THRESHOLD, BlockIndex, CanonicalPair, JordanStructure, block, w_matrix
 
 __all__ = [
-    "ScalingPair",
     "AssembledPencil",
     "ClusterBasis",
     "BranchTable",
@@ -110,33 +109,13 @@ def right_exponent(j: int, m: int, rho: int) -> int:
 
 
 @dataclass(frozen=True)
-class ScalingPair:
-    """Per-position z-exponents of the diagonal scalings L and R."""
-
-    rho: int
-    left_exponents: np.ndarray = field(repr=False)
-    right_exponents: np.ndarray = field(repr=False)
-
-    @classmethod
-    def build(cls, structure: JordanStructure, rho: int) -> "ScalingPair":
-        left = np.zeros(structure.dim, dtype=np.int64)
-        right = np.zeros(structure.dim, dtype=np.int64)
-        pos = 0
-        for j in range(1, structure.k + 1):
-            sj = structure.s(j)
-            for m in range(1, j + 1):
-                left[pos : pos + sj] = left_exponent(j, m, rho)
-                right[pos : pos + sj] = right_exponent(j, m, rho)
-                pos += sj
-        return cls(rho=rho, left_exponents=left, right_exponents=right)
-
-
-@dataclass(frozen=True)
 class AssembledPencil:
     """The polynomial pencil mu(U + z E_U) - (V + E_V(z)) for one rho.
 
     ``ev_coeffs`` maps each exponent e >= 1 to the coefficient matrix of
-    z^e in E_V(z).
+    z^e in E_V(z).  ``left_exponents`` and ``right_exponents`` hold, per
+    row and per column, the z-exponents of the diagonal scalings L(z) and
+    R(z) (:func:`left_exponent`, :func:`right_exponent`).
     """
 
     pair: CanonicalPair
@@ -145,7 +124,8 @@ class AssembledPencil:
     eu: np.ndarray = field(repr=False)
     v0: np.ndarray = field(repr=False)
     ev_coeffs: dict = field(repr=False)
-    scaling: ScalingPair = field(repr=False)
+    left_exponents: np.ndarray = field(repr=False)
+    right_exponents: np.ndarray = field(repr=False)
 
     def u_of(self, z: float) -> np.ndarray:
         return self.u0 + z * self.eu
@@ -167,7 +147,7 @@ class AssembledPencil:
             self.pair.nilpotent + (z**self.rho) * self.pair.d11
         )
         zc = np.asarray(z, dtype=np.complex128)
-        return (zc**self.scaling.left_exponents)[:, None] * raw * zc**self.scaling.right_exponents
+        return (zc**self.left_exponents)[:, None] * raw * zc**self.right_exponents
 
     def identity_residual(self, z: float, mu: complex) -> float:
         """|| L(z mu I - (N + z^rho D)) R - (mu U(z) - V(z)) || / scale."""
@@ -179,6 +159,9 @@ class AssembledPencil:
 def assemble_pencil(pair: CanonicalPair, rho: int) -> AssembledPencil:
     """Build U, E_U, V and the exponent map of E_V(z) for the given rho.
 
+    The scaling exponent vectors come first: L_p = ``left_exponents[p]`` and
+    R_q = ``right_exponents[q]``, from :func:`left_exponent` and
+    :func:`right_exponent` at each sub-row and sub-column of the block index.
     Entry (p, q) of D11 scales to the z-exponent rho + L_p + R_q, the mu
     diagonal to 1 + L_p + R_p and N to 0: exponent 0 lands in U or V, the
     rest in E_U (exponent 1, mu part) or ``ev_coeffs``.  The pencil identity
@@ -187,8 +170,12 @@ def assemble_pencil(pair: CanonicalPair, rho: int) -> AssembledPencil:
     st = pair.structure
     if not 1 <= rho <= st.k:
         raise ValueError(f"rho={rho} outside 1..{st.k}")
-    scaling = ScalingPair.build(st, rho)
-    left, right = scaling.left_exponents, scaling.right_exponents
+    left = np.zeros(st.dim, dtype=np.int64)
+    right = np.zeros(st.dim, dtype=np.int64)
+    for j in range(1, st.k + 1):
+        for m in range(1, j + 1):
+            left[pair.index.rows(j, m)] = left_exponent(j, m, rho)
+            right[pair.index.cols(j, m)] = right_exponent(j, m, rho)
 
     u0 = np.diag((1 + left + right == 0).astype(np.complex128))
     eu = cl.eye(st.dim) - u0
@@ -199,7 +186,8 @@ def assemble_pencil(pair: CanonicalPair, rho: int) -> AssembledPencil:
     ev_coeffs = {int(e): np.where(exps == e, d, 0) for e in np.unique(exps[(exps != 0) & (d != 0)])}
 
     out = AssembledPencil(
-        pair=pair, rho=rho, u0=u0, eu=eu, v0=v0, ev_coeffs=ev_coeffs, scaling=scaling,
+        pair=pair, rho=rho, u0=u0, eu=eu, v0=v0, ev_coeffs=ev_coeffs,
+        left_exponents=left, right_exponents=right,
     )
     if st.dim:
         for z in (1e-1, 1e-2):
@@ -218,7 +206,6 @@ class ClusterBasis:
     q: np.ndarray = field(repr=False)     # right basis: S q = q s11
     s11: np.ndarray = field(repr=False)
     qt: np.ndarray = field(repr=False)    # left basis: qt S = s11 qt, qt q = I
-    tol: float                            # absolute clustering radius on Lambda(S_rho)
 
 
 @dataclass(frozen=True)
@@ -441,7 +428,7 @@ class ReducedPencil:
         mid = cl.zeros(self.structure.dim, self.n2)
         mid[self.g2] = cl.eye(self.n2)
         x0 = self.lift(mid)
-        x0[self.assembled.scaling.right_exponents != 0] = 0.0
+        x0[self.assembled.right_exponents != 0] = 0.0
         x0.flags.writeable = False
         return x0
 
@@ -479,7 +466,7 @@ class ReducedPencil:
                 qt = np.hstack([cl.eye(r), -rr]) @ q_full.conj().T
             else:
                 qt = q_full.conj().T
-            bases.append(ClusterBasis(gamma=rep, count=r, q=q, s11=s11, qt=qt, tol=tol))
+            bases.append(ClusterBasis(gamma=rep, count=r, q=q, s11=s11, qt=qt))
         return tuple(bases)
 
     @cached_property
@@ -511,7 +498,7 @@ class ReducedPencil:
         phi, n1, n2 = tab.phi, self.n1, self.n2
         f0 = self.lift(np.vstack([cl.zeros(n1, n2), phi, cl.zeros(self.structure.dim - n1 - n2, n2)]))
         f1 = self.lift(np.vstack([tp.x1_coef @ phi, cl.zeros(n2, n2), tp.x2_coef @ phi]))
-        exps = self.assembled.scaling.right_exponents[:, None]
+        exps = self.assembled.right_exponents[:, None]
         f = np.where(exps == 1, f0, 0.0) + np.where(exps == 0, f1, 0.0)
         return f, np.where(exps == 0, f0, 0.0)
 

@@ -510,5 +510,5 @@ def h1_by_lift(reduced, sel, comp, y):
     n3 = reduced.structure.dim - n1 - reduced.n2
     f0 = reduced.lift(np.vstack([cl.zeros(n1, r), sel.phi, cl.zeros(n3, r)]))
     f1 = reduced.lift(np.vstack([tp.x1_coef @ sel.phi, comp.phi_c @ y, tp.x2_coef @ sel.phi]))
-    exps = reduced.assembled.scaling.right_exponents[:, None]
+    exps = reduced.assembled.right_exponents[:, None]
     return np.where(exps == 1, f0, 0.0) + np.where(exps == 0, f1, 0.0)

@@ -96,6 +96,13 @@ class TestAnalyze:
         f.write_text(json.dumps(doc))
         assert main(["analyze", str(f)]) == EXIT_PARSE
 
+    def test_empty_d11_exit_3(self, tmp_path, capsys):
+        # [] is the 0x0 matrix, so a d11 of the wrong shape is a parse error
+        f = tmp_path / "empty.json"
+        f.write_text('{"lambda0": [0.0, 0.0], "sizes": [1], "d11": []}')
+        assert main(["analyze", str(f)]) == EXIT_PARSE
+        assert capsys.readouterr().err == "parse error: d11 must be 1x1, got (0, 0)\n"
+
 
 class TestExpand:
     def test_example1_order1_golden(self, example1_file, tmp_path):
@@ -257,6 +264,32 @@ class TestGeneralFormProblem:
         assert main(["analyze", str(f)]) == EXIT_OK
         out = capsys.readouterr().out
         assert "rho = 1" in out and "rho = 2" in out
+
+    def test_jordan_block_fills_space(self, tmp_path, capsys):
+        # n = m: Xi is square, Xi_c has no columns and A22 is the 0x0 matrix []
+        from jordanperturb import JordanStructure, build_nilpotent
+
+        st = JordanStructure(0.2 + 0.1j, (1, 2))
+        rng = np.random.default_rng(3)
+        m = st.dim
+        t = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))[0]
+        a = t @ (st.lambda0 * np.eye(m) + build_nilpotent(st)) @ t.conj().T
+        d = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+        doc = {
+            "lambda0": [0.2, 0.1],
+            "sizes": [1, 2],
+            "a": matrix_to_json(a),
+            "d": matrix_to_json(d),
+            "xi": matrix_to_json(t),
+            "xi_c": matrix_to_json(np.zeros((m, 0))),
+            "a22": matrix_to_json(np.zeros((0, 0))),
+        }
+        f = tmp_path / "filled.json"
+        f.write_text(canonical_json(doc))
+        assert '"a22":[]' in f.read_text()
+        assert main(["analyze", str(f)]) == EXIT_OK
+        assert main(["verify", str(f)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(

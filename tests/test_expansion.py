@@ -8,15 +8,14 @@ from jordanperturb import (
     JordanStructure,
     assemble_pencil,
     eigenvalue_expansions,
-    eigenvector_expansion,
     reduce_pencil,
     select_subspace,
     subspace_expansion,
 )
 from jordanperturb import core_linalg as cl
-from jordanperturb.errors import ClusterNotSeparated, MatrixRootFailure, NotSimple
+from jordanperturb.errors import ClusterNotSeparated, MatrixRootFailure
 from jordanperturb.expansion import h_order_table
-from jordanperturb.first_order import complement_pair, semisimple_expansion
+from jordanperturb.first_order import complement_pair
 from jordanperturb.verify import exact_subspace_basis
 
 from closed_forms import eigvec_stack, gtilde_matrix, w_blocks, xi_tilde
@@ -37,6 +36,14 @@ def pair_with_s2(w2mat):
     d = np.zeros((4, 4), dtype=complex)
     d[2:4, 0:2] = w2mat
     return CanonicalPair(st, d)
+
+
+def eigenvector_term(rp, which, root):
+    """Constant term of root branch ``root`` of the simple cluster ``which``
+    of S_rho: the eigenvector case of the general selection."""
+    cb = rp.clusters[which]
+    assert cb.count == 1
+    return subspace_expansion(rp, select_subspace(rp, lambda g: g == cb.gamma, root))
 
 
 class TestEigenvalueExpansions:
@@ -174,7 +181,7 @@ class TestSelectSubspace:
         sel = select_subspace(rp, lambda g: abs(g - 1) < 0.5, 0)
         assert np.allclose(sel.omega, [[1.0]])
         assert subspace_expansion(rp, sel).h0.shape == (2, 1)
-        assert eigenvector_expansion(rp, 1, 0).h0.shape == (2, 1)
+        assert eigenvector_term(rp, 1, 0).h0.shape == (2, 1)
         # the complement of a selection takes every cluster, the singular one too
         with pytest.raises(MatrixRootFailure):
             complement_pair(rp, sel)
@@ -281,9 +288,9 @@ class TestSelectSubspace:
 @pytest.mark.parametrize(
     "call",
     [
-        lambda rp: eigenvector_expansion(rp, 0, -1),
-        lambda rp: eigenvector_expansion(rp, 0, rp.rho),
-        lambda rp: semisimple_expansion(rp, rp.clusters[0].gamma, rp.rho),
+        lambda rp: select_subspace(rp, lambda g: g == rp.clusters[0].gamma, -1),
+        lambda rp: select_subspace(rp, lambda g: g == rp.clusters[0].gamma, rp.rho),
+        lambda rp: select_subspace(rp, lambda g: True, [(0, rp.rho)]),
         lambda rp: select_subspace(rp, lambda g: True, [(0, 0)]),
     ],
     ids=["eigenvector_negative", "eigenvector_rho", "semisimple_rho", "select_repeated"],
@@ -345,19 +352,13 @@ class TestEigenvectorExpansion:
     def test_example1_constant(self):
         pair, rp = example1_reduced()
         for idx in range(4):
-            ev = eigenvector_expansion(rp, 0, idx)
+            ev = eigenvector_term(rp, 0, idx)
             assert np.allclose(ev.h0.ravel(), [1.0, 0.0, 0.0, 0.0])
-
-    def test_not_simple(self):
-        pair = pair_with_s2(9.0 * np.eye(2))
-        rp = reduce_pencil(assemble_pencil(pair, 2))
-        with pytest.raises(NotSimple):
-            eigenvector_expansion(rp, 0, 0)
 
     def test_rho1_matches_oracle_direction(self):
         pair = random_pair((1, 1), seed=3)
         rp = reduce_pencil(assemble_pencil(pair, 1))
-        ev = eigenvector_expansion(rp, 0, 0)
+        ev = eigenvector_term(rp, 0, 0)
         t = 1e-8
         w, v = np.linalg.eig(pair.perturbed(t))
         e = eigenvalue_expansions(rp)[0]

@@ -41,21 +41,46 @@ class TestGenerate:
             generate(CaseSpec(JordanStructure(0.0, (1, 1)), seed=0, scale=0.0))
 
     def test_distinct_gammas(self):
-        pair = generate(
-            CaseSpec(JordanStructure(0.0, (1, 2)), seed=5, ensure_distinct_gammas=True)
-        )
+        # the benchmark's ladder and expand-batch structures among them; the
+        # gaps are measured on the S_rho of the reduced pencil, not on the
+        # W_rho pencil eigenvalues the generator tests
         from jordanperturb import assemble_pencil, reduce_pencil
 
-        for rho in (1, 2):
-            rp = reduce_pencil(assemble_pencil(pair, rho))
-            vals = np.linalg.eigvals(rp.s_rho)
-            if vals.size >= 2:
-                gaps = [
-                    abs(vals[i] - vals[j])
-                    for i in range(vals.size)
-                    for j in range(i + 1, vals.size)
-                ]
-                assert min(gaps) > 1e-3 * np.abs(vals).max()
+        cases = [((1, 2), 5)] + [
+            (sizes, seed)
+            for sizes in [(1, 2), (2, 2, 2), (1, 1, 1, 1, 1), (3, 3, 3, 3), (4, 4, 4, 4, 4), (2, 3, 2, 3, 2)]
+            for seed in (1, 33, 102)
+        ]
+        for sizes, seed in cases:
+            pair = generate(
+                CaseSpec(JordanStructure(0.0, sizes), seed=seed, ensure_distinct_gammas=True)
+            )
+            for rho in pair.structure.valid_rhos():
+                rp = reduce_pencil(assemble_pencil(pair, rho))
+                vals = np.linalg.eigvals(rp.s_rho)
+                if vals.size >= 2:
+                    gaps = [
+                        abs(vals[i] - vals[j])
+                        for i in range(vals.size)
+                        for j in range(i + 1, vals.size)
+                    ]
+                    assert min(gaps) > 1e-3 * np.abs(vals).max(), (sizes, seed, rho)
+
+    def test_distinct_gammas_rule(self):
+        # sizes (2,): S_1 = D11; sizes (0, 2): S_2 = W_2 = D11[2:4, 0:2]
+        from jordanperturb.generator import _distinct_gammas
+
+        def pair(sizes, s):
+            st = JordanStructure(0.0, sizes)
+            d = np.zeros((st.dim, st.dim), dtype=complex)
+            d[st.dim - 2 :, :2] = np.diag(s)
+            return CanonicalPair(st, d)
+
+        for sizes in [(2,), (0, 2)]:
+            assert _distinct_gammas(pair(sizes, [1.0, 1.01j]))
+            assert _distinct_gammas(pair(sizes, [1.0, 1.0011]))
+            assert not _distinct_gammas(pair(sizes, [1.0, 1.0009]))
+            assert not _distinct_gammas(pair(sizes, [2.0, 2.0]))
 
 
 class TestKnownCase:
