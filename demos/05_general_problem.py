@@ -61,3 +61,6 @@ for t in (1e-3, 1e-5, 1e-7):
     print(f"{t:10.0e} {t ** (1 / rho) * shift:30.3e}")
 print("\nthe shift scales like t^(1 + 1/rho): below the t^(2/rho) accuracy of")
 print("the expansions for rho >= 2, so the base D11 suffices for them.")
+print("At rho = 1 the shift is t^2, the order of Delta11 itself, and H1 also")
+print("lacks the coupling term xi_c P1 H0: there the subspace relation in the")
+print("original coordinates holds through t only (residual slope 1, not 2).")

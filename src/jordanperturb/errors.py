@@ -41,10 +41,6 @@ class CardinalityMismatch(JordanPerturbError):
     """Eigenvalue matching was given lists of different lengths."""
 
 
-class InsufficientSamples(JordanPerturbError):
-    """Too few usable samples remain after floor filtering for a slope fit."""
-
-
 class GenerationExhausted(JordanPerturbError):
     """Random case generation hit the retry limit without meeting constraints."""
 

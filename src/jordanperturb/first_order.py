@@ -57,13 +57,17 @@ class ComplementPair:
     ``omega_c`` is the block-diagonal Omega_c of the unselected branches and
     ``phi_c`` their right basis; ``psi`` and ``psi_c`` stack to the exact
     inverse of [phi phi_c].  All are slices of the pencil's branch table
-    ``ReducedPencil.branches``; the normalizers M and M_c enter through psi.
+    ``ReducedPencil.branches``, taken at its columns ``cols`` of the selected
+    branches and ``cols_c`` of the others; the normalizers M and M_c enter
+    through psi.
     """
 
     omega_c: np.ndarray = field(repr=False)
     psi: np.ndarray = field(repr=False)
     psi_c: np.ndarray = field(repr=False)
     phi_c: np.ndarray = field(repr=False)
+    cols: np.ndarray = field(repr=False)
+    cols_c: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -118,7 +122,8 @@ def complement_pair(reduced: ReducedPencil, sel: SubspaceSelection) -> Complemen
                 raise SingularNormalizer(f"power-sum normalizer {name} is singular")
 
     return ComplementPair(
-        omega_c=tab.omega[np.ix_(cc, cc)], psi=tab.psi[c], psi_c=tab.psi[cc], phi_c=tab.phi[:, cc]
+        omega_c=tab.omega[np.ix_(cc, cc)], psi=tab.psi[c], psi_c=tab.psi[cc], phi_c=tab.phi[:, cc],
+        cols=c, cols_c=cc,
     )
 
 
@@ -176,7 +181,7 @@ def first_order_expansion(
     at rho = 1 that coupling is itself first order and the relation then
     holds through t only (same truncation caveat as ``effective_d11``).
     """
-    c, cc, _ = reduced.branches.split(sel.chosen)
+    c, cc = comp.cols, comp.cols_c
     delta11 = reduced.branch_delta[np.ix_(c, c)]
     delta21 = reduced.branch_delta[np.ix_(cc, c)]
 

@@ -4,11 +4,13 @@ The caller supplies the spectral transformation: an invertible [Xi Xi_c]
 with ``A [Xi Xi_c] = [Xi Xi_c] diag(lambda0 I + N, A22)`` and lambda0 not an
 eigenvalue of A22.  Computing such a transformation from a raw matrix is an
 ill-posed problem and out of scope here; validating one and splitting D
-through it is not.  The cross-block coupling enters only through the
-truncated series P(t) = t P1 + O(t^2), where P1 solves the Sylvester
-equation ``A22 P1 - P1 A11 + D21 = 0``; replacing D11 by
-``D11 + t D12 P1`` captures the coupling to the order every implemented
-expansion resolves.
+through it is not.  The cross-block coupling P(t) = t P1 + O(t^2), with
+``A22 P1 - P1 A11 + D21 = 0``, adds Xi_c P(t) h(t) to the exact basis
+Xi h(t) and t^2 D12 P1 to the matrix restricted to it.  The expansions use
+D11 alone and map H0 and H1 through Xi: for rho >= 2 both terms lie beyond
+H1 and Delta11, but at rho = 1 they are first order, and the subspace
+relation in original coordinates holds through t only (residual slope 1,
+where 2 is claimed).
 """
 
 from __future__ import annotations
@@ -117,9 +119,9 @@ def reduce(a, d, trans: SpectralTransformation) -> ReducedProblem:
 def effective_d11(red: ReducedProblem, t: float) -> np.ndarray:
     """D11 + t * D12 P1: the canonical block with first-order coupling folded in.
 
-    The neglected remainder perturbs each pencil entry at relative order
-    t^2, one full order below every expansion computed here; for rho = 1 the
-    truncation touches only the second-order eigenvalue coefficients.
+    Against D11 alone it moves the predicted eigenvalues by O(t^(1 + 1/rho)):
+    below the t^(2/rho) accuracy of the expansions for rho >= 2, but at
+    rho = 1 of the order of Delta11 itself (see the module docstring).
     """
     if t < 0:
         raise ValueError("t must be nonnegative")

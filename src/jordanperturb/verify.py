@@ -1,14 +1,11 @@
 """Brute-force verification of every claimed fractional order.
 
 The oracle is a dense eigensolve of ``A + tD`` over a geometric t-sweep.
-Each theoretical claim ``error = O(t^c)`` becomes a report by one rule,
-``_verdict``, in this order: a claim on the Riccati sweep points fails, with
-NaN slope and r^2, when points were dropped and fewer than ``MIN_SAMPLES``
-remain; a claim with a non-finite error sample fails; a claim with fewer
-than ``MIN_SAMPLES`` samples above the noise floor ``100 eps scale`` is a
-floor-limited pass; any other claim is a log-log slope fit of the samples
-above the floor (:func:`slope_fit`), which passes when the fitted slope is
-at least ``c - slack`` and r^2 at least ``DEFAULT_R2``.
+Each theoretical claim ``error = O(t^c)`` is one row of error samples, and
+:func:`slope_fit` is the one rule that turns a row into a report: failed,
+floor-limited or fitted.  :func:`verify_all` gathers the rows of three
+claim families: the eigenvalues, the first-order subspace residuals and the
+claims on the Riccati sweep points.
 
 Order-table claims (the per-block decay rates of the invariant-subspace
 bases) are measured against the exact small-z solutions from
@@ -33,7 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import core_linalg as cl
-from .errors import CardinalityMismatch, InsufficientSamples, NoConvergence
+from .errors import CardinalityMismatch, NoConvergence
 from .expansion import eigenvalue_expansions, h_order_table, select_subspace
 from .first_order import complement_pair, first_order_expansion, solve_riccati
 from .pencil import assemble_pencil, check_separated, reduce_pencil
@@ -213,26 +210,33 @@ def slope_fit(
     quantity: str = "quantity",
     note: str = "",
 ) -> ConvergenceReport:
-    """Least-squares fit of log error against log t.
+    """The one rule that turns a claim's error samples into its report.
 
-    A claim with a non-finite error sample fails, with NaN slope and r^2 and
-    a note that names those samples.  Otherwise samples with error below
-    ``100 * eps * scale`` are dropped as floor-limited; at least
-    ``MIN_SAMPLES`` must survive or :class:`InsufficientSamples` is raised.
-    The fit passes at slope >= ``claimed - slack`` and r^2 >= ``DEFAULT_R2``.
+    In this order: fewer than ``MIN_SAMPLES`` samples fail, with NaN slope
+    and r^2 and the note as given; a non-finite sample fails, with NaN slope
+    and r^2 and a note that names those samples; fewer than ``MIN_SAMPLES``
+    samples above the noise floor ``100 * eps * scale`` make a floor-limited
+    pass, with NaN slope and r^2; otherwise the least-squares fit of log
+    error against log t over the samples above the floor passes at slope >=
+    ``claimed - slack`` and r^2 >= ``DEFAULT_R2``.
     """
-    samples = [(float(t), float(e)) for t, e in samples]
+    samples = tuple((float(t), float(e)) for t, e in samples)
+    nan = float("nan")
+
+    def report(slope, r2, passed, floor_limited=False, extra=""):
+        return ConvergenceReport(
+            quantity, float(claimed), slope, r2, passed, samples, floor_limited, _notes(note, extra)
+        )
+
+    if len(samples) < MIN_SAMPLES:
+        return report(nan, nan, False)
     bad = [f"{e} at t={t:.3e}" for t, e in samples if not np.isfinite(e)]
     if bad:
-        note = "; ".join(n for n in (note, "non-finite error " + ", ".join(bad)) if n)
-        nan = float("nan")
-        return ConvergenceReport(quantity, float(claimed), nan, nan, False, tuple(samples), note=note)
+        return report(nan, nan, False, extra="non-finite error " + ", ".join(bad))
     floor = FLOOR_FACTOR * cl.EPS * scale
     usable = [(t, e) for t, e in samples if e > floor]
     if len(usable) < MIN_SAMPLES:
-        raise InsufficientSamples(
-            f"{quantity}: only {len(usable)} samples above the noise floor {floor:.3e}"
-        )
+        return report(nan, nan, True, True, "floor-limited")
     lt = np.log(np.array([t for t, _ in usable]))
     le = np.log(np.array([e for _, e in usable]))
     slope, intercept = np.polyfit(lt, le, 1)
@@ -240,27 +244,11 @@ def slope_fit(
     ss_res = float(np.sum((le - pred) ** 2))
     ss_tot = float(np.sum((le - le.mean()) ** 2))
     r2 = 1.0 if ss_tot < 1e-30 else 1.0 - ss_res / ss_tot
-    passed = bool(slope >= claimed - slack and r2 >= DEFAULT_R2)
-    return ConvergenceReport(quantity, float(claimed), float(slope), r2, passed, tuple(samples), note=note)
+    return report(float(slope), r2, bool(slope >= claimed - slack and r2 >= DEFAULT_R2))
 
 
-def _verdict(samples, claimed, scale, quantity, note="", slack=DEFAULT_SLACK, short=False):
-    """The one rule that turns a claim's error samples into a report.
-
-    ``short`` (sweep points were dropped and fewer than ``MIN_SAMPLES``
-    remain) fails the claim with NaN slope and r^2.  Otherwise the claim is
-    the :func:`slope_fit` of its samples, or, when fewer than ``MIN_SAMPLES``
-    lie above the noise floor, a floor-limited pass with NaN slope and r^2.
-    """
-    samples = tuple((float(t), float(e)) for t, e in samples)
-    nan = float("nan")
-    if short:
-        return ConvergenceReport(quantity, float(claimed), nan, nan, False, samples, note=note)
-    try:
-        return slope_fit(samples, claimed, scale=scale, quantity=quantity, note=note, slack=slack)
-    except InsufficientSamples:
-        note = (note + "; " if note else "") + "floor-limited"
-        return ConvergenceReport(quantity, float(claimed), nan, nan, True, samples, True, note)
+def _notes(*parts) -> str:
+    return "; ".join(p for p in parts if p)
 
 
 def exact_subspace_basis(ric, sel, comp):
@@ -300,25 +288,17 @@ def verify_all(
     perturb_h1: float = 0.0,
     swap_root: bool = False,
 ) -> list[ConvergenceReport]:
-    """Run every verifiable claim for one (pair, rho) over a t-sweep.
-
-    Emits one report per claim: eigenvalue errors against
-    ``lambda0 + t^(1/rho) mu`` (slope 2/rho for simple gamma), the
-    first-order subspace relation residual (slope 2/rho), the per-block
-    order tables of the exact bases, and the consistency of the exact
-    Theta-hat(z) with its first-order model (slope 2 in z).  The last two
-    rest on the sweep points where the Riccati refinement converged, solved
-    in ascending z with each Newton solve started from the last converged
-    solution (see the module docstring); when
-    points were dropped and fewer than ``MIN_SAMPLES`` remain, each of those
-    claims is reported failed, with NaN slope and r^2.
+    """Run every verifiable claim for one (pair, rho) over a t-sweep: one
+    :func:`slope_fit` report per claim, in this order: per cluster, the
+    eigenvalue errors against ``lambda0 + t^(1/rho) mu``; per cluster, the
+    first-order subspace relation residual; the per-block order tables of
+    the exact bases; the exact Theta-hat(z) against its first-order model.
 
     ``perturb_h1`` and ``swap_root`` are negative-control hooks: they
     corrupt H1 with noise of the given relative norm, or pair the subspace
     with a rotated root branch, and are expected to make the first-order
     residual fit fail.
     """
-    st = pair.structure
     if plan is None:
         plan = SweepPlan.default(rho)
     ts = list(plan.t_values)
@@ -329,39 +309,51 @@ def verify_all(
         quantity = f"degenerate-zero-perturbation[rho={rho}]"
         return [ConvergenceReport(quantity, 0.0, nan, nan, True, samples, True, "D11 = 0: all claims vacuous")]
 
-    assembled = assemble_pencil(pair, rho)
-    reduced = reduce_pencil(assembled)
-    a_mat = pair.a_matrix()
-    d_mat = pair.d11
+    reduced = reduce_pencil(assemble_pencil(pair, rho))
+    rows = _eig_claims(reduced, ts)
+    resid_rows, sel0, comp0 = _residual_claims(reduced, ts, perturb_h1, swap_root)
+    rows += resid_rows + _riccati_claims(reduced, ts, sel0, comp0)
+    return [
+        slope_fit(samples, claimed, scale, slack, quantity, note)
+        for samples, claimed, quantity, note, slack in rows
+    ]
 
+
+def _eig_claims(reduced, ts):
+    """Per cluster of S_rho, the largest distance from its predicted to its
+    matched eigenvalues of A + tD (one oracle ``eig`` per t for every
+    cluster): slope 2/rho for a simple gamma, else only o(t^(1/rho))."""
+    rho, pair = reduced.rho, reduced.pair
+    a_mat, d_mat = pair.a_matrix(), pair.d11
     observed = [cl.eig(a_mat + t * d_mat) for t in ts]
-
-    reports: list[ConvergenceReport] = []
-
-    # --- (i) eigenvalue splitting against the oracle, one report per cluster.
-    exps = eigenvalue_expansions(reduced)
-    clusters = []
-    for e in exps:
-        if not any(e is c for c, _ in clusters):
-            clusters.append((e, sum(1 for x in exps if x is e)))
-
-    for ci, (exp, count) in enumerate(clusters):
+    exps, first, rows = eigenvalue_expansions(reduced), 0, []
+    for ci, cb in enumerate(reduced.clusters):
+        exp, first = exps[first], first + cb.count
         samples = [
-            (t, match_eigenvalues(np.repeat(exp.predict(t), count), obs)[1]) for t, obs in zip(ts, observed)
+            (t, match_eigenvalues(np.repeat(exp.predict(t), cb.count), obs)[1]) for t, obs in zip(ts, observed)
         ]
+        quantity = f"eig[rho={rho},cluster={ci}]"
         if exp.simple:
-            claimed, note, slack = 2.0 / rho, "", DEFAULT_SLACK
+            rows.append((samples, 2.0 / rho, quantity, "", DEFAULT_SLACK))
         else:
-            claimed, note, slack = 1.0 / rho + 0.02, "weakly verified o(t^(1/rho)) bound", 0.0
-        reports.append(_verdict(samples, claimed, scale, f"eig[rho={rho},cluster={ci}]", note, slack))
+            rows.append((samples, 1.0 / rho + 0.02, quantity, "weakly verified o(t^(1/rho)) bound", 0.0))
+    return rows
 
-    # --- (ii) first-order subspace relation residual per cluster.
+
+def _residual_claims(reduced, ts, perturb_h1, swap_root):
+    """Per cluster of S_rho, its root branch 0's first-order subspace
+    relation residual ||(A + tD) H - H C||, slope 2/rho, under the negative
+    controls of :func:`verify_all`; also cluster 0's selection and
+    complement, the subspace of the order tables."""
+    rho, pair = reduced.rho, reduced.pair
+    a_mat, d_mat = pair.a_matrix(), pair.d11
     rng = np.random.default_rng(0)
-    for ci, (exp, _) in enumerate(clusters):
-        near = lambda lam, target=exp.gamma: lam == target  # the cluster's representative
+    rows = []
+    for ci, cb in enumerate(reduced.clusters):
+        near = lambda lam, target=cb.gamma: lam == target  # the cluster's representative
         sel = select_subspace(reduced, near, 0)
         comp = complement_pair(reduced, sel)
-        if ci == 0:  # the subspace of the order tables in (iii)
+        if ci == 0:
             sel0, comp0 = sel, comp
         fo = first_order_expansion(reduced, sel, comp)
         note = ""
@@ -374,22 +366,28 @@ def verify_all(
             if rho == 1:
                 raise ValueError("swap_root needs rho >= 2 (a single branch cannot be swapped)")
             fo = replace(fo, omega=select_subspace(reduced, near, 1).omega)
-            note = (note + "; " if note else "") + "Omega swapped to root branch 1"
+            note = _notes(note, "Omega swapped to root branch 1")
         samples = []
         for t in ts:
             h = fo.h_of(t)
             samples.append((t, cl.frob((a_mat + t * d_mat) @ h - h @ fo.c_of(t))))
-        reports.append(_verdict(samples, 2.0 / rho, scale, f"subspace-resid[rho={rho},cluster={ci}]", note))
+        rows.append((samples, 2.0 / rho, f"subspace-resid[rho={rho},cluster={ci}]", note, DEFAULT_SLACK))
+    return rows, sel0, comp0
 
-    # --- (iii) per-block order tables from the exact small-z solutions.  The
-    # points are solved in ascending z along the branch, each Newton solve
-    # starting from the last converged one (the first from zero), and kept in
-    # plan order.
+
+def _riccati_claims(reduced, ts, sel, comp):
+    """The per-block order tables of the exact bases X-tilde and H of the
+    selection, and the exact Theta-hat(z) against its first-order model
+    (slope 2 in z), on the sweep points where the Riccati refinement
+    converged.  The points are solved in ascending z along the branch, each
+    Newton solve starting from the last converged one (the first from zero),
+    and kept in plan order; every note counts the dropped points."""
+    rho, idx = reduced.rho, reduced.pair.index
     points, prev = [], None
     for t in reversed(ts):
         z = t ** (1.0 / rho)
         try:
-            ric = solve_riccati(assembled, reduced, z, start=prev)
+            ric = solve_riccati(reduced.assembled, reduced, z, start=prev)
         except NoConvergence as exc:
             _log.info("rho=%d: sweep point z=%.6g dropped, solve_riccati raised NoConvergence: %s", rho, z, exc)
             continue
@@ -397,38 +395,33 @@ def verify_all(
             "rho=%d: sweep point z=%.6g solved from start %s in %d Newton iterations, residual %.3e",
             rho, z, "zero" if prev is None else prev.z, ric.iterations, ric.residual,
         )
-        points.append((z, ric, exact_subspace_basis(ric, sel0, comp0)[0]))
+        points.append((z, ric, exact_subspace_basis(ric, sel, comp)[0]))
         prev = ric
     points.reverse()
     dropped = len(ts) - len(points)
     drop_note = f"{dropped} of {len(ts)} sweep points dropped (NoConvergence)" if dropped else ""
-    base, idx = reduced.x0, pair.index
+    base = reduced.x0
     # the explicit terms Q1 Omega^(l-1) of block rho, subtracted from H at z^(l-1)
     explicit = [
-        (idx.rows(rho, ell), ell - 1, sel0.q1 @ np.linalg.matrix_power(sel0.omega, ell - 1))
+        (idx.rows(rho, ell), ell - 1, sel.q1 @ np.linalg.matrix_power(sel.omega, ell - 1))
         for ell in range(2, rho + 1)
     ]
     devs = {"X": [], "H": []}
     for z, ric, h in points:
         devs["X"].append(ric.invariant_matrix() - base)
-        hrow = h - base @ sel0.phi
+        hrow = h - base @ sel.phi
         for rows, power, term in explicit:
             hrow[rows, :] -= z**power * term
         devs["H"].append(hrow)
-    claims = []  # (samples, claimed slope, quantity, note) of every claim on the Riccati points
+    claims = []
     for name, full in (("X", True), ("H", False)):
-        for entry in h_order_table(st, rho, full=full):
+        for entry in h_order_table(reduced.structure, rho, full=full):
             rows = idx.rows(entry.block, entry.subrow)
             samples = [(z**rho, cl.frob(dev[rows, :])) for (z, _, _), dev in zip(points, devs[name])]
             quantity = f"{name}[rho={rho},i={entry.block},l={entry.subrow}]"
-            claims.append((samples, float(entry.exponent), quantity, entry.note))
-
-    # --- (iv) exact Theta-hat vs its first-order model, slope 2 in z.
+            note = _notes(entry.note, drop_note)
+            claims.append((samples, float(entry.exponent), quantity, note, DEFAULT_SLACK))
     delta_coef = reduced.theta_perturbation.delta_coef
     samples = [(z, cl.frob(ric.theta_hat - reduced.theta - z * delta_coef)) for z, ric, _ in points]
-    claims.append((samples, 2.0, f"riccati-delta[rho={rho}]", "error measured against z"))
-    short = bool(dropped) and len(points) < MIN_SAMPLES  # too few points left to fit
-    for samples, claimed, quantity, note in claims:
-        note = "; ".join(n for n in (note, drop_note) if n)
-        reports.append(_verdict(samples, claimed, scale, quantity, note, short=short))
-    return reports
+    note = _notes("error measured against z", drop_note)
+    return claims + [(samples, 2.0, f"riccati-delta[rho={rho}]", note, DEFAULT_SLACK)]

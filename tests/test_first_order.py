@@ -20,6 +20,7 @@ from jordanperturb import (
 )
 import jordanperturb.core_linalg
 import jordanperturb.first_order
+import jordanperturb.pencil
 from jordanperturb.errors import NoConvergence, SingularNormalizer
 from jordanperturb.expansion import subspace_expansion
 
@@ -508,6 +509,30 @@ class TestFirstOrderExpansion:
         assert calls["sylvester"] == 4 and calls["theta"] == 1
         # the resumed series keeps the terms already solved
         assert theta[1] is rp.theta_perturbation.delta_coef
+
+    def test_branch_table_split_once_per_selection(self, monkeypatch):
+        # (4,4,4,4,4) seed 1 over every rho: 60 selections on 5 pencils.  The
+        # complement splits the table once per selection and the expansion
+        # reuses its columns; each pencil splits it twice more, for
+        # branch_delta and branch_lift: 60 + 2 * 5 = 70 calls.
+        tab_cls = jordanperturb.pencil.BranchTable
+        split, calls = tab_cls.split, []
+
+        def counted(self, chosen):
+            calls.append(chosen)
+            return split(self, chosen)
+
+        monkeypatch.setattr(tab_cls, "split", counted)
+        pair = generate(CaseSpec(JordanStructure(0.0, (4, 4, 4, 4, 4)), seed=1, ensure_distinct_gammas=True))
+        selections = 0
+        for rho in pair.structure.valid_rhos():
+            rp = reduce_pencil(assemble_pencil(pair, rho))
+            for cb in rp.clusters:
+                for b in range(rho):
+                    sel = select_subspace(rp, lambda g, cb=cb: g == cb.gamma, b)
+                    first_order_expansion(rp, sel, complement_pair(rp, sel))
+                    selections += 1
+        assert selections == 60 and len(calls) == 70
 
     def test_two_block_mixed_delta11_against_oracle(self):
         # sizes (1,2), rho=2: lambda(t) - l0 - t^(1/2) mu ~ t * delta

@@ -181,6 +181,32 @@ class TestEffectiveD11:
         assert fit_slope(ts, errs) >= 2.0 / rho - 0.1
         assert fit_slope(ts, eig_errs) >= 2.0 / rho - 0.1
 
+    @pytest.mark.parametrize(
+        "claimed",
+        [
+            1.0,
+            pytest.param(2.0, marks=pytest.mark.xfail(
+                strict=True,
+                reason="at rho = 1 H1 lacks xi_c P1 H0 and Delta11 the share of D12 P1; "
+                "ROADMAP item 4 (general problems in their own coordinates) adds them",
+            )),
+        ],
+    )
+    def test_general_problem_rho1_relation_through_t(self, claimed):
+        # at rho = 1 the cross-block coupling is first order, so the subspace
+        # relation in the original coordinates holds through t only: the
+        # residual falls like t, not like the t^2 the canonical pair claims
+        from jordanperturb import SweepPlan, complement_pair, first_order_expansion, select_subspace
+
+        a, d, trans = random_transformed((1, 2), 0.3 - 0.2j, 2, seed=10)
+        rp = reduce_pencil(assemble_pencil(reduce(a, d, trans).pair, 1))
+        ts = SweepPlan.default(1).t_values
+        for cb in rp.clusters:
+            sel = select_subspace(rp, lambda g, cb=cb: g == cb.gamma, 0)
+            fo = first_order_expansion(rp, sel, complement_pair(rp, sel), xi=trans.xi)
+            errs = [np.linalg.norm((a + t * d) @ fo.h_of(t) - fo.h_of(t) @ fo.c_of(t)) for t in ts]
+            assert fit_slope(ts, errs) >= claimed - 0.1
+
     @pytest.mark.parametrize("rho", [1, 2])
     def test_effective_changes_predictions_at_higher_order(self, rho):
         # the mu-level predictions with D11 and with effective_d11(t) differ

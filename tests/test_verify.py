@@ -24,8 +24,8 @@ from jordanperturb import (
     solve_riccati,
     verify_all,
 )
-from jordanperturb.errors import CardinalityMismatch, InsufficientSamples, NoConvergence
-from jordanperturb.verify import _verdict, exact_subspace_basis
+from jordanperturb.errors import CardinalityMismatch, NoConvergence
+from jordanperturb.verify import exact_subspace_basis
 
 from closed_forms import fixed_point_subspace_basis, oracle_eigs
 from conftest import random_pair
@@ -219,9 +219,11 @@ class TestSlopeFit:
         assert not rep.passed
 
     def test_insufficient_after_floor(self):
+        # no sample above the noise floor: a floor-limited pass, not an error
         samples = [(1e-2, 1e-20), (1e-3, 1e-20), (1e-4, 1e-20), (1e-5, 1e-20), (1e-6, 1e-20)]
-        with pytest.raises(InsufficientSamples):
-            slope_fit(samples, claimed=1.0, scale=1.0)
+        rep = slope_fit(samples, claimed=1.0, scale=1.0)
+        assert rep.passed and rep.floor_limited and rep.note == "floor-limited"
+        assert np.isnan(rep.fitted_slope) and np.isnan(rep.r_squared)
 
     def test_floor_samples_excluded(self):
         ts = list(np.geomspace(1e-2, 1e-6, 6))
@@ -244,31 +246,37 @@ class TestSlopeFit:
 
 
 class TestVerdict:
-    """``verify._verdict``, the one rule from a claim's samples to a report."""
+    """``slope_fit``, the one rule from a claim's samples to a report."""
 
     ts = np.geomspace(1e-2, 1e-8, 8)
 
     def test_short_claim_fails_with_nan(self):
         samples = [(t, t) for t in self.ts[:3]]
-        rep = _verdict(samples, 1.0, 1.0, "q", "10 of 13 sweep points dropped (NoConvergence)", short=True)
+        rep = slope_fit(samples, 1.0, 1.0, quantity="q", note="10 of 13 sweep points dropped (NoConvergence)")
         assert not rep.passed and not rep.floor_limited
         assert np.isnan(rep.fitted_slope) and np.isnan(rep.r_squared)
         assert rep.note == "10 of 13 sweep points dropped (NoConvergence)"
         assert rep.quantity == "q" and rep.claimed_slope == 1.0
         assert rep.samples == tuple((float(t), float(e)) for t, e in samples)
 
+    def test_short_claim_rule_before_non_finite(self):
+        # too few samples decides first: a NaN among them adds no "non-finite" note
+        samples = [(self.ts[0], self.ts[0]), (self.ts[1], float("nan")), (self.ts[2], self.ts[2])]
+        rep = slope_fit(samples, 1.0, 1.0, quantity="q", note="n")
+        assert not rep.passed and not rep.floor_limited and rep.note == "n"
+
     def test_fit_is_the_slope_fit(self):
         samples = [(t, t**0.5) for t in self.ts]
         for slack in (0.1, 0.6):
-            rep = _verdict(samples, 1.0, 1.0, "q", "n", slack=slack)
-            assert rep == slope_fit(samples, 1.0, scale=1.0, slack=slack, quantity="q", note="n")
-        assert not _verdict(samples, 1.0, 1.0, "q").passed
-        assert _verdict(samples, 1.0, 1.0, "q", slack=0.6).passed
+            rep = slope_fit(samples, 1.0, 1.0, slack, "q", "n")
+            assert rep.fitted_slope == pytest.approx(0.5) and rep.r_squared == pytest.approx(1.0)
+            assert rep.passed == (slack == 0.6) and not rep.floor_limited and rep.note == "n"
+        assert not slope_fit(samples, 1.0, 1.0, quantity="q").passed
 
     def test_floor_limited_pass(self):
         samples = [(t, 1e-20) for t in self.ts]
         for note, want in (("", "floor-limited"), ("exact", "exact; floor-limited")):
-            rep = _verdict(samples, 0.5, 1.0, "q", note)
+            rep = slope_fit(samples, 0.5, 1.0, quantity="q", note=note)
             assert rep.passed and rep.floor_limited and rep.note == want
             assert np.isnan(rep.fitted_slope) and np.isnan(rep.r_squared)
             assert rep.claimed_slope == 0.5 and len(rep.samples) == len(samples)
@@ -386,6 +394,28 @@ class TestDroppedPoints:
         assert "solve_riccati raised NoConvergence" in msgs[0]
         delta = next(r for r in reports if r.quantity == "riccati-delta[rho=5]")
         assert delta.note.endswith("1 of 13 sweep points dropped (NoConvergence)")
+
+    @pytest.mark.parametrize("dropped", [0, 2, 9])
+    def test_one_slope_fit_per_report(self, monkeypatch, dropped):
+        # every report, dropped points or not, is the slope_fit of one claim
+        fits, solves = [], []
+
+        def counted(*args, **kwargs):
+            fits.append(slope_fit(*args, **kwargs))
+            return fits[-1]
+
+        def fail_first(ap, rp, z, start=None):
+            solves.append(z)
+            if len(solves) <= dropped:
+                raise NoConvergence("forced")
+            return solve_riccati(ap, rp, z, start=start)
+
+        monkeypatch.setattr(jordanperturb.verify, "slope_fit", counted)
+        monkeypatch.setattr(jordanperturb.verify, "solve_riccati", fail_first)
+        reports = verify_all(random_pair((1, 2), seed=1), 2)
+        assert len(fits) == len(reports) == 10
+        assert all(f is r for f, r in zip(fits, reports))
+        assert sum(f"{dropped} of 13 sweep points dropped" in r.note for r in reports) == (6 if dropped else 0)
 
     @pytest.mark.parametrize("dropped", [13, 9, 8])
     def test_too_few_points_fail_riccati_claims(self, monkeypatch, dropped):
