@@ -100,10 +100,12 @@ def matrix_to_json(m: np.ndarray):
 def _as_complex(v, what: str) -> complex:
     if not (isinstance(v, (list, tuple)) and len(v) == 2):
         raise ParseError(f"{what} must be a [re, im] pair")
+    if not all(type(x) in (int, float) for x in v):  # JSON numbers only: no true, false or "1"
+        raise ParseError(f"{what} has non-numeric entries")
     try:
         z = complex(float(v[0]), float(v[1]))
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{what} has non-numeric entries") from exc
+    except OverflowError as exc:  # an integer beyond the double range
+        raise ParseError(f"{what} must be finite") from exc
     if not (np.isfinite(z.real) and np.isfinite(z.imag)):
         raise ParseError(f"{what} must be finite")
     return z
@@ -139,7 +141,7 @@ def load_problem(path: str):
         raise ParseError("problem file needs lambda0 and sizes")
     lam0 = _as_complex(doc["lambda0"], "lambda0")
     sizes = doc["sizes"]
-    if not isinstance(sizes, list) or not all(isinstance(s, int) and s >= 0 for s in sizes):
+    if not isinstance(sizes, list) or not all(type(s) is int and s >= 0 for s in sizes):  # bool subclasses int
         raise ParseError("sizes must be a list of nonnegative integers")
     try:
         structure = JordanStructure(lam0, tuple(sizes))

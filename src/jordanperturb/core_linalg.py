@@ -1,9 +1,11 @@
 """Dense complex linear-algebra substrate.
 
 Thin, contract-checked wrappers around LAPACK for the operations the
-perturbation pipeline needs: eigenvalues (never eigenvectors), complex
-Schur forms, ordered or not, and singular values (numpy's ``gesdd``: scipy's
-``svdvals``, like its ``solve``, wakes a BLAS worker thread even at 4x4).
+perturbation pipeline needs: eigenvalues (never eigenvectors; numpy's
+``geev``), complex Schur forms, ordered or not, the finite eigenvalues of a
+pencil (QZ), singular values (numpy's ``gesdd``: scipy's ``svdvals``, like
+its ``solve``, wakes a BLAS worker thread even at 4x4) and the principal
+p-th root of a triangular matrix (Smith's recurrence, no LAPACK call).
 Two Sylvester solvers sit on them: ``solve_sylvester`` for
 a X - X b + c = 0 is Bartels-Stewart, Schur forms of both sides and one
 LAPACK ``ztrsyl`` back-substitution; ``schur_sylvester`` for the
@@ -13,13 +15,18 @@ triangular matrix is its own Schur form: no LAPACK call, no product with its
 identity Schur vectors.  All matrices are ``numpy.ndarray`` with dtype
 complex128; empty dimensions are allowed wherever they make sense (void
 Jordan blocks produce 0-width slices).
+
+This is the only module of the package that imports scipy, and only inside
+the calls that need a routine numpy lacks (the Schur form and its
+reordering, ``ztrsyl``, ``zgesv``, QZ): importing scipy.linalg takes longer
+than numpy and the rest of the package together, so ``import jordanperturb``, ``generate`` and ``analyze`` at rho = k
+load no scipy, and ``verify`` and ``expand`` load it at their first Schur
+form.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as la
-from scipy.linalg import lapack
 
 from .errors import NoConvergence, SpectraOverlap
 
@@ -29,15 +36,24 @@ __all__ = [
     "EPS",
     "as_matrix",
     "eig",
+    "pencil_eig",
     "schur",
     "ordered_schur",
     "schur_sylvester",
     "solve_sylvester",
     "smallest_singular_value",
+    "triangular_root",
     "frob",
     "eye",
     "zeros",
 ]
+
+
+def _la():
+    """scipy.linalg, imported by the first call that needs it."""
+    import scipy.linalg
+
+    return scipy.linalg
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -89,10 +105,18 @@ def eig(m) -> np.ndarray:
     if m.shape[0] == 0:
         return np.zeros(0, dtype=np.complex128)
     try:
-        w = la.eigvals(m, check_finite=False)  # as_matrix has checked
-    except la.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
+        w = np.linalg.eigvals(m)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
         raise NoConvergence(f"eigenvalue computation did not converge: {exc}") from exc
     return w.astype(np.complex128)
+
+
+def pencil_eig(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Homogeneous eigenvalues (alpha, beta) of the pencil ``a - lambda b`` by QZ
+    (LAPACK ``zggev``, no eigenvectors); lambda = alpha / beta, infinite where
+    beta = 0."""
+    alpha, beta = _la().eig(a, b, right=False, homogeneous_eigvals=True)
+    return alpha, beta
 
 
 def schur(m) -> tuple[np.ndarray, np.ndarray]:
@@ -111,10 +135,14 @@ def schur(m) -> tuple[np.ndarray, np.ndarray]:
 _STRICT_LOWER = {}  # n -> flat indices of the strict lower triangle of an n x n matrix
 
 
-def _schur(m):  # schur of a checked square matrix, q = None when it is triangular
+def _triangular(m) -> bool:  # a checked square matrix is upper triangular
     if len(m) not in _STRICT_LOWER:
         _STRICT_LOWER[len(m)] = np.flatnonzero(np.tri(len(m), k=-1, dtype=bool))
-    return la.schur(m, output="complex", check_finite=False) if m.ravel()[_STRICT_LOWER[len(m)]].any() else (m, None)
+    return not m.ravel()[_STRICT_LOWER[len(m)]].any()
+
+
+def _schur(m):  # schur of a checked square matrix, q = None when it is triangular
+    return (m, None) if _triangular(m) else _la().schur(m, output="complex", check_finite=False)
 
 
 def ordered_schur(m, select, q=None):
@@ -146,7 +174,7 @@ def ordered_schur(m, select, q=None):
     if t.shape[0] == 0:
         return q, t, 0
     mask = np.asarray(select(np.diag(t)), dtype=np.int32)  # ztrsen rejects a mask not of length n
-    t, q, _, r, *_ = lapack.ztrsen(mask, t, q, job="N")  # complex swaps cannot fail
+    t, q, _, r, *_ = _la().lapack.ztrsen(mask, t, q, job="N")  # complex swaps cannot fail
     return q, t, int(r)
 
 
@@ -157,15 +185,16 @@ def schur_sylvester(a, e, t, q, f) -> np.ndarray:
     Loan 1979).  e=None is I.  a, e may be singular if no a - t_kk e is; no overlap check."""
     fq = f @ q
     y = np.empty_like(fq)
+    zgesv = _la().lapack.zgesv
     for k in range(t.shape[0] if len(a) else 0):
         if e is None:
             m, rhs = a.astype(np.complex128), fq[:, k] + y[:, :k] @ t[:k, k]
             m.flat[:: len(a) + 1] -= t[k, k]
         else:
             m, rhs = a - t[k, k] * e, fq[:, k] + e @ (y[:, :k] @ t[:k, k])
-        _, _, y[:, k], info = lapack.zgesv(m, rhs, overwrite_a=True, overwrite_b=True)
+        _, _, y[:, k], info = zgesv(m, rhs, overwrite_a=True, overwrite_b=True)
         if info > 0:
-            raise la.LinAlgError("Singular matrix")
+            raise np.linalg.LinAlgError("Singular matrix")
     return y @ q.conj().T
 
 
@@ -198,11 +227,45 @@ def solve_sylvester(a, b, c) -> np.ndarray:
             f"spectra of a and b are separated by only {sep:.3e} (scale {scale:.3e})"
         )
     c = -c if qa is None else -(qa.conj().T @ c)
-    y, s, info = lapack.ztrsyl(ta, tb, c if qb is None else c @ qb, isgn=-1)
+    y, s, info = _la().lapack.ztrsyl(ta, tb, c if qb is None else c @ qb, isgn=-1)
     if info == 1:  # ztrsyl perturbed a near-common eigenvalue
         raise SpectraOverlap("ztrsyl found the spectra of a and b too close to separate")
     y = y / s if qa is None else qa @ (y / s)
     return y if qb is None else y @ qb.conj().T
+
+
+def triangular_root(t, p: int) -> np.ndarray:
+    """Principal p-th root R of a nonsingular upper-triangular t, itself upper
+    triangular, by Smith's recurrence (SIAM J. Matrix Anal. Appl. 24, 2003).
+
+    r_ii is the principal root t_ii^(1/p).  With a = r_ii, b = r_jj and the
+    powers R^q known nearer the diagonal, (R^q)_ij = a^(q-1) r_ij + b (R^(q-1))_ij
+    + s_q is affine in r_ij, s_q the sum of (R^(q-1))_il r_lj over i < l < j; the
+    (i, j) entry of R^p = t then fixes r_ij.  Its coefficient sums a^(p-1-k) b^k,
+    which does not vanish for principal roots of nonzero t_ii, t_jj.  No LAPACK
+    call is made.
+    """
+    t = as_matrix(t, "t")
+    n = t.shape[0]
+    if t.shape != (n, n) or not _triangular(t):
+        raise ValueError(f"triangular_root needs a square upper-triangular matrix, got {t.shape}")
+    d = np.array([complex(x) ** (1.0 / p) for x in t.diagonal()], dtype=np.complex128)
+    if not d.all():
+        raise ValueError("triangular_root needs a nonsingular matrix")
+    pw = np.zeros((p + 1, n, n), dtype=np.complex128)  # pw[q] = R^q
+    diag = pw.reshape(p + 1, -1)[:, :: n + 1]
+    diag[0] = 1.0
+    for q in range(1, p + 1):
+        diag[q] = diag[q - 1] * d
+    for j in range(1, n):
+        for i in range(j - 1, -1, -1):
+            s = pw[:p, i, i + 1 : j] @ pw[1, i + 1 : j, j]  # s[q - 1] = s_q
+            c, e = np.zeros(p + 1, dtype=np.complex128), np.zeros(p + 1, dtype=np.complex128)
+            for q in range(1, p + 1):  # (R^q)_ij = c[q] r_ij + e[q]
+                c[q] = pw[q - 1, i, i] + d[j] * c[q - 1]
+                e[q] = d[j] * e[q - 1] + s[q - 1]
+            pw[1:, i, j] = c[1:] * ((t[i, j] - e[p]) / c[p]) + e[1:]
+    return pw[1]
 
 
 def smallest_singular_value(m) -> float:

@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg as la
 
 from . import core_linalg as cl
 from .errors import NoConvergence, SingularNormalizer
@@ -238,7 +237,7 @@ def coupling_series(r: ReducedPencil, order: int, x=(), theta=(), jac=None):
     gc = np.r_[0:n1, n1 + n2 : m]
     if jac is None:  # the z^0 terms and the Jacobian at z = 0
         theta0, _, a0, b0 = _coupling(r, r.v_hat, r.u_hat)(cl.zeros(m - n2, n2))
-        x, theta, jac = [cl.zeros(m - n2, n2)], [theta0], (a0, b0, *la.schur(theta0, output="complex"))
+        x, theta, jac = [cl.zeros(m - n2, n2)], [theta0], (a0, b0, *cl.schur(theta0))
     v = [r.v_hat] + [r.hat(ap.ev_coeffs.get(e, cl.zeros(m, m))) for e in range(1, order + 1)]
     u0, u1 = r.u_hat[gc], r.hat(ap.eu)[gc]
     x, theta = list(x), list(theta)
@@ -306,7 +305,7 @@ def solve_riccati(
             )
         if it == RICCATI_MAX_ITER:
             break
-        t, q = la.schur(theta_hat, output="complex", check_finite=False)  # finite, as res is
+        t, q = cl.schur(theta_hat)
         x = x - cl.schur_sylvester(a, b, t, q, res)
     raise NoConvergence(
         f"riccati iteration stalled at residual {resid:.3e} (tol {tol:.3e}) after {RICCATI_MAX_ITER} sweeps; z may be too large"

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as la
 
 from . import core_linalg as cl
 from .errors import ClusterNotSeparated, MatrixRootFailure, SingularW
@@ -251,7 +250,9 @@ class BranchTable:
 
     def _fill(self, ci: int):
         """Cluster ci's branches from one power sequence of the principal root R
-        of its S11 (exact for a 1x1 block): branch b has omega = w_b R with
+        of its S11, a triangular block of an ordered Schur form, by Smith's
+        recurrence (:func:`core_linalg.triangular_root`; the scalar principal
+        root for a 1x1 block): branch b has omega = w_b R with
         |w_b| = 1, so phi_b = [w_b^j Q R^j]_j, M_b = w_b^(rho-1) M_0 and
         psi_b = M_0^-1 [w_b^-j R^(rho-1-j) Qt]_j (the Lidskii branch structure;
         Moro, Burke & Overton, SIMAX 18, 1997)."""
@@ -259,10 +260,7 @@ class BranchTable:
         s11 = cb.s11
         if cl.smallest_singular_value(s11) < 1e-14 * max(1.0, cl.frob(s11)):
             raise MatrixRootFailure("S11 is numerically singular; no invertible rho-th root")
-        if cb.count == 1:
-            root = np.array([[complex(s11[0, 0]) ** (1.0 / rho)]])
-        else:
-            root = la.fractional_matrix_power(s11, 1.0 / rho).astype(np.complex128)
+        root = cl.triangular_root(s11, rho)
         res = cl.frob(np.linalg.matrix_power(root, rho) - s11) / max(1.0, cl.frob(s11))
         if res > 1e-10:
             raise MatrixRootFailure(f"matrix root residual {res:.3e} too large")
@@ -627,7 +625,7 @@ def finite_pencil_eigs(pair: CanonicalPair, rho: int) -> np.ndarray:
     e = np.diag(
         np.concatenate([np.ones(s_rho), np.zeros(st.shat(rho + 1))]).astype(np.complex128)
     )
-    alpha, beta = la.eig(w, e, right=False, homogeneous_eigvals=True)
+    alpha, beta = cl.pencil_eig(w, e)
     weight = np.abs(beta) / (np.abs(alpha) + np.abs(beta) + 1e-300)
     order = np.argsort(weight)[::-1]
     take = order[:s_rho]

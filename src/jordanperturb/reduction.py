@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as la
 
 from . import core_linalg as cl
 from .errors import InvalidTransformation
@@ -73,7 +72,7 @@ class SpectralTransformation:
             )
         st = self.structure
         a11 = st.lambda0 * cl.eye(st.dim) + build_nilpotent(st)
-        blockdiag = la.block_diag(a11, self.a22)
+        blockdiag = np.block([[a11, cl.zeros(st.dim, n - st.dim)], [cl.zeros(n - st.dim, st.dim), self.a22]])
         resid = cl.frob(a @ t - t @ blockdiag) / max(1.0, cl.frob(a))
         if resid > SIMILARITY_TOL:
             raise InvalidTransformation(

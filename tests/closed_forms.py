@@ -31,8 +31,11 @@ subspace by a Stewart-type fixed point, with no Schur reordering.
 
 The pencil's branch table derives every branch of a cluster from one power
 sequence and one normalizer; ``branch_table_by_branch`` forms each branch
-from its own root (``branch_root``: scipy's ``fractional_matrix_power`` of
-S11 and a root of unity read off ``scalar_roots``), powers and normalizer.
+from its own root (``branch_root``: the principal root of S11 by
+``principal_root`` and a root of unity read off ``scalar_roots``), powers and
+normalizer.  ``principal_root`` is scipy's ``fractional_matrix_power``, a
+Schur-Pade method that shares no code with the library's Smith recurrence
+(``core_linalg.triangular_root``).
 ``first_order_expansion`` reads H1 off lifted bases cached per pencil;
 ``h1_by_lift`` lifts each selection's basis directly.  The complement's
 right and left Schur bases Q2, Qt and the power-sum normalizers M and M_c
@@ -462,17 +465,21 @@ def complement_pair_union(reduced, sel):
     }
 
 
+def principal_root(m, p):
+    """The principal p-th root of m, scipy's ``fractional_matrix_power``."""
+    return la.fractional_matrix_power(m, 1.0 / p).astype(np.complex128)
+
+
 def branch_root(reduced, ci, b):
     """The rho-th root omega of S11 on branch b of cluster ci: the principal
-    root R (scipy's ``fractional_matrix_power``; the scalar principal root of
-    a 1x1 block, which the matrix function can miss by a last bit) times the
-    rho-th root of unity w that takes Lambda(R) to root b of
-    ``scalar_roots(gamma, rho)``."""
+    root R (``principal_root``; the scalar principal root of a 1x1 block,
+    which the matrix function can miss by a last bit) times the rho-th root
+    of unity w that takes Lambda(R) to root b of ``scalar_roots(gamma, rho)``."""
     cb, rho = reduced.clusters[ci], reduced.rho
     if cb.count == 1:
         root = np.array([[complex(cb.s11[0, 0]) ** (1.0 / rho)]])
     else:
-        root = la.fractional_matrix_power(cb.s11, 1.0 / rho).astype(np.complex128)
+        root = principal_root(cb.s11, rho)
     units = scalar_roots(1.0, rho)
     target = scalar_roots(cb.gamma, rho)[b]
     return units[np.argmin(np.abs(units * np.linalg.eigvals(root)[0] - target))] * root

@@ -96,6 +96,30 @@ class TestAnalyze:
         f.write_text(json.dumps(doc))
         assert main(["analyze", str(f)]) == EXIT_PARSE
 
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("lambda0", [True, False], "lambda0 has non-numeric entries"),
+            ("sizes", [True, 1], "sizes must be a list of nonnegative integers"),
+            ("d11", [[[1.0, 0.0], [0.0, 0.0]], [[True, 0.0], [0.5, 0.0]]], "d11 entry has non-numeric entries"),
+        ],
+        ids=["lambda0", "sizes", "d11"],
+    )
+    def test_json_boolean_is_not_a_number(self, tmp_path, capsys, field, value, message):
+        # true and false are JSON booleans, not the numbers 1 and 0
+        doc = {"lambda0": [0.0, 0.0], "sizes": [0, 1], "d11": [[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.5, 0.0]]]}
+        doc[field] = value
+        f = tmp_path / "bool.json"
+        f.write_text(json.dumps(doc))
+        assert main(["analyze", str(f)]) == EXIT_PARSE
+        assert capsys.readouterr().err == f"parse error: {message}\n"
+
+    def test_integer_beyond_double_range_exit_3(self, tmp_path, capsys):
+        f = tmp_path / "big.json"
+        f.write_text('{"lambda0": [1' + "0" * 400 + ', 0], "sizes": [1], "d11": [[[1.0, 0.0]]]}')
+        assert main(["analyze", str(f)]) == EXIT_PARSE
+        assert capsys.readouterr().err == "parse error: lambda0 must be finite\n"
+
     def test_empty_d11_exit_3(self, tmp_path, capsys):
         # [] is the 0x0 matrix, so a d11 of the wrong shape is a parse error
         f = tmp_path / "empty.json"

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from jordanperturb import CanonicalPair, JordanStructure, assemble_pencil, reduce_pencil
 from jordanperturb import core_linalg as cl
 from jordanperturb.errors import SpectraOverlap
 
+from closed_forms import principal_root
 from conftest import kron_sylvester
 
 
@@ -104,7 +106,7 @@ class TestOrderedSchur:
         t, q = cl.schur(m)
         assert np.linalg.norm(q @ t @ q.conj().T - m) < 1e-13 * np.linalg.norm(m)
         want = cl.ordered_schur(m, lambda diag: diag.real > 0)
-        monkeypatch.setattr(cl.la, "schur", refuse)
+        monkeypatch.setattr(scipy.linalg, "schur", refuse)
         got = cl.ordered_schur(t, lambda diag: diag.real > 0, q)
         assert got[2] == want[2] > 0
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
@@ -164,7 +166,7 @@ class TestSolveSylvester:
         b = rand_complex(rng, nb) - 3 * np.eye(nb)
         if kind == "triangular":
             a, b = np.triu(a), np.triu(b)
-            monkeypatch.setattr(cl.la, "schur", refuse)
+            monkeypatch.setattr(scipy.linalg, "schur", refuse)
         c = rand_complex(rng, na, nb)
         monkeypatch.setattr(cl, "eig", refuse)
         x = cl.solve_sylvester(a, b, c)
@@ -230,3 +232,54 @@ class TestSmallestSingularValue:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             cl.smallest_singular_value(np.zeros((0, 2)))
+
+
+class TestTriangularRoot:
+    # closed_forms.principal_root (scipy's fractional_matrix_power) is the oracle
+
+    @staticmethod
+    def cluster_blocks():
+        """The S11 blocks of the clusters of S_2 = diag(9, 9, 4, 4) (sizes (0, 4))
+        and of the non-normal S_2 = [[a, 1], [0, a]] (sizes (0, 2))."""
+        d = np.zeros((8, 8), dtype=complex)
+        d[4:8, 0:4] = np.diag([9.0, 9.0, 4.0, 4.0])
+        pairs = [CanonicalPair(JordanStructure(0.0, (0, 4)), d)]
+        for a in (2.0, -1 + 2j, 0.3 - 0.7j, 1e-3 + 1e-3j):
+            d = np.zeros((4, 4), dtype=complex)
+            d[2:4, 0:2] = [[a, 1.0], [0.0, a]]
+            pairs.append(CanonicalPair(JordanStructure(0.0, (0, 2)), d))
+        return [cb.s11 for pair in pairs for cb in reduce_pencil(assemble_pencil(pair, 2)).clusters]
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+    def test_clustered_s_rho_against_oracle(self, p):
+        blocks = self.cluster_blocks()
+        assert [b.shape for b in blocks] == [(2, 2)] * 6
+        assert all(b[0, 1] == 1.0 for b in blocks[2:])  # non-normal: the Jordan block itself
+        for s11 in blocks:
+            got = cl.triangular_root(s11, p)
+            want = principal_root(s11, p)
+            assert np.array_equal(got, np.triu(got))
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+            assert np.linalg.norm(np.linalg.matrix_power(got, p) - s11) <= 1e-13 * np.linalg.norm(s11)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_triangular_against_oracle(self, p, seed):
+        # 5 x 5 with a triple eigenvalue and a distinct pair, off the branch cut
+        rng = np.random.default_rng(seed)
+        t = np.triu(rand_complex(rng, 5))
+        np.fill_diagonal(t, [1 + 1j, 1 + 1j, 1 + 1j, 2 - 0.5j, 0.5 + 2j])
+        got = cl.triangular_root(t, p)
+        want = principal_root(t, p)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_scalar_is_the_principal_complex_power(self):
+        for x in (4.0, -1 + 2j, 0.3 - 0.7j):
+            for p in (1, 2, 5):
+                assert cl.triangular_root([[x]], p)[0, 0] == complex(x) ** (1.0 / p)
+
+    def test_rejects_non_triangular_or_singular(self):
+        with pytest.raises(ValueError):
+            cl.triangular_root([[1.0, 0.0], [1.0, 1.0]], 2)
+        with pytest.raises(ValueError):
+            cl.triangular_root([[1.0, 1.0], [0.0, 0.0]], 2)

@@ -192,18 +192,16 @@ class TestSelectSubspace:
     def test_cluster_roots_computed_once(self, monkeypatch):
         # selecting and complementing every (cluster, branch) of one pencil
         # takes each cluster's matrix root once; S_2 = diag(9, 9, 4, 4) makes
-        # both clusters 2 x 2, so every root goes through fractional_matrix_power.
+        # both clusters 2 x 2, so every root is a 2 x 2 triangular_root.
         # Branch b's power-sum normalizer is w_b^(rho-1) M_0, so the branch
         # table inverts M_0 and takes its sigma_min once per cluster; a
         # complement_pair call inverts nothing.
-        import scipy.linalg
-
         calls, inverses, sigmas = [], [], []
-        power, inv, smin = scipy.linalg.fractional_matrix_power, np.linalg.inv, cl.smallest_singular_value
+        tri_root, inv, smin = cl.triangular_root, np.linalg.inv, cl.smallest_singular_value
 
-        def counted(a, t):
-            calls.append(t)
-            return power(a, t)
+        def counted(a, p):
+            calls.append((np.shape(a), p))
+            return tri_root(a, p)
 
         def counted_inv(a):
             inverses.append(a.shape)
@@ -213,7 +211,7 @@ class TestSelectSubspace:
             sigmas.append(np.array(a))
             return smin(a)
 
-        monkeypatch.setattr(scipy.linalg, "fractional_matrix_power", counted)
+        monkeypatch.setattr(cl, "triangular_root", counted)
         monkeypatch.setattr(np.linalg, "inv", counted_inv)
         monkeypatch.setattr(cl, "smallest_singular_value", counted_smin)
         st = JordanStructure(0.0, (0, 4))
@@ -227,11 +225,11 @@ class TestSelectSubspace:
                 comp = complement_pair(rp, sel)
                 assert np.allclose(np.abs(np.diag(sel.omega)), np.sqrt(abs(cb.gamma)))
                 assert comp.omega_c.shape == (6, 6)
-        assert len(calls) == len(rp.clusters)
+        assert calls == [((2, 2), 2)] * len(rp.clusters)
         assert inverses == [(2, 2)] * len(rp.clusters)
         # two sigma_min per cluster: the singularity check of S11 before its
         # root is taken, then M_0 = rho R (Qt Q = I, R = S11^(1/2) = 3 I or 2 I)
-        expected = [a for cb in rp.clusters for a in (cb.s11, 2 * power(cb.s11, 0.5))]
+        expected = [a for cb in rp.clusters for a in (cb.s11, 2 * tri_root(cb.s11, 2))]
         assert len(sigmas) == len(expected)
         assert all(np.allclose(a, e, rtol=0, atol=1e-13) for a, e in zip(sigmas, expected))
         tab = rp.branches

@@ -482,7 +482,7 @@ class TestFirstOrderExpansion:
             jordanperturb.first_order, "theta_perturbation", counted("theta", theta_perturbation)
         )
         monkeypatch.setattr(cl, "ordered_schur", counted("schur", cl.ordered_schur))
-        monkeypatch.setattr(cl.lapack, "ztrsen", counted("reorder", cl.lapack.ztrsen))
+        monkeypatch.setattr(scipy.linalg.lapack, "ztrsen", counted("reorder", scipy.linalg.lapack.ztrsen))
         monkeypatch.setattr(scipy.linalg, "schur", counted_schur)
         monkeypatch.setattr(cl, "schur_sylvester", counted("sylvester", cl.schur_sylvester))
         pair = random_pair((0, 2), seed=1)

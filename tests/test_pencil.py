@@ -43,6 +43,13 @@ def s2_diag_pair():
     return CanonicalPair(JordanStructure(0.0, (0, 4)), d)
 
 
+def s2_jordan_pair(a):
+    """sizes (0, 2) with S_2 = [[a, 1], [0, a]]: one non-normal 2 x 2 cluster."""
+    d = np.zeros((4, 4), dtype=complex)
+    d[2:4, 0:2] = [[a, 1.0], [0.0, a]]
+    return CanonicalPair(JordanStructure(0.0, (0, 2)), d)
+
+
 def rel_err(got, want) -> float:
     return float(np.linalg.norm(got - want)) / max(float(np.linalg.norm(want)), 1e-300)
 
@@ -358,7 +365,8 @@ class TestBranchTable:
             for seed in (1, 102)
             for s in EXPAND_SIZES
         ]
-        + [pytest.param(s2_diag_pair(), id="s2-diag-9-9-4-4")],
+        + [pytest.param(s2_diag_pair(), id="s2-diag-9-9-4-4")]
+        + [pytest.param(s2_jordan_pair(a), id=f"s2-jordan-{a}") for a in (2.0, -1 + 2j)],
     )
     def test_matches_per_branch_oracle(self, pair):
         # one power sequence, normalizer and inverse per cluster give every
