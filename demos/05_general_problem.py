@@ -3,9 +3,11 @@
 
 The canonical machinery operates on (lambda0 I + N, D11).  A matrix with
 additional structure away from lambda0 enters through a user-supplied
-spectral transformation [Xi Xi_c]; the library validates it, splits D into
-its four blocks, and folds the cross-block coupling into an effective D11
-through the first-order Sylvester solution P1.
+spectral transformation [Xi Xi_c]; the library validates it, splits D
+through it, and solves for the first-order cross-block coupling P1.  The
+expansions of the canonical pair come back in canonical coordinates; this
+script maps H0 and H1 to the original ones as Xi H0 and Xi H1 itself, and
+folds the coupling into an effective D11 to show where it enters.
 """
 
 import numpy as np
@@ -38,13 +40,14 @@ print(f"\nLambda(S_2) = {np.round(np.linalg.eigvals(reduced.s_rho), 4)}")
 gamma = np.linalg.eigvals(reduced.s_rho)[0]
 sel = jp.select_subspace(reduced, lambda g: abs(g - gamma) < 1e-6 * abs(gamma), 0)
 comp = jp.complement_pair(reduced, sel)
-fo = jp.first_order_expansion(reduced, sel, comp, xi=trans.xi)
+fo = jp.first_order_expansion(reduced, sel, comp)
+h0, h1 = trans.xi @ fo.h0, trans.xi @ fo.h1  # canonical -> original coordinates
 
 print("\nsubspace relation residual in the ORIGINAL coordinates:")
 print(f"{'t':>10} {'residual':>12} {'residual/t':>12}")
 for t in (1e-2, 1e-4, 1e-6, 1e-8):
     z = t ** (1.0 / rho)
-    h = fo.h0 + z * fo.h1
+    h = h0 + z * h1
     c = st.lambda0 * np.eye(sel.r) + z * sel.omega + z * z * fo.delta11
     resid = np.linalg.norm((a + t * d) @ h - h @ c)
     print(f"{t:10.0e} {resid:12.3e} {resid / t:12.3f}")

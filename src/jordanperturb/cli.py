@@ -324,6 +324,12 @@ def cmd_generate(args) -> int:
         structure = JordanStructure(complex(lam_re, lam_im), sizes)
     except ValueError as exc:
         raise ParseError(f"bad --sizes or --lambda0: {exc}") from exc
+    if not (np.isfinite(lam_re) and np.isfinite(lam_im)):
+        raise ParseError(f"--lambda0 {args.lambda0} is not finite")
+    if not np.isfinite(args.scale):
+        raise ParseError(f"--scale {args.scale} is not finite")
+    if not 0 <= args.seed < 2**128:  # the range of a Philox key
+        raise ParseError(f"--seed {args.seed} outside 0..2**128 - 1")
     spec = CaseSpec(
         structure=structure,
         seed=args.seed,

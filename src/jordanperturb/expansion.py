@@ -240,24 +240,19 @@ def h_order_table(structure: JordanStructure, rho: int, full: bool = False) -> t
     return tuple(entries)
 
 
-def subspace_expansion(
-    reduced: ReducedPencil,
-    sel: SubspaceSelection,
-    xi: np.ndarray | None = None,
-) -> SubspaceExpansion:
+def subspace_expansion(reduced: ReducedPencil, sel: SubspaceSelection) -> SubspaceExpansion:
     """Constant term and order table of the perturbed invariant subspace.
 
-    ``h0 = X0 Phi`` (``xi X0 Phi`` for a general problem), where X0 is the
-    pencil's constant basis ``ReducedPencil.x0``; it equals
-    ``XiTilde_rho [I; G_rho] Q1`` and may be column-rank deficient even
-    though the exact perturbed basis has full rank, so no rank invariant is
-    asserted on it.
+    ``h0 = X0 Phi``, where X0 is the pencil's constant basis
+    ``ReducedPencil.x0``, in canonical coordinates (``Xi h0`` for a general
+    problem); it equals ``XiTilde_rho [I; G_rho] Q1`` and may be column-rank
+    deficient even though the exact perturbed basis has full rank, so no
+    rank invariant is asserted on it.
     """
-    h0 = reduced.x0 @ sel.phi
     return SubspaceExpansion(
         rho=reduced.rho,
         lambda0=reduced.structure.lambda0,
         omega=sel.omega,
-        h0=h0 if xi is None else cl.as_matrix(xi) @ h0,
+        h0=reduced.x0 @ sel.phi,
         order_table=h_order_table(reduced.structure, reduced.rho),
     )

@@ -26,7 +26,9 @@ coupling Y) go through ``core_linalg.solve_sylvester``.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -128,76 +130,89 @@ def complement_pair(reduced: ReducedPencil, sel: SubspaceSelection) -> Complemen
 
 @dataclass(frozen=True)
 class ThetaPerturbation:
-    """Selection-independent first-order data: Theta-hat(z) = Theta + z*delta_coef + O(z^2),
-    with X1(z) = z*x1_coef + O(z^2), X2(z) = z*x2_coef + O(z^2), and C-hat the
-    first-order block of X2's eigenvector rows."""
+    """The first-order terms of one pencil: Theta-hat(z) = Theta + z*delta_coef
+    + O(z^2), C-hat the first-order block of X2's eigenvector rows, and,
+    computed on first use over every branch of ``ReducedPencil.branches``,
+    ``delta`` and ``lift``.  Only these two need a root of every cluster, so
+    a pencil with a singular S11 still has delta_coef and c_hat.  The pencil
+    is held by a weak reference, as it caches this object."""
 
     delta_coef: np.ndarray = field(repr=False)
-    x1_coef: np.ndarray = field(repr=False)
-    x2_coef: np.ndarray = field(repr=False)
     c_hat: np.ndarray = field(repr=False)
+    pencil: weakref.ref = field(repr=False)
+
+    @cached_property
+    def delta(self) -> np.ndarray:
+        """D = Psi Theta_1 Phi, the first-order perturbation of Theta_rho in the
+        branch basis: Delta11 and Delta21 of any selection are slices of it."""
+        tab = self.pencil().branches
+        tab.cols(tab.columns)  # every cluster's entries
+        return tab.psi @ self.delta_coef @ tab.phi
+
+    @cached_property
+    def lift(self) -> tuple[np.ndarray, np.ndarray]:
+        """(F, E), the lifted bases H1 is read from: a selection with branch
+        columns c, complement columns cc and coupling Y has H1 = F[:, c] +
+        E[:, cc] Y.  With Phi = ``branches.phi`` over every branch, E holds the
+        z^0 rows of Pi_R G [0; Phi; 0] (E = X0 Phi), and F its z^1 rows plus the
+        z^0 rows of Pi_R G [X1_1 Phi; 0; X2_1 Phi], X_1 the first-order term
+        of ``ReducedPencil.series``."""
+        r = self.pencil()
+        tab, x1, n1, n2 = r.branches, r.series(1)[0][1], r.n1, r.n2
+        tab.cols(tab.columns)  # every cluster's entries
+        f0 = r.lift(np.vstack([cl.zeros(n1, n2), tab.phi, cl.zeros(r.structure.dim - n1 - n2, n2)]))
+        f1 = r.lift(np.vstack([x1[:n1] @ tab.phi, cl.zeros(n2, n2), x1[n1:] @ tab.phi]))
+        exps = r.assembled.right_exponents[:, None]
+        f = np.where(exps == 1, f0, 0.0) + np.where(exps == 0, f1, 0.0)
+        return f, np.where(exps == 0, f0, 0.0)
 
 
 def theta_perturbation(reduced: ReducedPencil) -> ThetaPerturbation:
-    """First-order perturbation of Theta_rho and the X blocks behind it: the
-    k = 1 term of the coupling series (``ReducedPencil.series(1)``, see
-    :func:`coupling_series`), so delta_coef = Theta_1 and x1_coef, x2_coef
-    are the row blocks of X_1.  ``ReducedPencil.theta_perturbation`` holds
-    the result computed once per pencil.
-    """
+    """First-order perturbation of Theta_rho from the k = 1 term of the coupling
+    series (``ReducedPencil.series(1)``, see :func:`coupling_series`):
+    delta_coef = Theta_1, and C-hat is a block of X_1.  The pencil caches the
+    result as ``ReducedPencil.theta_perturbation``."""
     st, rho = reduced.structure, reduced.rho
     x, theta = reduced.series(1)
-    x1c, x2c = x[1][: reduced.n1], x[1][reduced.n1 :]
     # C-hat sits in the eigenvector rows of X2, in the second column block of
     # Theta coordinates (the first and only one when rho = 1).
     col = min(rho - 1, 1) * st.s(rho)
-    c_hat = x2c[: st.shat(rho + 1), col : col + st.s(rho)]
-    return ThetaPerturbation(delta_coef=theta[1], x1_coef=x1c, x2_coef=x2c, c_hat=c_hat)
+    c_hat = x[1][reduced.n1 : reduced.n1 + st.shat(rho + 1), col : col + st.s(rho)]
+    return ThetaPerturbation(delta_coef=theta[1], c_hat=c_hat, pencil=weakref.ref(reduced))
 
 
-def first_order_expansion(
-    reduced: ReducedPencil,
-    sel: SubspaceSelection,
-    comp: ComplementPair,
-    xi: np.ndarray | None = None,
-) -> SubspaceExpansion:
+def first_order_expansion(reduced: ReducedPencil, sel: SubspaceSelection, comp: ComplementPair) -> SubspaceExpansion:
     """The :func:`subspace_expansion` of the selection with H1, Delta11,
-    Delta21, Y and C-hat added.
+    Delta21, Y and C-hat added, all in canonical coordinates (for a general
+    problem, H0 and H1 map to the original ones as Xi H0 and Xi H1).
 
     The Theta perturbation is compressed through the biorthogonal pair:
     Delta11 and Delta21 are the rows and columns of the selection in
-    ``ReducedPencil.branch_delta``, computed once per pencil.  The complement
+    ``ThetaPerturbation.delta``, computed once per pencil.  The complement
     coupling Y solves ``Omega_c Y - Y Omega + Delta21 = 0``.  A semi-simple
     cluster with one branch selected (Omega = mu I) needs no separate path:
     for rho >= 2 its Delta11 is the scalar closed form
     (rho mu^(rho-2))^-1 Qt (Bhat_{rho-1,1} + Bhat_{rho,2}) Q, which the test
     suite asserts.
-
-    ``xi`` expresses H0 and H1 in the coordinates of a general problem
-    (columns of the spectral transformation).  The cross-block coupling of a
-    general problem enters the basis only at order t, so for rho >= 2 the
-    returned pair still satisfies the subspace relation through t^(2/rho);
-    at rho = 1 that coupling is itself first order and the relation then
-    holds through t only (same truncation caveat as ``effective_d11``).
     """
+    tp = reduced.theta_perturbation
     c, cc = comp.cols, comp.cols_c
-    delta11 = reduced.branch_delta[np.ix_(c, c)]
-    delta21 = reduced.branch_delta[np.ix_(cc, c)]
+    delta11 = tp.delta[np.ix_(c, c)]
+    delta21 = tp.delta[np.ix_(cc, c)]
 
     y = cl.solve_sylvester(comp.omega_c, sel.omega, delta21)
 
-    # H1 is the exact z^1 coefficient of Xi R(z) Pi_R G [z X1; I; z X2]
+    # H1 is the exact z^1 coefficient of R(z) Pi_R G [z X1; I; z X2]
     # (Phi + z Phi_c Y), whose z^0 coefficient is H0 = X0 Phi; its parts
     # that do not depend on Y are lifted once per pencil, over every branch.
-    f, e = reduced.branch_lift
-    h1 = f[:, c] + e[:, cc] @ y
+    f, e = tp.lift
     return replace(
-        subspace_expansion(reduced, sel, xi),
-        h1=h1 if xi is None else cl.as_matrix(xi) @ h1,
+        subspace_expansion(reduced, sel),
+        h1=f[:, c] + e[:, cc] @ y,
         delta11=delta11,
         delta21=delta21,
         y=y,
-        c_hat=reduced.theta_perturbation.c_hat,
+        c_hat=tp.c_hat,
     )
 
 

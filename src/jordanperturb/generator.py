@@ -14,7 +14,7 @@ import numpy as np
 
 from . import core_linalg as cl
 from .errors import GenerationExhausted, UnknownCase
-from .pencil import assemble_pencil, reduce_pencil
+from .pencil import eliminate
 from .structure import CanonicalPair, JordanStructure, check_generic
 
 __all__ = ["CaseSpec", "generate", "known_case", "KnownCase"]
@@ -36,11 +36,11 @@ class CaseSpec:
 def _distinct_gammas(pair: CanonicalPair) -> bool:
     """True when, for every rho with s_rho > 0, the eigenvalues of S_rho are
     pairwise more than 1e-3 times their largest modulus apart; Lambda(S_rho)
-    is read off the reduced pencil's S_rho (:func:`reduce_pencil`, which
-    raises :class:`SingularW` when W_{rho+1} is numerically singular), with
-    no QZ and so no scipy."""
+    is read off the S_rho of :func:`eliminate` (the one the reduced pencil
+    holds, from the W blocks alone: no pencil is assembled), which raises
+    :class:`SingularW` when W_{rho+1} is numerically singular."""
     for rho in pair.structure.valid_rhos():
-        vals = cl.eig(reduce_pencil(assemble_pencil(pair, rho)).s_rho)
+        vals = cl.eig(eliminate(pair, rho)[1])
         if vals.size < 2:
             continue
         scale = max(float(np.abs(vals).max()), 1e-300)

@@ -39,6 +39,7 @@ __all__ = [
     "scalar_roots",
     "sort_complex",
     "assemble_pencil",
+    "eliminate",
     "reduce_pencil",
     "theta_spectrum",
     "finite_pencil_eigs",
@@ -337,9 +338,9 @@ class ReducedPencil:
     shat_{rho+1} x (n1 + n2) block in the eigenvector rows and the g1/g2
     columns that holds G^(rho)_j at the leading sub-column of each block
     j <= rho.  ``s_rho`` is the core S_rho, the only S_i formed; no W_i is
-    kept.  What derives from the pencil alone (``clusters``, ``branches``,
-    ``branch_delta``, ``branch_lift``, ``series``) is computed on first use,
-    once per pencil.
+    kept.  What derives from the pencil alone (``x0``, ``clusters``,
+    ``branches``, ``series`` and its first-order terms
+    ``theta_perturbation``) is computed on first use, once per pencil.
     """
 
     assembled: AssembledPencil
@@ -475,36 +476,10 @@ class ReducedPencil:
         return BranchTable.build(self.clusters, self.rho, self.s_rho.shape[0])
 
     @cached_property
-    def branch_delta(self) -> np.ndarray:
-        """D = Psi Theta_1 Phi, the first-order perturbation of Theta_rho in the
-        basis of :attr:`branches`: Delta11 and Delta21 of any selection are
-        slices of it."""
-        tab = self.branches
-        tab.split(())  # every cluster's entries
-        return tab.psi @ self.theta_perturbation.delta_coef @ tab.phi
-
-    @cached_property
-    def branch_lift(self) -> tuple[np.ndarray, np.ndarray]:
-        """(F, E), the lifted bases H1 is read from: a selection with branch
-        columns c, complement columns cc and coupling Y has H1 = F[:, c] +
-        E[:, cc] Y.  With Phi = ``branches.phi`` over every branch, E holds the
-        z^0 rows of Pi_R G [0; Phi; 0] (E = X0 Phi), and F its z^1 rows plus the
-        z^0 rows of Pi_R G [X1_1 Phi; 0; X2_1 Phi], X_1 the first-order term
-        of :meth:`series`."""
-        tab, tp = self.branches, self.theta_perturbation
-        tab.split(())  # every cluster's entries
-        phi, n1, n2 = tab.phi, self.n1, self.n2
-        f0 = self.lift(np.vstack([cl.zeros(n1, n2), phi, cl.zeros(self.structure.dim - n1 - n2, n2)]))
-        f1 = self.lift(np.vstack([tp.x1_coef @ phi, cl.zeros(n2, n2), tp.x2_coef @ phi]))
-        exps = self.assembled.right_exponents[:, None]
-        f = np.where(exps == 1, f0, 0.0) + np.where(exps == 0, f1, 0.0)
-        return f, np.where(exps == 0, f0, 0.0)
-
-    @cached_property
     def theta_perturbation(self):
-        """The first-order perturbation of Theta_rho, the k = 1 term of
-        :meth:`series` (:func:`jordanperturb.first_order.theta_perturbation`),
-        computed once per pencil and shared by every expansion built on it."""
+        """The first-order terms, from the k = 1 term of :meth:`series`
+        (:func:`jordanperturb.first_order.theta_perturbation`), computed once
+        per pencil and shared by every expansion built on it."""
         from . import first_order
 
         return first_order.theta_perturbation(self)
@@ -543,20 +518,12 @@ def _permutations(structure: JordanStructure, rho: int) -> tuple[np.ndarray, np.
     return row_order, col_order
 
 
-def reduce_pencil(p: AssembledPencil) -> ReducedPencil:
-    """Permute and eliminate the z = 0 pencil, extracting Theta_rho and S_rho.
-
-    G^(rho)_j = -W_{rho+1}^-1 Z_{rho+1,j} for j = 1..rho and
-    S_rho = B^(rho rho)_{rho 1} + W_{rho,rho+1} G^(rho)_rho.  Requires W_{rho+1}
-    to be invertible (vacuous when rho = k); raises :class:`SingularW`
-    otherwise.  The eliminated pencil splits into zero eigenvalues (V11
-    nilpotent), Lambda(Theta_rho), and infinite eigenvalues.
-    """
-    pair = p.pair
-    st = pair.structure
-    rho = p.rho
-    k = st.k
-
+def eliminate(pair: CanonicalPair, rho: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``g_block`` and ``s_rho`` of :class:`ReducedPencil`, from the W blocks
+    of the pair alone: G^(rho)_j = -W_{rho+1}^-1 Z_{rho+1,j} (j = 1..rho) and
+    S_rho = B^(rho rho)_{rho 1} + W_{rho,rho+1} G^(rho)_rho.  Raises
+    :class:`SingularW` when W_{rho+1} is numerically singular (never at rho = k)."""
+    st, k = pair.structure, pair.structure.k
     if rho < k:
         w_next = w_matrix(pair, rho + 1)
         sigma = cl.smallest_singular_value(w_next)
@@ -567,10 +534,7 @@ def reduce_pencil(p: AssembledPencil) -> ReducedPencil:
                 "the generic condition fails"
             )
 
-    row_order, col_order = _permutations(st, rho)
-    n1 = sum(i * st.s(i) for i in range(1, rho))
-    n2 = rho * st.s(rho)
-    g_block = cl.zeros(st.shat(rho + 1), n1 + n2)
+    g_block = cl.zeros(st.shat(rho + 1), pair.index.cols(rho, rho).stop)  # the columns of blocks 1..rho
     for j in range(1, rho + 1):
         # Z_{rho+1,j} stacks the leading-column blocks of every row group below rho.
         z = [block(pair, pp, j, pp, 1) for pp in range(rho + 1, k + 1)]
@@ -584,16 +548,27 @@ def reduce_pencil(p: AssembledPencil) -> ReducedPencil:
         if rho < k
         else cl.zeros(st.s(rho), 0)
     )
+    return g_block, block(pair, rho, rho, rho, 1) + cross @ g
 
+
+def reduce_pencil(p: AssembledPencil) -> ReducedPencil:
+    """Permute and eliminate the z = 0 pencil, extracting Theta_rho and S_rho
+    (:func:`eliminate`, which raises :class:`SingularW` when W_{rho+1} is
+    numerically singular).  The eliminated pencil splits into zero
+    eigenvalues (V11 nilpotent), Lambda(Theta_rho), and infinite eigenvalues.
+    """
+    st, rho = p.pair.structure, p.rho
+    g_block, s_rho = eliminate(p.pair, rho)
+    row_order, col_order = _permutations(st, rho)
     return ReducedPencil(
         assembled=p,
         rho=rho,
-        s_rho=block(pair, rho, rho, rho, 1) + cross @ g,
+        s_rho=s_rho,
         row_order=row_order,
         col_order=col_order,
         g_block=g_block,
-        n1=n1,
-        n2=n2,
+        n1=sum(i * st.s(i) for i in range(1, rho)),
+        n2=rho * st.s(rho),
     )
 
 

@@ -6,11 +6,13 @@ eigenvalue of A22.  Computing such a transformation from a raw matrix is an
 ill-posed problem and out of scope here; validating one and splitting D
 through it is not.  The cross-block coupling P(t) = t P1 + O(t^2), with
 ``A22 P1 - P1 A11 + D21 = 0``, adds Xi_c P(t) h(t) to the exact basis
-Xi h(t) and t^2 D12 P1 to the matrix restricted to it.  The expansions use
-D11 alone and map H0 and H1 through Xi: for rho >= 2 both terms lie beyond
-H1 and Delta11, but at rho = 1 they are first order, and the subspace
-relation in original coordinates holds through t only (residual slope 1,
-where 2 is claimed).
+Xi h(t) and t^2 D12 P1 to the matrix restricted to it.  The expansions
+work on the canonical pair (lambda0 I + N, D11) alone and return H0 and H1
+in canonical coordinates; the caller maps them to the original ones as
+Xi H0 and Xi H1.  For rho >= 2 both coupling terms lie beyond H1 and
+Delta11, but at rho = 1 they are first order: Xi H1 lacks Xi_c P1 H0 and
+Delta11 the share of D12 P1, and the subspace relation in original
+coordinates holds through t only (residual slope 1, where 2 is claimed).
 """
 
 from __future__ import annotations
@@ -88,20 +90,20 @@ class SpectralTransformation:
 
 @dataclass(frozen=True)
 class ReducedProblem:
-    """The four D blocks in transformed coordinates plus the coupling P1."""
+    """The canonical pair (structure, D11), the cross blocks D12 and D21 of D
+    in transformed coordinates, and the coupling P1."""
 
     pair: CanonicalPair
     d12: np.ndarray = field(repr=False)
     d21: np.ndarray = field(repr=False)
-    d22: np.ndarray = field(repr=False)
     p1: np.ndarray = field(repr=False)
 
 
 def reduce(a, d, trans: SpectralTransformation) -> ReducedProblem:
     """Split D through the transformation and solve for P1.
 
-    Returns the canonical pair (structure, D11) together with D12, D21, D22
-    and the first-order coupling P1 with ``A22 P1 - P1 A11 + D21 = 0``.
+    Returns the canonical pair (structure, D11) together with D12, D21 and
+    the first-order coupling P1 with ``A22 P1 - P1 A11 + D21 = 0``.
     """
     a = cl.as_matrix(a, "a")
     d = cl.as_matrix(d, "d")
@@ -112,7 +114,7 @@ def reduce(a, d, trans: SpectralTransformation) -> ReducedProblem:
     st = trans.structure
     a11 = st.lambda0 * cl.eye(m) + build_nilpotent(st)
     p1 = cl.solve_sylvester(trans.a22, a11, dt[m:, :m])
-    return ReducedProblem(pair=CanonicalPair(st, dt[:m, :m]), d12=dt[:m, m:], d21=dt[m:, :m], d22=dt[m:, m:], p1=p1)
+    return ReducedProblem(pair=CanonicalPair(st, dt[:m, :m]), d12=dt[:m, m:], d21=dt[m:, :m], p1=p1)
 
 
 def effective_d11(red: ReducedProblem, t: float) -> np.ndarray:

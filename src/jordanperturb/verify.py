@@ -62,7 +62,7 @@ def _resolvable_floor(rho: int) -> float:
 @dataclass(frozen=True)
 class SweepPlan:
     """Geometric t-sweep for one splitting order rho: at least ``MIN_SAMPLES``
-    strictly decreasing t values, all above the resolvability floor."""
+    finite, strictly decreasing t values, all above the resolvability floor."""
 
     t_values: tuple
     rho: int
@@ -72,6 +72,8 @@ class SweepPlan:
         object.__setattr__(self, "t_values", ts)
         if len(ts) < MIN_SAMPLES:
             raise ValueError(f"a sweep needs at least {MIN_SAMPLES} t values, got {len(ts)}")
+        if not all(np.isfinite(ts)):  # NaN passes every comparison below
+            raise ValueError("t values must be finite")
         if any(b >= a for a, b in zip(ts, ts[1:])):
             raise ValueError("t_values must be strictly decreasing")
         floor = _resolvable_floor(self.rho)
@@ -85,7 +87,8 @@ class SweepPlan:
         """13 geometric points from 1e-2 down to 1e-8, with tmin clamped to
         the resolvability floor for the given rho."""
         tmin = max(tmin, 1.01 * _resolvable_floor(rho))
-        ts = np.geomspace(tmax, tmin, points)
+        with np.errstate(invalid="ignore"):  # a non-finite bound gives t values that __post_init__ rejects
+            ts = np.geomspace(tmax, tmin, points)
         return cls(t_values=tuple(ts), rho=rho)
 
 

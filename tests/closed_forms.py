@@ -175,7 +175,8 @@ def _solve_right_s_rho(reduced, mat):
 
 def closed_form_x_blocks(reduced):
     """Closed-form first-order solutions of the two reduced Sylvester systems
-    (rho >= 2); returns (x1_coef, x2_coef, c_tilde, c_hat, c_cor)."""
+    (rho >= 2); returns (X1_1, X2_1, c_tilde, c_hat, c_cor), with X1_1 and
+    X2_1 the row blocks of the series term X_1."""
     pair = reduced.pair
     st = pair.structure
     rho, k = reduced.rho, st.k
@@ -512,10 +513,10 @@ def h1_by_lift(reduced, sel, comp, y):
     """H1 of ``first_order_expansion`` from two lifts of the selection's own
     basis: the z^1 rows of Pi_R G [0; Phi; 0] plus the z^0 rows of
     Pi_R G [X1_1 Phi; Phi_c Y; X2_1 Phi], X_1 the first-order coupling term."""
-    tp = reduced.theta_perturbation
+    x1 = reduced.series(1)[0][1]
     r, n1 = sel.r, reduced.n1
     n3 = reduced.structure.dim - n1 - reduced.n2
     f0 = reduced.lift(np.vstack([cl.zeros(n1, r), sel.phi, cl.zeros(n3, r)]))
-    f1 = reduced.lift(np.vstack([tp.x1_coef @ sel.phi, comp.phi_c @ y, tp.x2_coef @ sel.phi]))
+    f1 = reduced.lift(np.vstack([x1[:n1] @ sel.phi, comp.phi_c @ y, x1[n1:] @ sel.phi]))
     exps = reduced.assembled.right_exponents[:, None]
     return np.where(exps == 1, f0, 0.0) + np.where(exps == 0, f1, 0.0)

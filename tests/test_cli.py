@@ -332,9 +332,13 @@ class TestGeneralFormProblem:
         ["verify", "{f}", "--swap-root"],
         ["verify", "{f}", "--rho", "1", "--swap-root"],
         ["verify", "{f}", "--rho", "2", "--perturb-h1", "nan"],
+        ["verify", "{f}", "--tmax", "nan"],
+        ["verify", "{f}", "--tmax", "inf"],
+        ["verify", "{f}", "--tmin", "nan"],
+        ["verify", "{f}", "--tmin", "inf"],
     ],
     ids=["root_5", "root_-1", "expand_rho_7", "verify_rho_7", "verify_rho_0", "analyze_rho_0", "tmax", "points_4", "sizes_x", "sizes_0",
-         "swap_root_all_rhos", "swap_root_rho_1", "perturb_h1_nan"],
+         "swap_root_all_rhos", "swap_root_rho_1", "perturb_h1_nan", "tmax_nan", "tmax_inf", "tmin_nan", "tmin_inf"],
 )
 def test_bad_argument_value_exit_3(tmp_path, capsys, argv):
     # a value the library rejects is a parse error (one line, exit 3), not a
@@ -345,3 +349,18 @@ def test_bad_argument_value_exit_3(tmp_path, capsys, argv):
     assert main([a.format(f=f) for a in argv]) == EXIT_PARSE
     err = capsys.readouterr().err
     assert err.startswith("parse error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--scale", "nan"), ("--scale", "inf"), ("--seed", "-1"), ("--seed", str(2**128)), ("--lambda0", "nan,0")],
+    ids=["scale_nan", "scale_inf", "seed_negative", "seed_2_128", "lambda0_nan"],
+)
+def test_generate_bad_argument_named(tmp_path, capsys, flag, value):
+    # each value makes no case (a non-finite D11 or lambda0, no Philox key):
+    # a one-line parse error naming the argument, exit 3, and no file
+    f = tmp_path / "p.json"
+    assert main(["generate", "--sizes", "1,2", flag, value, "--out", str(f)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith(f"parse error: {flag} {value} ") and err.count("\n") == 1
+    assert not f.exists()

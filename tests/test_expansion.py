@@ -15,7 +15,7 @@ from jordanperturb import (
 from jordanperturb import core_linalg as cl
 from jordanperturb.errors import ClusterNotSeparated, MatrixRootFailure
 from jordanperturb.expansion import h_order_table
-from jordanperturb.first_order import complement_pair
+from jordanperturb.first_order import ComplementPair, complement_pair, first_order_expansion, theta_perturbation
 from jordanperturb.verify import exact_subspace_basis
 
 from closed_forms import eigvec_stack, gtilde_matrix, w_blocks, xi_tilde
@@ -188,6 +188,20 @@ class TestSelectSubspace:
         with pytest.raises(MatrixRootFailure):
             select_subspace(rp, lambda g: abs(g) < 0.5, 0)
         assert np.allclose(select_subspace(rp, lambda g: abs(g - 1) < 0.5, 0).phi, sel.phi)
+        # Theta_1 needs no root; the branch-basis terms, and so the first-order
+        # expansion, need every cluster's, whatever complement it is handed
+        tp = theta_perturbation(rp)
+        assert tp.delta_coef.shape == (2, 2) and np.all(np.isfinite(tp.delta_coef))
+        for name in ("delta", "lift"):
+            with pytest.raises(MatrixRootFailure):
+                getattr(tp, name)
+        cols = rp.branches.columns
+        comp = ComplementPair(
+            omega_c=np.zeros((1, 1)), psi=np.zeros((1, 2)), psi_c=np.zeros((1, 2)),
+            phi_c=np.zeros((2, 1)), cols=cols[(1, 0)], cols_c=cols[(0, 0)],
+        )
+        with pytest.raises(MatrixRootFailure):
+            first_order_expansion(rp, sel, comp)
 
     def test_cluster_roots_computed_once(self, monkeypatch):
         # selecting and complementing every (cluster, branch) of one pencil

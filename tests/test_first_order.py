@@ -202,15 +202,15 @@ def assert_matches_closed_form(rp, tol=1e-12):
     if rp.rho < 2:
         return
     tp = theta_perturbation(rp)
+    x1 = rp.series(1)[0][1]
     x1c, x2c, _, c_hat, _ = closed_form_x_blocks(rp)
     expected = {
-        "x1_coef": x1c,
-        "x2_coef": x2c,
-        "c_hat": c_hat,
-        "delta_coef": closed_form_delta_coef(rp, x1c, x2c),
+        "x1": (x1[: rp.n1], x1c),
+        "x2": (x1[rp.n1 :], x2c),
+        "c_hat": (tp.c_hat, c_hat),
+        "delta_coef": (tp.delta_coef, closed_form_delta_coef(rp, x1c, x2c)),
     }
-    for name, ref in expected.items():
-        got = getattr(tp, name)
+    for name, (got, ref) in expected.items():
         assert got.shape == ref.shape, name
         assert np.linalg.norm(got - ref) <= tol * max(1.0, np.linalg.norm(ref)), name
 
@@ -249,7 +249,7 @@ class TestFirstOrderClosedForms:
             for seed in (0, 3)
             for i, sizes in enumerate(SUITE_SIZES)
         ]
-        # the expand-batch pencil of seed 102, m = 60: at rho = 1 ||x2_coef||
+        # the expand-batch pencil of seed 102, m = 60: at rho = 1 ||X2_1||
         # is about 2e5 and ||delta_coef|| about 4e5, against ||Delta11|| near 10
         # for three of its four clusters
         + [pytest.param((4, 4, 4, 4, 4), 102, id="102-sizes44444")],
@@ -258,11 +258,11 @@ class TestFirstOrderClosedForms:
         pair = random_pair(sizes, seed=seed)
         for rho in pair.structure.valid_rhos():
             rp = reduce_pencil(assemble_pencil(pair, rho))
-            tp = theta_perturbation(rp)
+            x1 = rp.series(1)[0][1]
             x1o, x2o = self.kron_first_order(rp)
             scale = max(1.0, np.linalg.norm(x2o))
-            assert np.linalg.norm(tp.x1_coef - x1o) <= 1e-10 * scale
-            assert np.linalg.norm(tp.x2_coef - x2o) <= 1e-10 * scale
+            assert np.linalg.norm(x1[: rp.n1] - x1o) <= 1e-10 * scale
+            assert np.linalg.norm(x1[rp.n1 :] - x2o) <= 1e-10 * scale
             assert_matches_closed_form(rp)
 
     @pytest.mark.parametrize("sizes", [(1, 2), (2, 1), (1, 0, 1), (1, 1)])
@@ -297,7 +297,7 @@ class TestFirstOrderClosedForms:
         rp = reduce_pencil(assemble_pencil(pair, 4))  # rho = k needs no inversion
         tp = theta_perturbation(rp)
         assert np.all(tp.delta_coef == 0)
-        assert np.all(tp.x1_coef == 0) and np.all(tp.x2_coef == 0)
+        assert np.all(rp.series(1)[0][1] == 0)
         assert np.all(tp.c_hat == 0)
 
 
@@ -383,7 +383,7 @@ class TestFirstOrderExpansion:
                 (fo.h0, display @ sel.q1),
                 (subspace_expansion(rp, sel).h0, display @ sel.q1),
                 (subspace_expansion(rp, select_subspace(rp, lambda g: g == cb.gamma, 0)).h0, display @ cb.q),
-                (subspace_expansion(rp, sel, xi).h0, xi_tilde(pair, rho, xi) @ eigvec_stack(rp) @ sel.q1),
+                (xi @ subspace_expansion(rp, sel).h0, xi_tilde(pair, rho, xi) @ eigvec_stack(rp) @ sel.q1),
             ]:
                 assert h0.shape == ref.shape
                 assert np.linalg.norm(h0 - ref) <= 1e-14 * max(1.0, np.linalg.norm(ref))
@@ -513,8 +513,9 @@ class TestFirstOrderExpansion:
     def test_branch_table_split_once_per_selection(self, monkeypatch):
         # (4,4,4,4,4) seed 1 over every rho: 60 selections on 5 pencils.  The
         # complement splits the table once per selection and the expansion
-        # reuses its columns; each pencil splits it twice more, for
-        # branch_delta and branch_lift: 60 + 2 * 5 = 70 calls.
+        # reuses its columns.  The first-order terms Delta and the lift fill
+        # every cluster through ``cols`` and split nothing: 60 calls, where
+        # two more per pencil (70) were made when they split the table.
         tab_cls = jordanperturb.pencil.BranchTable
         split, calls = tab_cls.split, []
 
@@ -532,7 +533,7 @@ class TestFirstOrderExpansion:
                     sel = select_subspace(rp, lambda g, cb=cb: g == cb.gamma, b)
                     first_order_expansion(rp, sel, complement_pair(rp, sel))
                     selections += 1
-        assert selections == 60 and len(calls) == 70
+        assert selections == 60 and len(calls) == 60
 
     def test_two_block_mixed_delta11_against_oracle(self):
         # sizes (1,2), rho=2: lambda(t) - l0 - t^(1/2) mu ~ t * delta
@@ -924,11 +925,11 @@ class TestDeepStructures:
         helper = TestFirstOrderClosedForms()
         for rho in pair.structure.valid_rhos():
             rp = reduce_pencil(assemble_pencil(pair, rho))
-            tp = theta_perturbation(rp)
+            x1 = rp.series(1)[0][1]
             x1o, x2o = helper.kron_first_order(rp)
             scale = max(1.0, np.linalg.norm(x2o))
-            assert np.linalg.norm(tp.x1_coef - x1o) <= 1e-10 * scale
-            assert np.linalg.norm(tp.x2_coef - x2o) <= 1e-10 * scale
+            assert np.linalg.norm(x1[: rp.n1] - x1o) <= 1e-10 * scale
+            assert np.linalg.norm(x1[rp.n1 :] - x2o) <= 1e-10 * scale
             assert_matches_closed_form(rp)
 
     @pytest.mark.parametrize("sizes", DEEP_SIZES)

@@ -54,7 +54,6 @@ class TestReduce:
         assert np.allclose(red.pair.d11, d[:2, :2])
         assert np.allclose(red.d12, d[:2, 2:])
         assert np.allclose(red.d21, d[2:, :2])
-        assert np.allclose(red.d22, d[2:, 2:])
 
     def test_zero_d(self):
         a, trans = j2_plus_scalar()
@@ -97,8 +96,12 @@ class TestReduce:
         monkeypatch.setattr(la, "solve", refuse)
         monkeypatch.setattr(la, "svdvals", refuse)
         red = reduce(a, d, trans)
-        t, dt = trans.full, np.block([[red.pair.d11, red.d12], [red.d21, red.d22]])
-        assert np.linalg.norm(t @ dt - d @ t) <= 1e-12 * np.linalg.norm(d @ t)
+        # D Xi = T [D11; D21], and D12 is the top of T^-1 D Xi_c
+        t, scale = trans.full, np.linalg.norm(d @ trans.full)
+        assert np.linalg.norm(t @ np.vstack([red.pair.d11, red.d21]) - d @ trans.xi) <= 1e-12 * scale
+        m = trans.structure.dim
+        dc = np.linalg.solve(t, d @ trans.xi_c)[:m]
+        assert np.linalg.norm(dc - red.d12) <= 1e-12 * max(1.0, np.linalg.norm(red.d12))
 
     def test_invalid_singular_basis(self):
         a, trans = j2_plus_scalar()
@@ -164,14 +167,14 @@ class TestEffectiveD11:
         g0 = np.linalg.eigvals(rp.s_rho)[0]
         sel = select_subspace(rp, lambda lam: abs(lam - g0) < 1e-6 * max(1, abs(g0)), 0)
         comp = complement_pair(rp, sel)
-        fo = first_order_expansion(rp, sel, comp, xi=trans.xi)
+        fo = first_order_expansion(rp, sel, comp)
         lam0 = trans.structure.lambda0
         ts = np.geomspace(1e-2, 1e-8, 13)
         errs, eig_errs = [], []
         exps = {id(e): e for e in eigenvalue_expansions(rp)}.values()
         for t in ts:
             z = t ** (1.0 / rho)
-            h = fo.h0 + z * fo.h1
+            h = trans.xi @ fo.h_of(t)  # canonical -> original coordinates
             c = lam0 * np.eye(sel.r) + z * sel.omega + z * z * fo.delta11
             errs.append(np.linalg.norm((a + t * d) @ h - h @ c))
             w = np.linalg.eigvals(a + t * d)
@@ -203,8 +206,9 @@ class TestEffectiveD11:
         ts = SweepPlan.default(1).t_values
         for cb in rp.clusters:
             sel = select_subspace(rp, lambda g, cb=cb: g == cb.gamma, 0)
-            fo = first_order_expansion(rp, sel, complement_pair(rp, sel), xi=trans.xi)
-            errs = [np.linalg.norm((a + t * d) @ fo.h_of(t) - fo.h_of(t) @ fo.c_of(t)) for t in ts]
+            fo = first_order_expansion(rp, sel, complement_pair(rp, sel))
+            hs = [trans.xi @ fo.h_of(t) for t in ts]  # canonical -> original coordinates
+            errs = [np.linalg.norm((a + t * d) @ h - h @ fo.c_of(t)) for t, h in zip(ts, hs)]
             assert fit_slope(ts, errs) >= claimed - 0.1
 
     @pytest.mark.parametrize("rho", [1, 2])

@@ -2,6 +2,7 @@ import logging
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -57,12 +58,27 @@ class TestSweepPlan:
             (np.geomspace(1e-8, 1e-2, 5), 2, "strictly decreasing"),
             (np.geomspace(1e-2, 1e-12, 5), 1, "cannot resolve"),
             (np.geomspace(1e-2, 1e-8, 4), 2, "at least 5"),
+            ((1e-2, 1e-3, np.nan, 1e-5, 1e-6), 2, "finite"),
+            ((np.inf, 1e-3, 1e-4, 1e-5, 1e-6), 2, "finite"),
         ],
-        ids=["increasing", "below_floor", "too_few"],
+        ids=["increasing", "below_floor", "too_few", "nan", "inf"],
     )
     def test_rejects(self, t_values, rho, reason):
         with pytest.raises(ValueError, match=reason):
             SweepPlan(t_values=tuple(t_values), rho=rho)
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [dict(tmax=np.nan), dict(tmax=np.inf), dict(tmin=np.nan), dict(tmin=np.inf)],
+        ids=["tmax_nan", "tmax_inf", "tmin_nan", "tmin_inf"],
+    )
+    def test_default_rejects_non_finite_bounds(self, bounds):
+        # a NaN passes every ordering and floor comparison, so it has to be
+        # named; geomspace's own invalid-value warning is not raised
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                SweepPlan.default(2, **bounds)
 
 
 class TestOracleEigs:
