@@ -13,13 +13,14 @@ import numpy as np
 
 import jordanperturb as jp
 
-case = jp.known_case("example1")
-pair = jp.CanonicalPair(case.structure, case.d)
+d11 = np.zeros((4, 4), dtype=complex)
+d11[3, 0] = 1.0  # D = e_4 e_1^T
+pair = jp.CanonicalPair(jp.JordanStructure(0.0, (0, 0, 0, 1)), d11)
 
 print("A (single 4x4 Jordan block at lambda0 = 0):")
 print(pair.a_matrix().real)
 print("\nD (bottom-left corner perturbation):")
-print(case.d.real)
+print(pair.d11.real)
 
 report = jp.check_generic(pair)
 print(f"\ngeneric condition: {report.generic}  sigma_min(W_i) = {report.sigma_min}")

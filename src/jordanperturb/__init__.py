@@ -15,7 +15,6 @@ from .pencil import (
     AssembledPencil,
     ReducedPencil,
     assemble_pencil,
-    finite_pencil_eigs,
     reduce_pencil,
     theta_spectrum,
 )
@@ -37,7 +36,7 @@ from .first_order import (
     theta_perturbation,
 )
 from .verify import ConvergenceReport, SweepPlan, match_eigenvalues, slope_fit, verify_all
-from .generator import CaseSpec, KnownCase, generate, known_case
+from .generator import CaseSpec, generate
 
 __version__ = "0.1.0"
 
@@ -56,7 +55,6 @@ __all__ = [
     "assemble_pencil",
     "reduce_pencil",
     "theta_spectrum",
-    "finite_pencil_eigs",
     "EigenvalueExpansion",
     "SubspaceSelection",
     "SubspaceExpansion",
@@ -76,7 +74,5 @@ __all__ = [
     "slope_fit",
     "verify_all",
     "CaseSpec",
-    "KnownCase",
     "generate",
-    "known_case",
 ]

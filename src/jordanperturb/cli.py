@@ -31,12 +31,11 @@ from .errors import (
     ParseError,
     SingularW,
     SpectraOverlap,
-    UnknownCase,
 )
 from .expansion import select_subspace, subspace_expansion
 from .first_order import complement_pair, first_order_expansion
 from .generator import CaseSpec, generate
-from .pencil import assemble_pencil, finite_pencil_eigs, reduce_pencil, theta_spectrum
+from .pencil import assemble_pencil, reduce_pencil, sort_complex, theta_spectrum
 from .reduction import SpectralTransformation, reduce
 from .structure import CanonicalPair, JordanStructure, check_generic
 from .verify import SweepPlan, verify_all
@@ -52,7 +51,6 @@ _PRECONDITION_ERRORS = (
     InvalidTransformation,
     MatrixRootFailure,
     SpectraOverlap,
-    UnknownCase,
 )
 
 
@@ -178,7 +176,8 @@ def _check_rho(rho: int, st: JordanStructure) -> int:
 
 def _parse_cluster(spec: str, reduced):
     """Cluster selector: 'idx:N' picks the N-th eigenvalue cluster of S_rho
-    in deterministic order; 'val:RE,IM:RADIUS' picks by value."""
+    in deterministic order; 'val:RE,IM:RADIUS' picks every cluster within
+    RADIUS of RE + i IM, and must pick at least one."""
     bases = reduced.clusters
     if spec.startswith("idx:"):
         try:
@@ -196,6 +195,10 @@ def _parse_cluster(spec: str, reduced):
             radius = float(radius_part)
         except ValueError as exc:
             raise ParseError(f"bad cluster spec {spec!r}") from exc
+        if not (np.isfinite(target) and 0 <= radius < np.inf):
+            raise ParseError(f"cluster spec {spec!r} needs a finite RE, IM and a finite nonnegative RADIUS")
+        if not any(abs(cb.gamma - target) <= radius for cb in bases):
+            raise ParseError(f"cluster spec {spec!r} matches no cluster of S_rho")
         return lambda lam: abs(lam - target) <= radius
     raise ParseError(f"cluster spec must be 'idx:N' or 'val:RE,IM:RADIUS', got {spec!r}")
 
@@ -217,7 +220,7 @@ def cmd_analyze(args) -> int:
     for rho in rhos:
         try:
             reduced = reduce_pencil(assemble_pencil(pair, rho))
-            s_eigs = finite_pencil_eigs(pair, rho)
+            s_eigs = sort_complex(cl.eig(reduced.s_rho))
             t_eigs = theta_spectrum(reduced)
         except SingularW as exc:
             print(f"rho = {rho}: {exc}")

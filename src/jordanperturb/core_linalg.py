@@ -2,10 +2,10 @@
 
 Thin, contract-checked wrappers around LAPACK for the operations the
 perturbation pipeline needs: eigenvalues (never eigenvectors; numpy's
-``geev``), complex Schur forms, ordered or not, the finite eigenvalues of a
-pencil (QZ), singular values (numpy's ``gesdd``: scipy's ``svdvals``, like
-its ``solve``, wakes a BLAS worker thread even at 4x4) and the principal
-p-th root of a triangular matrix (Smith's recurrence, no LAPACK call).
+``geev``), complex Schur forms, ordered or not, singular values (numpy's
+``gesdd``: scipy's ``svdvals``, like its ``solve``, wakes a BLAS worker
+thread even at 4x4) and the principal p-th root of a triangular matrix
+(Smith's recurrence, no LAPACK call).
 Two Sylvester solvers sit on them: ``solve_sylvester`` for
 a X - X b + c = 0 is Bartels-Stewart, Schur forms of both sides and one
 LAPACK ``ztrsyl`` back-substitution; ``schur_sylvester`` for the
@@ -18,10 +18,10 @@ Jordan blocks produce 0-width slices).
 
 This is the only module of the package that imports scipy, and only inside
 the calls that need a routine numpy lacks (the Schur form and its
-reordering, ``ztrsyl``, ``zgesv``, QZ): importing scipy.linalg takes longer
-than numpy and the rest of the package together, so ``import jordanperturb``, ``generate`` and ``analyze`` at rho = k
-load no scipy, and ``verify`` and ``expand`` load it at their first Schur
-form.
+reordering, ``ztrsyl``, ``zgesv``): importing scipy.linalg takes longer than
+numpy and the rest of the package together, so ``import jordanperturb``,
+``generate`` and ``analyze`` load no scipy, and ``verify`` and ``expand``
+load it at their first Schur form.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ __all__ = [
     "EPS",
     "as_matrix",
     "eig",
-    "pencil_eig",
     "schur",
     "ordered_schur",
     "schur_sylvester",
@@ -109,14 +108,6 @@ def eig(m) -> np.ndarray:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
         raise NoConvergence(f"eigenvalue computation did not converge: {exc}") from exc
     return w.astype(np.complex128)
-
-
-def pencil_eig(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Homogeneous eigenvalues (alpha, beta) of the pencil ``a - lambda b`` by QZ
-    (LAPACK ``zggev``, no eigenvectors); lambda = alpha / beta, infinite where
-    beta = 0."""
-    alpha, beta = _la().eig(a, b, right=False, homogeneous_eigvals=True)
-    return alpha, beta
 
 
 def schur(m) -> tuple[np.ndarray, np.ndarray]:

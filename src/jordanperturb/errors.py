@@ -45,9 +45,5 @@ class GenerationExhausted(JordanPerturbError):
     """Random case generation hit the retry limit without meeting constraints."""
 
 
-class UnknownCase(JordanPerturbError):
-    """Requested known test case name does not exist."""
-
-
 class ParseError(JordanPerturbError):
     """A problem file could not be parsed or fails schema validation."""

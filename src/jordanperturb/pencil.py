@@ -42,7 +42,6 @@ __all__ = [
     "eliminate",
     "reduce_pencil",
     "theta_spectrum",
-    "finite_pencil_eigs",
     "check_separated",
     "CLUSTER_GAP_REL",
 ]
@@ -578,35 +577,3 @@ def theta_spectrum(r: ReducedPencil) -> np.ndarray:
     As a multiset this equals all rho-th roots of the eigenvalues of S_rho.
     """
     return sort_complex(cl.eig(r.theta))
-
-
-def finite_pencil_eigs(pair: CanonicalPair, rho: int) -> np.ndarray:
-    """The s_rho finite eigenvalues of gamma*diag(I_{s_rho}, 0) - W_rho.
-
-    Computed directly from the generalized eigenvalue problem (independent
-    of the Theta_rho route); under the generic condition these coincide with
-    the eigenvalues of S_rho.  Raises :class:`SingularW` when one of them has
-    a relative weight |beta| / (|alpha| + |beta|) below ``GENERIC_THRESHOLD``.
-    """
-    st = pair.structure
-    if not 1 <= rho <= st.k:
-        raise ValueError(f"rho={rho} outside 1..{st.k}")
-    s_rho = st.s(rho)
-    w = w_matrix(pair, rho)
-    if s_rho == 0:
-        return np.zeros(0, dtype=np.complex128)
-    if rho == st.k:
-        return sort_complex(cl.eig(w))
-    e = np.diag(
-        np.concatenate([np.ones(s_rho), np.zeros(st.shat(rho + 1))]).astype(np.complex128)
-    )
-    alpha, beta = cl.pencil_eig(w, e)
-    weight = np.abs(beta) / (np.abs(alpha) + np.abs(beta) + 1e-300)
-    order = np.argsort(weight)[::-1]
-    take = order[:s_rho]
-    if np.any(weight[take] < GENERIC_THRESHOLD):
-        raise SingularW(
-            "pencil has fewer well-defined finite eigenvalues than s_rho; "
-            "W_{rho+1} is numerically singular"
-        )
-    return sort_complex(alpha[take] / beta[take])

@@ -109,6 +109,8 @@ def reduce(a, d, trans: SpectralTransformation) -> ReducedProblem:
     d = cl.as_matrix(d, "d")
     trans.validate(a)
     t = trans.full
+    if d.shape != a.shape:
+        raise InvalidTransformation(f"d must be {len(t)}x{len(t)} to match the transformation")
     m = trans.structure.dim
     dt = np.linalg.solve(t, d @ t)
     st = trans.structure

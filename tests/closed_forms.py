@@ -43,15 +43,20 @@ of a selection are formed only in ``complement_pair_union``.
 
 ``oracle_eigs`` is the tests' dense eigenvalue filter: the eigenvalues of
 A + tD near lambda0, from ``numpy.linalg.eigvals``.
+
+The library reads Lambda(S_rho) as the eigenvalues of its S_rho, the Schur
+complement of W_{rho+1} in W_rho.  ``finite_pencil_eigs`` finds the same
+numbers as the finite eigenvalues of the pencil gamma diag(I, 0) - W_rho,
+by QZ (scipy's ``eig`` of the pair), with no elimination.
 """
 
 import numpy as np
 import scipy.linalg as la
 
 from jordanperturb import core_linalg as cl
-from jordanperturb.errors import NoConvergence
-from jordanperturb.pencil import left_exponent, right_exponent, scalar_roots
-from jordanperturb.structure import block, w_matrix
+from jordanperturb.errors import NoConvergence, SingularW
+from jordanperturb.pencil import left_exponent, right_exponent, scalar_roots, sort_complex
+from jordanperturb.structure import GENERIC_THRESHOLD, block, w_matrix
 
 
 def oracle_eigs(a, d, t, lambda0, radius_exponent):
@@ -76,6 +81,26 @@ def w_blocks(reduced):
         return w_matrix(pair, rho), cl.zeros(0, 0), cl.zeros(st.s(rho), 0)
     cross = np.hstack([block(pair, rho, q, rho, 1) for q in range(rho + 1, st.k + 1)])
     return w_matrix(pair, rho), w_matrix(pair, rho + 1), cross
+
+
+def finite_pencil_eigs(pair, rho):
+    """The s_rho finite eigenvalues of gamma diag(I_{s_rho}, 0) - W_rho, sorted
+    by argument then modulus: the s_rho eigenvalues of largest relative weight
+    |beta| / (|alpha| + |beta|) of the homogeneous pair (alpha, beta).  Raises
+    :class:`SingularW` when one of them weighs less than ``GENERIC_THRESHOLD``."""
+    st = pair.structure
+    s_rho, w = st.s(rho), w_matrix(pair, rho)
+    if s_rho == 0:
+        return np.zeros(0, dtype=np.complex128)
+    if rho == st.k:
+        return sort_complex(np.linalg.eigvals(w))
+    e = np.diag(np.concatenate([np.ones(s_rho), np.zeros(st.shat(rho + 1))])).astype(np.complex128)
+    alpha, beta = la.eig(w, e, right=False, homogeneous_eigvals=True)
+    weight = np.abs(beta) / (np.abs(alpha) + np.abs(beta) + 1e-300)
+    take = np.argsort(weight)[::-1][:s_rho]
+    if np.any(weight[take] < GENERIC_THRESHOLD):
+        raise SingularW("the pencil has fewer than s_rho finite eigenvalues")
+    return sort_complex(alpha[take] / beta[take])
 
 
 def g_blocks(reduced):

@@ -10,7 +10,6 @@ import pytest
 import scipy.linalg as la
 
 from jordanperturb import (
-    CanonicalPair,
     JordanStructure,
     SpectralTransformation,
     assemble_pencil,
@@ -18,7 +17,6 @@ from jordanperturb import (
     complement_pair,
     eigenvalue_expansions,
     first_order_expansion,
-    known_case,
     match_eigenvalues,
     reduce,
     reduce_pencil,
@@ -28,8 +26,9 @@ from jordanperturb import (
     theta_spectrum,
     verify_all,
 )
-from closed_forms import g_blocks, oracle_eigs, reduced_identity_residual, w_blocks
+from closed_forms import finite_pencil_eigs, g_blocks, oracle_eigs, reduced_identity_residual, w_blocks
 from conftest import fit_slope, suite_pairs
+from known_cases import EXAMPLE1_H0, EXAMPLE1_H1, example1_eigenvalues, example1_pair
 
 
 def _line(num, ok, msg):
@@ -59,16 +58,14 @@ def suite_reports(suite_cases):
 
 def test_criterion_1_example1_golden():
     start = time.perf_counter()
-    case = known_case("example1")
-    pair = CanonicalPair(case.structure, case.d)
+    pair = example1_pair()
     a = pair.a_matrix()
 
     # oracle eigenvalues match t^(1/4) e^{i pi (j-1)/2} to 1e-9 relative
     worst = 0.0
     for t in (1e-2, 1e-4, 1e-6):
-        w = oracle_eigs(a, case.d, t, 0.0, radius_exponent=1 / 5)
-        expected = case.expected["eigenvalues"](t)
-        _, err = match_eigenvalues(expected, w)
+        w = oracle_eigs(a, pair.d11, t, 0.0, radius_exponent=1 / 5)
+        _, err = match_eigenvalues(example1_eigenvalues(t), w)
         worst = max(worst, err / t**0.25)
     assert worst <= 1e-9
 
@@ -88,8 +85,8 @@ def test_criterion_1_example1_golden():
         fo = first_order_expansion(rp, sel, comp)
         h0[:, col] = fo.h0.ravel()
         h1[:, col] = fo.h1.ravel()
-    assert np.abs(h0 - case.expected["h0_columns"]).max() <= 1e-12
-    assert np.abs(h1 - case.expected["h1_columns"]).max() <= 1e-12
+    assert np.abs(h0 - EXAMPLE1_H0).max() <= 1e-12
+    assert np.abs(h1 - EXAMPLE1_H1).max() <= 1e-12
 
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
@@ -122,8 +119,6 @@ def test_criterion_2_pipeline_identities(suite_cases):
                 worst_fact,
                 np.linalg.norm(w_rho - top @ low) / max(1.0, np.linalg.norm(w_rho)),
             )
-        from jordanperturb import finite_pencil_eigs
-
         pen = finite_pencil_eigs(pair, rho)
         s_eigs = np.linalg.eigvals(rp.s_rho)
         if s_eigs.size:

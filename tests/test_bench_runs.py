@@ -1,4 +1,4 @@
-"""The benchmark's library workloads run to the end and pass their own checks.
+"""The benchmark's workloads run to the end and pass their own checks.
 
 ``tests/test_bench_names.py`` checks that the names bench/ calls resolve;
 this runs ``bench/run.py`` on a copy of ``src/``, ``bench/`` (without its
@@ -28,7 +28,7 @@ def checkout(tmp_path_factory):
     return dest
 
 
-@pytest.mark.parametrize("workload", ["expand-batch", "verify-ladder"])
+@pytest.mark.parametrize("workload", ["expand-batch", "verify-ladder", "cli-verify"])
 def test_workload_runs_and_checks_pass(checkout, workload):
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", "3", "--seconds", "0", "--trace", "0"]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, timeout=300)

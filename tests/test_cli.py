@@ -5,13 +5,13 @@ import pytest
 
 from jordanperturb.cli import canonical_json, main, matrix_to_json
 
+from known_cases import example1_pair
+
 EXIT_OK, EXIT_VERIFY_FAIL, EXIT_PRECONDITION, EXIT_PARSE = 0, 1, 2, 3
 
 
 def write_example1(path):
-    d11 = np.zeros((4, 4), dtype=complex)
-    d11[3, 0] = 1.0
-    doc = {"lambda0": [0.0, 0.0], "sizes": [0, 0, 0, 1], "d11": matrix_to_json(d11)}
+    doc = {"lambda0": [0.0, 0.0], "sizes": [0, 0, 0, 1], "d11": matrix_to_json(example1_pair().d11)}
     path.write_text(canonical_json(doc), encoding="utf-8")
     return path
 
@@ -120,6 +120,17 @@ class TestAnalyze:
         assert main(["analyze", str(f)]) == EXIT_PARSE
         assert capsys.readouterr().err == "parse error: lambda0 must be finite\n"
 
+    def test_large_scale_rho1_exit_0(self, tmp_path, capsys):
+        # at --scale 1e9 the pair is generic by the relative test of
+        # check_generic, and Lambda(S_rho) is printed at every rho
+        f = tmp_path / "big.json"
+        assert main(["generate", "--sizes", "1,2", "--seed", "1", "--scale", "1e9", "--out", str(f)]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["analyze", str(f)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "generic: True" in out and "singular" not in out
+        assert "rho = 1: Lambda(S_rho) = [" in out and "rho = 2: Lambda(S_rho) = [" in out
+
     def test_empty_d11_exit_3(self, tmp_path, capsys):
         # [] is the 0x0 matrix, so a d11 of the wrong shape is a parse error
         f = tmp_path / "empty.json"
@@ -170,6 +181,23 @@ class TestExpand:
         assert main(
             ["expand", str(example1_file), "--rho", "4", "--cluster", "nope"]
         ) == EXIT_PARSE
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["val:nan,0:1", "val:0,inf:1", "val:0,0:nan", "val:0,0:inf", "val:0,0:-1", "val:1e3,0:1"],
+        ids=["re_nan", "im_inf", "radius_nan", "radius_inf", "radius_negative", "no_cluster"],
+    )
+    def test_value_spec_rejected_exit_3(self, tmp_path, capsys, spec):
+        # a non-finite value, a negative or infinite radius, or a value near
+        # no cluster is a parse error naming the spec, not an empty expansion
+        f = tmp_path / "mix.json"
+        assert main(["generate", "--sizes", "1,2", "--seed", "1", "--out", str(f)]) == EXIT_OK
+        capsys.readouterr()
+        for order in ("0", "1"):
+            argv = ["expand", str(f), "--rho", "2", "--cluster", spec, "--order", order]
+            assert main(argv) == EXIT_PARSE
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("parse error:") and repr(spec) in err and err.count("\n") == 1
 
     def test_index_names_one_cluster(self, tmp_path, capsys):
         # S_1 = diag(1e-3, 1e-3 + 5e-7) has two clusters within 1e-6 of each
@@ -260,34 +288,51 @@ class TestVerify:
         assert main(["verify", str(f)]) == EXIT_OK
 
 
+def general_doc(d_rows=None, d_cols=None):
+    """A general-form problem, sizes (1, 1) and n = 5, with D cut to its
+    leading d_rows x d_cols block."""
+    from jordanperturb import JordanStructure, build_nilpotent
+
+    st = JordanStructure(0.0, (1, 1))
+    rng = np.random.default_rng(5)
+    m, n = st.dim, st.dim + 2
+    a11 = build_nilpotent(st)
+    a22 = np.diag([3.0 + 0j, -2.0 + 1j])
+    t = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    import scipy.linalg as la
+
+    a = t @ la.block_diag(a11, a22) @ t.conj().T
+    d = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return {
+        "lambda0": [0.0, 0.0],
+        "sizes": [1, 1],
+        "a": matrix_to_json(a),
+        "d": matrix_to_json(d[:d_rows, :d_cols]),
+        "xi": matrix_to_json(t[:, :m]),
+        "xi_c": matrix_to_json(t[:, m:]),
+        "a22": matrix_to_json(a22),
+    }
+
+
 class TestGeneralFormProblem:
     def test_general_reduces_and_analyzes(self, tmp_path, capsys):
-        from jordanperturb import JordanStructure, build_nilpotent
-
-        st = JordanStructure(0.0, (1, 1))
-        rng = np.random.default_rng(5)
-        m, n = st.dim, st.dim + 2
-        a11 = build_nilpotent(st)
-        a22 = np.diag([3.0 + 0j, -2.0 + 1j])
-        t = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
-        import scipy.linalg as la
-
-        a = t @ la.block_diag(a11, a22) @ t.conj().T
-        d = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        doc = {
-            "lambda0": [0.0, 0.0],
-            "sizes": [1, 1],
-            "a": matrix_to_json(a),
-            "d": matrix_to_json(d),
-            "xi": matrix_to_json(t[:, :m]),
-            "xi_c": matrix_to_json(t[:, m:]),
-            "a22": matrix_to_json(a22),
-        }
         f = tmp_path / "general.json"
-        f.write_text(canonical_json(doc))
+        f.write_text(canonical_json(general_doc()))
         assert main(["analyze", str(f)]) == EXIT_OK
         out = capsys.readouterr().out
         assert "rho = 1" in out and "rho = 2" in out
+
+    @pytest.mark.parametrize("command", [["analyze"], ["verify"], ["expand", "--rho", "1", "--cluster", "idx:0"]],
+                             ids=["analyze", "verify", "expand"])
+    @pytest.mark.parametrize("cut", [(5, 4), (4, 5)], ids=["5x4", "4x5"])
+    def test_d_of_wrong_shape_exit_2(self, tmp_path, capsys, command, cut):
+        # a d that does not match the transformation is a precondition
+        # failure naming d, not a traceback with the verification-failure code
+        f = tmp_path / "general.json"
+        f.write_text(canonical_json(general_doc(*cut)))
+        assert main([command[0], str(f), *command[1:]]) == EXIT_PRECONDITION
+        out, err = capsys.readouterr()
+        assert out == "" and err == "precondition failed: d must be 5x5 to match the transformation\n"
 
     def test_jordan_block_fills_space(self, tmp_path, capsys):
         # n = m: Xi is square, Xi_c has no columns and A22 is the 0x0 matrix []

@@ -8,6 +8,7 @@ from jordanperturb import (
     JordanStructure,
     assemble_pencil,
     eigenvalue_expansions,
+    match_eigenvalues,
     reduce_pencil,
     select_subspace,
     subspace_expansion,
@@ -16,16 +17,16 @@ from jordanperturb import core_linalg as cl
 from jordanperturb.errors import ClusterNotSeparated, MatrixRootFailure
 from jordanperturb.expansion import h_order_table
 from jordanperturb.first_order import ComplementPair, complement_pair, first_order_expansion, theta_perturbation
+from jordanperturb.pencil import sort_complex
 from jordanperturb.verify import exact_subspace_basis
 
 from closed_forms import eigvec_stack, gtilde_matrix, w_blocks, xi_tilde
 from conftest import SUITE_SIZES, random_pair
+from known_cases import example1_pair, rho1_diagonal_pair, two_block_mixed_pair
 
 
 def example1_reduced():
-    d11 = np.zeros((4, 4), dtype=complex)
-    d11[3, 0] = 1.0
-    pair = CanonicalPair(JordanStructure(0.0, (0, 0, 0, 1)), d11)
+    pair = example1_pair()
     return pair, reduce_pencil(assemble_pencil(pair, 4))
 
 
@@ -85,6 +86,31 @@ class TestEigenvalueExpansions:
         w = np.linalg.eigvals(a + t * d)
         err = np.min(np.abs(w - e.predict(t)[0]))
         assert err < 10 * t**2 * max(1.0, abs(e.gamma)) ** 2
+
+    def test_rho1_diagonal_classical(self):
+        # A = lambda0 I: the gammas are Lambda(D11) and lambda0 + t gamma is exact
+        pair = rho1_diagonal_pair()
+        exps = eigenvalue_expansions(reduce_pencil(assemble_pencil(pair, 1)))
+        gammas = sort_complex([e.gamma for e in exps])
+        assert np.abs(gammas - sort_complex(np.linalg.eigvals(pair.d11))).max() <= 1e-12
+        t = 1e-3
+        w = np.linalg.eigvals(pair.a_matrix() + t * pair.d11)
+        _, err = match_eigenvalues(np.concatenate([e.predict(t) for e in exps]), w)
+        assert err <= 1e-12
+
+    def test_two_block_mixed_all_orders(self):
+        # sizes (1, 2): the rho = 1 and rho = 2 expansions together predict
+        # all five eigenvalues of A + tD, to O(t) (the t^(2/rho) term at rho = 2)
+        pair = two_block_mixed_pair()
+        for t in (1e-4, 1e-6, 1e-8):
+            preds = [
+                lam
+                for rho in pair.structure.valid_rhos()
+                for e in eigenvalue_expansions(reduce_pencil(assemble_pencil(pair, rho)))
+                for lam in e.predict(t)
+            ]
+            _, err = match_eigenvalues(np.array(preds), np.linalg.eigvals(pair.a_matrix() + t * pair.d11))
+            assert err <= 2 * t
 
     def test_root_residual_invariant(self):
         for sizes in SUITE_SIZES:

@@ -38,12 +38,11 @@ from closed_forms import (
     xi_tilde,
 )
 from conftest import SUITE_SIZES, fit_slope, random_pair
+from known_cases import example1_pair
 
 
 def example1():
-    d11 = np.zeros((4, 4), dtype=complex)
-    d11[3, 0] = 1.0
-    pair = CanonicalPair(JordanStructure(0.0, (0, 0, 0, 1)), d11)
+    pair = example1_pair()
     ap = assemble_pencil(pair, 4)
     return pair, ap, reduce_pencil(ap)
 

@@ -7,9 +7,7 @@ from jordanperturb import (
     JordanStructure,
     check_generic,
     generate,
-    known_case,
 )
-from jordanperturb.errors import UnknownCase
 
 
 class TestGenerate:
@@ -81,42 +79,3 @@ class TestGenerate:
             assert _distinct_gammas(pair(sizes, [1.0, 1.0011]))
             assert not _distinct_gammas(pair(sizes, [1.0, 1.0009]))
             assert not _distinct_gammas(pair(sizes, [2.0, 2.0]))
-
-
-class TestKnownCase:
-    def test_example1(self):
-        case = known_case("example1")
-        assert case.structure.sizes == (0, 0, 0, 1)
-        t = 1e-4
-        w = np.linalg.eigvals(case.a + t * case.d)
-        expected = case.expected["eigenvalues"](t)
-        from jordanperturb import match_eigenvalues
-
-        _, err = match_eigenvalues(expected, w)
-        assert err < 1e-12
-        assert case.expected["h0_columns"].shape == (4, 3)
-        assert case.expected["h1_columns"][1, 1] == 1.0j
-
-    def test_rho1_diagonal(self):
-        case = known_case("rho1-diagonal")
-        t = 1e-3
-        w = np.linalg.eigvals(case.a + t * case.d)
-        expected = case.expected["eigenvalues"](t)
-        from jordanperturb import match_eigenvalues
-
-        _, err = match_eigenvalues(expected, w)
-        assert err < 1e-12  # exact: A = lambda0 I
-
-    def test_two_block_mixed(self):
-        case = known_case("two-block-mixed")
-        assert case.structure.sizes == (1, 2)
-        assert case.expected["valid_rhos"] == [1, 2]
-        t = case.expected["t_ref"]
-        w = np.sort_complex(np.linalg.eigvals(case.a + t * case.d))
-        assert np.abs(w - case.expected["eigenvalues_at_t_ref"]).max() < 1e-14
-        pair = CanonicalPair(case.structure, case.d)
-        assert check_generic(pair).generic
-
-    def test_unknown(self):
-        with pytest.raises(UnknownCase):
-            known_case("no-such-case")

@@ -9,7 +9,6 @@ from jordanperturb import (
     JordanStructure,
     assemble_pencil,
     generate,
-    finite_pencil_eigs,
     reduce_pencil,
     theta_spectrum,
 )
@@ -19,12 +18,14 @@ from jordanperturb.pencil import CLUSTER_GAP_REL, check_separated, scalar_roots,
 from closed_forms import (
     assemble_pencil_blocks,
     branch_table_by_branch,
+    finite_pencil_eigs,
     g_blocks,
     reduced_identity_residual,
     s_blocks,
     w_blocks,
 )
 from conftest import SUITE_SIZES, random_pair
+from known_cases import example1_pair
 
 # the verify-ladder structures (seed 1), and two with void size groups
 LADDER_SIZES = [(1, 2), (2, 2, 2), (1, 1, 1, 1, 1), (3, 3, 3, 3), (4, 4, 4, 4, 4)]
@@ -52,12 +53,6 @@ def s2_jordan_pair(a):
 
 def rel_err(got, want) -> float:
     return float(np.linalg.norm(got - want)) / max(float(np.linalg.norm(want)), 1e-300)
-
-
-def example1_pair():
-    d11 = np.zeros((4, 4), dtype=complex)
-    d11[3, 0] = 1.0
-    return CanonicalPair(JordanStructure(0.0, (0, 0, 0, 1)), d11)
 
 
 class TestScalarRoots:

@@ -116,6 +116,13 @@ class TestReduce:
         with pytest.raises(InvalidTransformation, match="similarity"):
             reduce(a + 0.1, np.zeros((3, 3)), trans)
 
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 3)], ids=["3x2", "2x3"])
+    def test_invalid_d_shape(self, shape):
+        # a d that does not match the transformation is named, not a matmul error
+        a, trans = j2_plus_scalar()
+        with pytest.raises(InvalidTransformation, match=r"^d must be 3x3 to match the transformation$"):
+            reduce(a, np.zeros(shape), trans)
+
     def test_invalid_lambda0_in_a22(self):
         st = JordanStructure(5.0, (1,))
         a = np.diag([5.0, 5.0 + 1e-9]).astype(complex)

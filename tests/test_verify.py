@@ -30,12 +30,7 @@ from jordanperturb.verify import exact_subspace_basis
 
 from closed_forms import fixed_point_subspace_basis, oracle_eigs
 from conftest import random_pair
-
-
-def example1_pair():
-    d11 = np.zeros((4, 4), dtype=complex)
-    d11[3, 0] = 1.0
-    return CanonicalPair(JordanStructure(0.0, (0, 0, 0, 1)), d11)
+from known_cases import example1_pair
 
 
 class TestSweepPlan:
@@ -600,8 +595,9 @@ def test_largest_ladder_case_invariant_relation(largest_ladder_run):
 def test_import_leaves_scipy_optimize_unloaded(tmp_path):
     # neither the import nor a whole `verify` run loads scipy.optimize: the
     # eigenvalue matching uses the package's own assignment solver.  Neither
-    # the import nor `generate` loads scipy at all; `verify` does, at its
-    # first Schur form, so the scipy check is not vacuous.
+    # the import, `generate` nor `analyze` (at rho = 1 < k too) loads scipy at
+    # all; `verify` does, at its first Schur form, so the scipy check is not
+    # vacuous.
     import jordanperturb
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(jordanperturb.__file__)))
@@ -616,6 +612,9 @@ def test_import_leaves_scipy_optimize_unloaded(tmp_path):
         f"    gen = main(['generate', '--sizes', '1,2', '--seed', '1', '--out', {path!r}])\n"
         "print(gen, 'scipy' in sys.modules)\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    ana = main(['analyze', {path!r}])\n"
+        "print(ana, 'scipy' in sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = main(['verify', {path!r}])\n"
         "print(code, 'scipy.optimize' in sys.modules, 'scipy' in sys.modules)\n"
     )
@@ -623,4 +622,4 @@ def test_import_leaves_scipy_optimize_unloaded(tmp_path):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["False", "False", "0", "False", "0", "False", "True"]
+    assert out.stdout.split() == ["False", "False", "0", "False", "0", "False", "0", "False", "True"]
