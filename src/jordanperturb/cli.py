@@ -168,9 +168,14 @@ def load_problem(path: str):
     return red.pair
 
 
-def _check_rho(rho: int, st: JordanStructure) -> int:
+def _check_rho(rho: int, st: JordanStructure, splitting: bool = True) -> int:
+    """--rho in 1..k and, unless ``splitting`` is off (``analyze``), an order
+    at which eigenvalues split: s_rho > 0."""
     if not 1 <= rho <= st.k:
         raise ParseError(f"--rho {rho} outside 1..{st.k}")
+    if splitting and rho not in st.valid_rhos():
+        valid = ", ".join(map(str, st.valid_rhos()))
+        raise ParseError(f"--rho {rho} has s_{rho} = 0, so no eigenvalue splits at that order; valid orders: {valid}")
     return rho
 
 
@@ -208,7 +213,7 @@ def _parse_cluster(spec: str, reduced):
 def cmd_analyze(args) -> int:
     pair = load_problem(args.file)
     st = pair.structure
-    rhos = [_check_rho(args.rho, st)] if args.rho is not None else st.valid_rhos()
+    rhos = [_check_rho(args.rho, st, splitting=False)] if args.rho is not None else st.valid_rhos()
     report = check_generic(pair)
     print(f"lambda0 = {st.lambda0:.6g}, sizes = {st.sizes}, k = {st.k}, m = {st.dim}")
     print(f"||D11||_F = {cl.frob(pair.d11):.6e}")

@@ -4,22 +4,23 @@ The oracle is a dense eigensolve of ``A + tD`` over a geometric t-sweep.
 Each theoretical claim ``error = O(t^c)`` is one row of error samples, and
 :func:`slope_fit` is the one rule that turns a row into a report: failed,
 floor-limited or fitted.  :func:`verify_all` gathers the rows of three
-claim families: the eigenvalues, the first-order subspace residuals and the
-claims on the Riccati sweep points.
+claim families: the eigenvalues and the first-order subspace residuals, on
+the oracle's t-sweep, and the claims on the Riccati sweep points.
 
 Order-table claims (the per-block decay rates of the invariant-subspace
 bases) are measured against the exact small-z solutions from
 :func:`jordanperturb.first_order.solve_riccati`, whose output is itself
-validated against the oracle to machine precision.  The sweep points are
-solved as one continuation path along the branch: in ascending z, each
-Newton solve starting from the last converged solution and the first from
-zero (natural-parameter continuation; Allgower & Georg, Introduction to
-Numerical Continuation Methods, SIAM 2003).  Each solved point is logged at
-DEBUG on this module's logger with its start, Newton iterations and
-residual.  A sweep point where the Riccati solve raises
-:class:`NoConvergence` is left out of those fits, logged at INFO, and
-counted in the note of each report fitted without it; the reports keep the
-plan's order.
+validated against the oracle to machine precision.  Their sweep is a
+z-window set a priori inside the disc |z| < R where the exact coupling is
+analytic along the branch (the Lidskii branch structure; Moro, Burke &
+Overton, SIAM J. Matrix Anal. Appl. 18, 1997): R is estimated from the
+coupling series' own coefficients, and each Newton solve starts from the
+series summed at its z (:func:`_riccati_window`).  Each solved point is
+logged at DEBUG on this module's logger with its start, Newton iterations
+and residual, and each pencil's window with R, its ends, the total Newton
+iterations and the dropped count.  A sweep point where the Riccati solve
+raises :class:`NoConvergence` is left out of those fits, logged at INFO,
+and counted in the note of each report fitted without it.
 """
 
 from __future__ import annotations
@@ -52,6 +53,21 @@ DEFAULT_R2 = 0.98
 FLOOR_FACTOR = 100.0
 MIN_SAMPLES = 5
 
+# The Riccati window, derived here and not tuned to verdicts.  Ratios of the
+# coupling series' coefficients estimate the radius R of its disc.  At
+# |z| <= c R the terms the series start leaves out, after z^K, are about
+# c^(K+1) = 1e-5 of the leading one, well inside Newton's quadratic basin, so
+# a step or two meets the residual test; K = 4 is the order the estimate of
+# R already reads, so the start costs no further series term.  The cap 0.1
+# bounds t = z^rho by 0.1^rho when R is large.  Two decades of z are 2 rho
+# decades of t, and 13 points (the oracle's default count) leave 8 to drop
+# before a claim has fewer than MIN_SAMPLES.
+WINDOW_FRACTION = 0.1
+WINDOW_CAP = 0.1
+WINDOW_DECADES = 2
+WINDOW_POINTS = 13
+START_ORDER = 4
+
 
 def _resolvable_floor(rho: int) -> float:
     """The least t at which t^(1/rho) effects stand clear of rounding:
@@ -61,8 +77,9 @@ def _resolvable_floor(rho: int) -> float:
 
 @dataclass(frozen=True)
 class SweepPlan:
-    """Geometric t-sweep for one splitting order rho: at least ``MIN_SAMPLES``
-    finite, strictly decreasing t values, all above the resolvability floor."""
+    """Geometric t-sweep of the oracle claims for one splitting order rho: at
+    least ``MIN_SAMPLES`` finite, strictly decreasing t values, all above the
+    resolvability floor."""
 
     t_values: tuple
     rho: int
@@ -291,11 +308,15 @@ def verify_all(
     perturb_h1: float = 0.0,
     swap_root: bool = False,
 ) -> list[ConvergenceReport]:
-    """Run every verifiable claim for one (pair, rho) over a t-sweep: one
-    :func:`slope_fit` report per claim, in this order: per cluster, the
-    eigenvalue errors against ``lambda0 + t^(1/rho) mu``; per cluster, the
-    first-order subspace relation residual; the per-block order tables of
-    the exact bases; the exact Theta-hat(z) against its first-order model.
+    """Run every verifiable claim for one (pair, rho): one :func:`slope_fit`
+    report per claim, in this order: per cluster, the eigenvalue errors
+    against ``lambda0 + t^(1/rho) mu``; per cluster, the first-order subspace
+    relation residual; the per-block order tables of the exact bases; the
+    exact Theta-hat(z) against its first-order model.  The first two families
+    run on ``plan``'s t-values (``SweepPlan.default(rho)`` when None), the
+    last two on the Riccati z-window of :func:`_riccati_window`, which no
+    argument sets.  An order rho with s_rho = 0 splits no eigenvalue and has
+    no claims: the list is empty.
 
     ``perturb_h1`` and ``swap_root`` are negative-control hooks: they
     corrupt H1 with noise of the given relative norm, or pair the subspace
@@ -313,9 +334,11 @@ def verify_all(
         return [ConvergenceReport(quantity, 0.0, nan, nan, True, samples, True, "D11 = 0: all claims vacuous")]
 
     reduced = reduce_pencil(assemble_pencil(pair, rho))
+    if not reduced.clusters:  # s_rho = 0
+        return []
     rows = _eig_claims(reduced, ts)
     resid_rows, sel0, comp0 = _residual_claims(reduced, ts, perturb_h1, swap_root)
-    rows += resid_rows + _riccati_claims(reduced, ts, sel0, comp0)
+    rows += resid_rows + _riccati_claims(reduced, sel0, comp0)
     return [
         slope_fit(samples, claimed, scale, slack, quantity, note)
         for samples, claimed, quantity, note, slack in rows
@@ -378,31 +401,48 @@ def _residual_claims(reduced, ts, perturb_h1, swap_root):
     return rows, sel0, comp0
 
 
-def _riccati_claims(reduced, ts, sel, comp):
+def _riccati_window(reduced) -> tuple[float, np.ndarray]:
+    """(R, z-points) of the Riccati claims: R = min(|Theta_2|/|Theta_3|,
+    (|Theta_2|/|Theta_4|)^(1/2)) in Frobenius norms from ``series(4)``, a
+    term with a zero denominator being infinite, and ``WINDOW_POINTS``
+    geometric points from z_top = min(c R, 0.1) down ``WINDOW_DECADES``
+    decades, in descending z."""
+    n2, n3, n4 = (cl.frob(th) for th in reduced.series(START_ORDER)[1][2:5])
+    radius = min(n2 / n3 if n3 else np.inf, np.sqrt(n2 / n4) if n4 else np.inf)
+    top = min(WINDOW_FRACTION * radius, WINDOW_CAP)
+    return radius, np.geomspace(top, top / 10.0**WINDOW_DECADES, WINDOW_POINTS)
+
+
+def _riccati_claims(reduced, sel, comp):
     """The per-block order tables of the exact bases X-tilde and H of the
     selection, and the exact Theta-hat(z) against its first-order model
-    (slope 2 in z), on the sweep points where the Riccati refinement
-    converged.  The points are solved in ascending z along the branch, each
-    Newton solve starting from the last converged one (the first from zero),
-    and kept in plan order; every note counts the dropped points."""
+    (slope 2 in z), on the points of the Riccati window
+    (:func:`_riccati_window`) where the Riccati refinement converged.  Each
+    Newton solve starts from the coupling series sum_{k=1..4} X_k z^k; every
+    note counts the dropped points."""
     rho, idx = reduced.rho, reduced.pair.index
-    points, prev = [], None
-    for t in reversed(ts):
-        z = t ** (1.0 / rho)
+    radius, window = _riccati_window(reduced)
+    xs = reduced.series(START_ORDER)[0]
+    points, iterations = [], 0
+    for z in window:
+        start = sum(xs[k] * z**k for k in range(1, START_ORDER + 1))
         try:
-            ric = solve_riccati(reduced.assembled, reduced, z, start=prev)
+            ric = solve_riccati(reduced.assembled, reduced, z, start=start)
         except NoConvergence as exc:
             _log.info("rho=%d: sweep point z=%.6g dropped, solve_riccati raised NoConvergence: %s", rho, z, exc)
             continue
         _log.debug(
-            "rho=%d: sweep point z=%.6g solved from start %s in %d Newton iterations, residual %.3e",
-            rho, z, "zero" if prev is None else prev.z, ric.iterations, ric.residual,
+            "rho=%d: sweep point z=%.6g solved from start series in %d Newton iterations, residual %.3e",
+            rho, z, ric.iterations, ric.residual,
         )
+        iterations += ric.iterations
         points.append((z, ric, exact_subspace_basis(ric, sel, comp)[0]))
-        prev = ric
-    points.reverse()
-    dropped = len(ts) - len(points)
-    drop_note = f"{dropped} of {len(ts)} sweep points dropped (NoConvergence)" if dropped else ""
+    dropped = len(window) - len(points)
+    _log.debug(
+        "rho=%d: Riccati window R=%.6g, z from %.6g down to %.6g, %d Newton iterations, %d of %d points dropped",
+        rho, radius, window[0], window[-1], iterations, dropped, len(window),
+    )
+    drop_note = f"{dropped} of {len(window)} sweep points dropped (NoConvergence)" if dropped else ""
     base = reduced.x0
     # the explicit terms Q1 Omega^(l-1) of block rho, subtracted from H at z^(l-1)
     explicit = [

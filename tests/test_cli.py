@@ -409,3 +409,19 @@ def test_generate_bad_argument_named(tmp_path, capsys, flag, value):
     err = capsys.readouterr().err
     assert err.startswith(f"parse error: {flag} {value} ") and err.count("\n") == 1
     assert not f.exists()
+
+
+@pytest.mark.parametrize(
+    "command", [["verify", "--rho", "2"], ["expand", "--rho", "2", "--cluster", "idx:0"]], ids=["verify", "expand"]
+)
+def test_rho_without_splitting_exit_3(tmp_path, capsys, command):
+    # sizes 1,0,1 has s_2 = 0: rho = 2 splits no eigenvalue, which is a parse
+    # error naming the valid orders (verify used to raise UnboundLocalError)
+    f = tmp_path / "p.json"
+    assert main(["generate", "--sizes", "1,0,1", "--seed", "1", "--out", str(f)]) == EXIT_OK
+    capsys.readouterr()
+    assert main([command[0], str(f), *command[1:]]) == EXIT_PARSE
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("parse error: --rho 2 ") and err.count("\n") == 1
+    assert err.rstrip().endswith("valid orders: 1, 3")
+    assert main(["verify", str(f)]) == EXIT_OK  # rho = 1 and 3 only

@@ -856,8 +856,8 @@ class TestRiccati:
         "sizes", [(1, 2), (2, 2, 2), (1, 1, 1, 1, 1), (3, 3, 3, 3), (4, 4, 4, 4, 4)], ids=str
     )
     def test_continuation_matches_kronecker_loop(self, sizes):
-        # on the seed-1 ladder at rho = k, swept in ascending z as verify_all
-        # does: started from the last converged solution, solve_riccati takes
+        # on the seed-1 ladder at rho = k, the default t-sweep's z swept in
+        # ascending z: started from the last converged solution, solve_riccati takes
         # the same Newton steps as the Kronecker-driven loop from that start,
         # reaches the same Theta-hat, and diverges where it diverges
         pair = generate(CaseSpec(JordanStructure(0.0, sizes), seed=1, ensure_distinct_gammas=True))
@@ -881,18 +881,23 @@ class TestRiccati:
         assert solved >= 12
 
     def test_start_from_own_solution_is_immediate(self):
-        # a converged solution is a fixed point of the iteration; a solution
-        # of another pencil is rejected
+        # a converged solution, or its stacked [X1; X2], is a fixed point of
+        # the iteration; a solution of another pencil, or a start of the
+        # wrong shape, is rejected
         pair = random_pair((1, 2), seed=1)
         ap = assemble_pencil(pair, 2)
         rp = reduce_pencil(ap)
         ric = solve_riccati(ap, rp, 1e-2)
-        again = solve_riccati(ap, rp, 1e-2, start=ric)
-        assert ric.iterations > 0 and again.iterations == 0
-        assert np.array_equal(again.theta_hat, ric.theta_hat)
+        stacked = np.vstack([ric.x1, ric.x2])
+        for start in (ric, stacked):
+            again = solve_riccati(ap, rp, 1e-2, start=start)
+            assert ric.iterations > 0 and again.iterations == 0
+            assert np.array_equal(again.theta_hat, ric.theta_hat)
         other = reduce_pencil(assemble_pencil(pair, 2))
         with pytest.raises(ValueError, match="same reduced pencil"):
             solve_riccati(ap, other, 1e-2, start=ric)
+        with pytest.raises(ValueError, match="start must be"):
+            solve_riccati(ap, rp, 1e-2, start=stacked[1:])
 
     @pytest.mark.parametrize("sizes", SUITE_SIZES)
     def test_complex_z_invariant_relation(self, sizes):
