@@ -16,9 +16,8 @@ for the complement coupling Y follow.
 it solves the exact coupling equations by Newton's method, yielding the
 exact perturbed block Theta-hat(z) and an exact invariant-subspace matrix,
 which the verification module uses as ground truth for every claimed
-fractional order.  Newton starts from zero, from a given first iterate
-such as the coupling series summed at z, or from a solution at a nearby
-z.  Each Newton step is a generalized Sylvester equation, solved one column at a
+fractional order.  Newton starts from zero or from a given first iterate
+[X1; X2], such as the coupling series summed at z.  Each Newton step is a generalized Sylvester equation, solved one column at a
 time in the complex Schur form of Theta-hat by ``core_linalg.schur_sylvester``,
 the kernel of the generalized solves; the ordinary ones (the complement
 coupling Y) go through ``core_linalg.solve_sylvester``.
@@ -273,15 +272,14 @@ def coupling_series(r: ReducedPencil, order: int, x=(), theta=(), jac=None):
 
 
 def solve_riccati(
-    p: AssembledPencil, r: ReducedPencil, z: complex, start: RiccatiSolution | np.ndarray | None = None
+    p: AssembledPencil, r: ReducedPencil, z: complex, start: np.ndarray | None = None
 ) -> RiccatiSolution:
     """Exact deflating-subspace coupling at a fixed z by Newton's method.
 
-    Newton starts from X1 = X2 = 0, from the stacked [X1; X2] given as
-    ``start``, or from the [X1; X2] of a solution ``start`` of the same
-    pencil.  Along one branch the solution is analytic in z, so the coupling
-    series summed at z (what ``verify`` passes) or a solution at a nearby z
-    is a close first iterate.  Each step solves the coupling equations
+    Newton starts from X1 = X2 = 0, or from the stacked [X1; X2] given as
+    ``start``.  Along one branch the solution is analytic in z, so the
+    coupling series summed at z (what ``verify`` passes) or the [X1; X2] of
+    a solution at a nearby z is a close first iterate.  Each step solves the coupling equations
     linearized at the current X = [X1; X2], a generalized Sylvester
     equation A dX - B dX Theta-hat = -F: in the Schur coordinates of
     Theta-hat it is one (m - n2)-square solve per column, n2 in all (the
@@ -290,16 +288,12 @@ def solve_riccati(
     Stops once the residual is at most 1e-12 max(1, ||V-hat(z)||_F); raises
     :class:`NoConvergence` when the residual grows past 1e6 times the first
     one or ``RICCATI_MAX_ITER`` steps do not reach the tolerance (z too
-    large), and ``ValueError`` when ``start`` belongs to another pencil or
-    has another shape, or ``p`` is not ``r.assembled``, the pencil ``r`` was
-    reduced from.
+    large), and ``ValueError`` when ``start`` has another shape than
+    [X1; X2], or ``p`` is not ``r.assembled``, the pencil ``r`` was reduced
+    from.
     """
     if z == 0:
         raise ValueError("z must be nonzero")
-    if isinstance(start, RiccatiSolution):
-        if start.reduced is not r:
-            raise ValueError("start must be a solution of the same reduced pencil")
-        start = np.vstack([start.x1, start.x2])
     if p is not r.assembled:
         raise ValueError("p must be the assembled pencil that r was reduced from")
     shape = (r.structure.dim - r.n2, r.n2)

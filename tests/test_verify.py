@@ -595,10 +595,11 @@ class TestExactSubspaceBasis:
         sel = select_subspace(rp, lambda lam: lam == gamma, 0)
         comp = complement_pair(rp, sel)
         ts = SweepPlan.default(3).t_values
-        prev, solved = None, []
+        start, solved = None, []
         for t in reversed(ts):
-            prev = solve_riccati(rp.assembled, rp, t ** (1.0 / 3), start=prev)
-            solved.append(prev)
+            ric = solve_riccati(rp.assembled, rp, t ** (1.0 / 3), start=start)
+            start = np.vstack([ric.x1, ric.x2])
+            solved.append(ric)
         for i, ric in enumerate(reversed(solved)):
             h, rep = exact_subspace_basis(ric, sel, comp)
             if i < 4:
