@@ -16,11 +16,12 @@ for the complement coupling Y follow.
 it solves the exact coupling equations by Newton's method, yielding the
 exact perturbed block Theta-hat(z) and an exact invariant-subspace matrix,
 which the verification module uses as ground truth for every claimed
-fractional order.  Newton starts from zero or from a given first iterate
-[X1; X2], such as the coupling series summed at z.  Each Newton step is a generalized Sylvester equation, solved one column at a
-time in the complex Schur form of Theta-hat by ``core_linalg.schur_sylvester``,
-the kernel of the generalized solves; the ordinary ones (the complement
-coupling Y) go through ``core_linalg.solve_sylvester``.
+fractional order.  Both read the z-coefficients ``ReducedPencil`` holds.
+Newton starts from zero or from a given first iterate [X1; X2], such as the
+coupling series summed at z.  Each Newton step is a generalized Sylvester
+equation, solved one column at a time in the complex Schur form of Theta-hat
+by ``core_linalg.schur_sylvester``, the kernel of the generalized solves;
+the ordinary ones (the complement coupling Y) use ``core_linalg.solve_sylvester``.
 """
 
 from __future__ import annotations
@@ -78,9 +79,9 @@ class RiccatiSolution:
     x1: np.ndarray = field(repr=False)
     x2: np.ndarray = field(repr=False)
     theta_hat: np.ndarray = field(repr=False)
-    iterations: int = 0
-    residual: float = 0.0
-    reduced: ReducedPencil = field(default=None, repr=False)
+    iterations: int
+    residual: float
+    reduced: ReducedPencil = field(repr=False)
 
     def invariant_matrix(self) -> np.ndarray:
         """X-tilde = R(z) Pi_R G [X1; I; X2], satisfying
@@ -152,8 +153,8 @@ class ThetaPerturbation:
     def lift(self) -> tuple[np.ndarray, np.ndarray]:
         """(F, E), the lifted bases H1 is read from: a selection with branch
         columns c, complement columns cc and coupling Y has H1 = F[:, c] +
-        E[:, cc] Y.  With Phi = ``branches.phi`` over every branch, E holds the
-        z^0 rows of Pi_R G [0; Phi; 0] (E = X0 Phi), and F its z^1 rows plus the
+        E[:, cc] Y.  With Phi = ``branches.phi`` over every branch, E = X0 Phi
+        holds the z^0 rows of Pi_R G [0; Phi; 0], and F its z^1 rows plus the
         z^0 rows of Pi_R G [X1_1 Phi; 0; X2_1 Phi], X_1 the first-order term
         of ``ReducedPencil.series``."""
         r = self.pencil()
@@ -162,8 +163,7 @@ class ThetaPerturbation:
         f0 = r.lift(np.vstack([cl.zeros(n1, n2), tab.phi, cl.zeros(r.structure.dim - n1 - n2, n2)]))
         f1 = r.lift(np.vstack([x1[:n1] @ tab.phi, cl.zeros(n2, n2), x1[n1:] @ tab.phi]))
         exps = r.assembled.right_exponents[:, None]
-        f = np.where(exps == 1, f0, 0.0) + np.where(exps == 0, f1, 0.0)
-        return f, np.where(exps == 0, f0, 0.0)
+        return np.where(exps == 1, f0, 0.0) + np.where(exps == 0, f1, 0.0), r.x0 @ tab.phi
 
 
 def theta_perturbation(reduced: ReducedPencil) -> ThetaPerturbation:
@@ -215,9 +215,9 @@ def first_order_expansion(reduced: ReducedPencil, sel: SubspaceSelection, comp: 
     )
 
 
-def _coupling(r: ReducedPencil, vz, uz):
-    """Residual and Newton linearization of the coupling equations at one z, as
-    a function of X = [X1; X2]; what depends on z alone is sliced once.
+def _coupling(r: ReducedPencil, uz, vz):
+    """Residual and Newton linearization of the coupling equations of the pencil
+    (uz, vz) = ``r.at(z)`` as a function of X = [X1; X2], slicing once what is fixed by z.
 
     With S = [X1; I; X2] and gc the rows g1 followed by g3, it returns (Theta-hat,
     F, A, B): Theta-hat = V(z)[g2,:] S, the residual F = V(z)[gc,:] S - P Theta-hat
@@ -241,19 +241,20 @@ def coupling_series(r: ReducedPencil, order: int, x=(), theta=(), jac=None):
     """Taylor coefficients X[k] = [X1_k; X2_k] and Theta[k], k = 0..order, of
     the exact coupling at z = 0, resuming after the terms already in x, theta.
 
-    With S = [X1; I; X2], V-hat(z) = sum_e V_e z^e and U-hat(z) = U_0 + z U_1,
-    the coupling of ``_coupling`` is (V-hat S - U-hat S Theta-hat)[gc] = 0 with
-    Theta-hat = (V-hat S)[g2].  Its z^k coefficient is A0 X_k - B0 X_k Theta +
-    R_k, with (A0, B0) the Newton Jacobian at z = 0 and R_k the coefficient at
-    X_k = 0: one solve of A0 X_k - B0 X_k Theta = -R_k per order.  Returns (X,
-    Theta, jac), jac = (A0, B0) and the Schur form of Theta_rho, to resume from."""
-    ap, n1, n2, m = r.assembled, r.n1, r.n2, r.structure.dim
+    With S = [X1; I; X2], V-hat(z) = sum_e V_e z^e and U-hat(z) = U_0 + z U_1
+    (``r.v_coeffs``, ``r.u_coeffs``), the coupling of ``_coupling`` is
+    (V-hat S - U-hat S Theta-hat)[gc] = 0 with Theta-hat = (V-hat S)[g2].  Its
+    z^k coefficient is A0 X_k - B0 X_k Theta + R_k, with (A0, B0) the Newton
+    Jacobian at z = 0 and R_k the coefficient at X_k = 0: one solve of
+    A0 X_k - B0 X_k Theta = -R_k per order.  Returns (X, Theta, jac),
+    jac = (A0, B0) and the Schur form of Theta_rho, to resume from."""
+    n1, n2, m = r.n1, r.n2, r.structure.dim
     gc = np.r_[0:n1, n1 + n2 : m]
     if jac is None:  # the z^0 terms and the Jacobian at z = 0
-        theta0, _, a0, b0 = _coupling(r, r.v_hat, r.u_hat)(cl.zeros(m - n2, n2))
+        theta0, _, a0, b0 = _coupling(r, r.u_hat, r.v_hat)(cl.zeros(m - n2, n2))
         x, theta, jac = [cl.zeros(m - n2, n2)], [theta0], (a0, b0, *cl.schur(theta0))
-    v = [r.v_hat] + [r.hat(ap.ev_coeffs.get(e, cl.zeros(m, m))) for e in range(1, order + 1)]
-    u0, u1 = r.u_hat[gc], r.hat(ap.eu)[gc]
+    v = list(r.v_coeffs[: order + 1]) + [cl.zeros(m, m)] * (order + 1 - len(r.v_coeffs))
+    u0, u1 = r.u_hat[gc], r.u_coeffs[1][gc]
     x, theta = list(x), list(theta)
     s = [np.vstack([xk[:n1], cl.eye(n2) * (k == 0), xk[n1:]]) for k, xk in enumerate(x)]
 
@@ -276,16 +277,17 @@ def solve_riccati(
 ) -> RiccatiSolution:
     """Exact deflating-subspace coupling at a fixed z by Newton's method.
 
-    Newton starts from X1 = X2 = 0, or from the stacked [X1; X2] given as
+    The coupling equations are those of the pencil ``r.at(z)``.  Newton
+    starts from X1 = X2 = 0, or from the stacked [X1; X2] given as
     ``start``.  Along one branch the solution is analytic in z, so the
     coupling series summed at z (what ``verify`` passes) or the [X1; X2] of
-    a solution at a nearby z is a close first iterate.  Each step solves the coupling equations
-    linearized at the current X = [X1; X2], a generalized Sylvester
-    equation A dX - B dX Theta-hat = -F: in the Schur coordinates of
-    Theta-hat it is one (m - n2)-square solve per column, n2 in all (the
+    a solution at a nearby z is a close first iterate.  Each step solves the
+    coupling equations linearized at the current X = [X1; X2], a generalized
+    Sylvester equation A dX - B dX Theta-hat = -F: in the Schur coordinates
+    of Theta-hat it is one (m - n2)-square solve per column, n2 in all (the
     Kronecker form is one solve of size (m - n2) n2), and convergence is
-    quadratic once the iterate is close.  z may be complex.
-    Stops once the residual is at most 1e-12 max(1, ||V-hat(z)||_F); raises
+    quadratic once the iterate is close.  z may be complex.  Stops once the
+    residual is at most 1e-12 max(1, ||V-hat(z)||_F); raises
     :class:`NoConvergence` when the residual grows past 1e6 times the first
     one or ``RICCATI_MAX_ITER`` steps do not reach the tolerance (z too
     large), and ``ValueError`` when ``start`` has another shape than
@@ -300,8 +302,8 @@ def solve_riccati(
     x = cl.zeros(*shape) if start is None else np.asarray(start, dtype=np.complex128)
     if x.shape != shape:
         raise ValueError(f"start must be {shape[0]}x{shape[1]}, the stacked [X1; X2], got {x.shape}")
-    vz = r.hat(r.assembled.v_of(z))
-    newton_terms = _coupling(r, vz, r.hat(r.assembled.u_of(z)))
+    uz, vz = r.at(z)
+    newton_terms = _coupling(r, uz, vz)
     tol = 1e-12 * max(1.0, cl.frob(vz))
 
     first_resid = None

@@ -12,6 +12,8 @@ Block row/column permutations Pi_L, Pi_R followed by one block elimination
 G reduce the z = 0 pencil to block triangular form whose middle block is the
 companion-like matrix Theta_rho; its spectrum (the rho-th roots of the
 eigenvalues of the core S_rho) drives the leading fractional splitting.
+The reduced pencil Pi_L (mu U(z) - V(z)) Pi_R G is held once per
+``ReducedPencil``, as its z-coefficients, read by the series and, at z, by Newton.
 
 Everything here is constructed programmatically from the block index map;
 the scaling exponent rules are the primitive, and the large displayed
@@ -49,6 +51,9 @@ __all__ = [
 # Relative gap (times the spectral radius of S_rho) below which two
 # eigenvalues of S_rho are treated as one cluster.
 CLUSTER_GAP_REL = 1e-6
+# Imaginary part (times the largest modulus) that the package's one ordering
+# reads as rounding, i.e. as zero; far below any gap the package resolves.
+REAL_AXIS_REL = 1e-12
 
 
 def check_separated(a, b, what: str) -> None:
@@ -62,13 +67,21 @@ def check_separated(a, b, what: str) -> None:
             raise ClusterNotSeparated(f"{what} separated by only {gap:.3e}")
 
 
-def _argsort_complex(vals: np.ndarray) -> list[int]:
-    """Indices that order vals by argument in (-pi, pi], then modulus."""
-    return sorted(range(vals.size), key=lambda i: (np.angle(vals[i]), abs(vals[i]), vals[i].real))
+def _arguments(vals: np.ndarray) -> np.ndarray:
+    """The arguments in (-pi, pi] the package's one ordering reads: an imaginary
+    part within ``REAL_AXIS_REL`` max|vals| counts as zero, so a value on the
+    negative real axis has argument pi whatever the sign of its rounding."""
+    tol = REAL_AXIS_REL * float(np.abs(vals).max(initial=0.0))
+    return np.angle(np.where(np.abs(vals.imag) <= tol, vals.real + 0j, vals))
+
+
+def _argsort_complex(vals: np.ndarray) -> np.ndarray:
+    """Indices that order vals by :func:`_arguments`, then modulus, then real part."""
+    return np.lexsort((vals.real, np.abs(vals), _arguments(vals)))
 
 
 def sort_complex(values) -> np.ndarray:
-    """Deterministic eigenvalue ordering: argument in (-pi, pi], then modulus."""
+    """Deterministic eigenvalue ordering: argument, then modulus (:func:`_argsort_complex`)."""
     vals = np.asarray(values, dtype=np.complex128).ravel()
     return vals[_argsort_complex(vals)]
 
@@ -84,13 +97,16 @@ def _branch_rotations(gamma: complex, rho: int) -> tuple[complex, np.ndarray]:
 def scalar_roots(gamma: complex, rho: int) -> np.ndarray:
     """All rho-th roots of gamma: principal branch times the rho rotations.
 
-    Ordered by increasing argument in (-pi, pi].  ``root_index`` arguments
-    elsewhere in the package index into this ordering.
+    Ordered by increasing argument in (-pi, pi] (:func:`_argsort_complex`); the
+    root read at argument pi has a nonnegative imaginary part, so its own
+    argument is the largest too.  ``root_index`` arguments elsewhere in the
+    package index into this ordering.
     """
     if rho < 1:
         raise ValueError("rho must be >= 1")
     principal, rotations = _branch_rotations(gamma, rho)
-    return principal * rotations
+    roots = principal * rotations
+    return np.where(_arguments(roots) == np.pi, roots.real + 1j * np.abs(roots.imag), roots)
 
 
 def left_exponent(i: int, ell: int, rho: int) -> int:
@@ -126,34 +142,6 @@ class AssembledPencil:
     left_exponents: np.ndarray = field(repr=False)
     right_exponents: np.ndarray = field(repr=False)
 
-    def u_of(self, z: float) -> np.ndarray:
-        return self.u0 + z * self.eu
-
-    def ev_of(self, z: float) -> np.ndarray:
-        m = self.pair.structure.dim
-        out = cl.zeros(m, m)
-        for e, coeff in self.ev_coeffs.items():
-            out += (z**e) * coeff
-        return out
-
-    def v_of(self, z: float) -> np.ndarray:
-        return self.v0 + self.ev_of(z)
-
-    def scaled_problem(self, z: float, mu: complex) -> np.ndarray:
-        """L(z) (z mu I - (N + z^rho D11)) R(z), with L and R applied as row
-        and column scalings."""
-        raw = z * mu * cl.eye(self.pair.structure.dim) - (
-            self.pair.nilpotent + (z**self.rho) * self.pair.d11
-        )
-        zc = np.asarray(z, dtype=np.complex128)
-        return (zc**self.left_exponents)[:, None] * raw * zc**self.right_exponents
-
-    def identity_residual(self, z: float, mu: complex) -> float:
-        """|| L(z mu I - (N + z^rho D)) R - (mu U(z) - V(z)) || / scale."""
-        lhs = self.scaled_problem(z, mu)
-        rhs = mu * self.u_of(z) - self.v_of(z)
-        return cl.frob(lhs - rhs) / max(1.0, cl.frob(lhs))
-
 
 def assemble_pencil(pair: CanonicalPair, rho: int) -> AssembledPencil:
     """Build U, E_U, V and the exponent map of E_V(z) for the given rho.
@@ -164,7 +152,7 @@ def assemble_pencil(pair: CanonicalPair, rho: int) -> AssembledPencil:
     Entry (p, q) of D11 scales to the z-exponent rho + L_p + R_q, the mu
     diagonal to 1 + L_p + R_p and N to 0: exponent 0 lands in U or V, the
     rest in E_U (exponent 1, mu part) or ``ev_coeffs``.  The pencil identity
-    is checked at z = 0.1 and 0.01 on every call.
+    holds by construction for any D11 (the test suite checks it densely).
     """
     st = pair.structure
     if not 1 <= rho <= st.k:
@@ -184,16 +172,10 @@ def assemble_pencil(pair: CanonicalPair, rho: int) -> AssembledPencil:
     # One masked copy of D11 per exponent that carries a nonzero entry.
     ev_coeffs = {int(e): np.where(exps == e, d, 0) for e in np.unique(exps[(exps != 0) & (d != 0)])}
 
-    out = AssembledPencil(
+    return AssembledPencil(
         pair=pair, rho=rho, u0=u0, eu=eu, v0=v0, ev_coeffs=ev_coeffs,
         left_exponents=left, right_exponents=right,
     )
-    if st.dim:
-        for z in (1e-1, 1e-2):
-            res = out.identity_residual(z, mu=0.37 + 0.21j)
-            if res > 1e-10:
-                raise AssertionError(f"pencil identity violated at z={z}: {res:.3e}")
-    return out
 
 
 @dataclass(frozen=True)
@@ -300,7 +282,7 @@ class BranchTable:
 
 
 def _cluster(vals: np.ndarray, tol: float) -> list[list[int]]:
-    """Group indices of nearly-equal eigenvalues (union-find by distance)."""
+    """Group indices of nearly-equal eigenvalues (union-find by distance), ordered by first member."""
     n = vals.size
     parent = list(range(n))
 
@@ -317,8 +299,8 @@ def _cluster(vals: np.ndarray, tol: float) -> list[list[int]]:
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
-    reps = sorted(groups.values(), key=lambda g: (np.angle(vals[g[0]]), abs(vals[g[0]])))
-    return reps
+    rank = np.argsort(_argsort_complex(vals))  # each index's place in that order
+    return sorted(groups.values(), key=lambda g: rank[g[0]])
 
 
 @dataclass(frozen=True)
@@ -337,9 +319,9 @@ class ReducedPencil:
     shat_{rho+1} x (n1 + n2) block in the eigenvector rows and the g1/g2
     columns that holds G^(rho)_j at the leading sub-column of each block
     j <= rho.  ``s_rho`` is the core S_rho, the only S_i formed; no W_i is
-    kept.  What derives from the pencil alone (``x0``, ``clusters``,
-    ``branches``, ``series`` and its first-order terms
-    ``theta_perturbation``) is computed on first use, once per pencil.
+    kept.  What derives from the pencil alone (its z-coefficients ``u_coeffs``,
+    ``v_coeffs``, ``x0``, ``clusters``, ``branches``, ``series`` and its
+    first-order terms ``theta_perturbation``) is computed once, on first use.
     """
 
     assembled: AssembledPencil
@@ -408,6 +390,26 @@ class ReducedPencil:
     def v_hat(self) -> np.ndarray:
         """Pi_L V Pi_R G = [[V11, 0, 0], [V21, Theta, V23], [0, 0, V33]] at z = 0."""
         return self.hat(self.assembled.v0)
+
+    @cached_property
+    def u_coeffs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(U-hat_0, U-hat_1) = (:attr:`u_hat`, Pi_L E_U Pi_R G): U-hat(z) = U-hat_0 + z U-hat_1."""
+        return self.u_hat, self.hat(self.assembled.eu)
+
+    @cached_property
+    def v_coeffs(self) -> tuple[np.ndarray, ...]:
+        """V-hat_e, e = 0..max(``ev_coeffs``): :attr:`v_hat`, then Pi_L V_e Pi_R G
+        for V_e the z^e coefficient of E_V(z), zero where it has none."""
+        ev, m = self.assembled.ev_coeffs, self.structure.dim
+        rest = [self.hat(ev[e]) if e in ev else cl.zeros(m, m) for e in range(1, max(ev, default=0) + 1)]
+        return (self.v_hat, *rest)
+
+    def at(self, z: complex) -> tuple[np.ndarray, np.ndarray]:
+        """(U-hat(z), V-hat(z)) from the coefficients, V-hat by Horner's rule."""
+        *rest, vz = self.v_coeffs
+        for coeff in reversed(rest):
+            vz = coeff + z * vz
+        return self.u_coeffs[0] + z * self.u_coeffs[1], vz
 
     @property
     def theta(self) -> np.ndarray:
@@ -511,10 +513,7 @@ def _permutations(structure: JordanStructure, rho: int) -> tuple[np.ndarray, np.
     col_groups = [idx.cols(j, m) for j in range(1, rho + 1) for m in range(1, j + 1)]
     col_groups += [idx.cols(j, 1) for j in range(rho + 1, k + 1)]
     col_groups += [idx.cols(j, m) for j in range(rho + 1, k + 1) for m in range(2, j + 1)]
-    row_order = expand(row_groups)
-    col_order = expand(col_groups)
-    assert row_order.size == structure.dim and col_order.size == structure.dim
-    return row_order, col_order
+    return expand(row_groups), expand(col_groups)
 
 
 def eliminate(pair: CanonicalPair, rho: int) -> tuple[np.ndarray, np.ndarray]:

@@ -336,8 +336,10 @@ def verify_all(
     reduced = reduce_pencil(assemble_pencil(pair, rho))
     if not reduced.clusters:  # s_rho = 0
         return []
-    rows = _eig_claims(reduced, ts)
-    resid_rows, sel0, comp0 = _residual_claims(reduced, ts, perturb_h1, swap_root)
+    a_mat = pair.a_matrix()
+    oracle = {t: a_mat + t * pair.d11 for t in ts}  # A + tD, formed once per t
+    rows = _eig_claims(reduced, oracle)
+    resid_rows, sel0, comp0 = _residual_claims(reduced, oracle, perturb_h1, swap_root)
     rows += resid_rows + _riccati_claims(reduced, sel0, comp0)
     return [
         slope_fit(samples, claimed, scale, slack, quantity, note)
@@ -345,13 +347,12 @@ def verify_all(
     ]
 
 
-def _eig_claims(reduced, ts):
+def _eig_claims(reduced, oracle):
     """Per cluster of S_rho, the largest distance from its predicted to its
-    matched eigenvalues of A + tD (one oracle ``eig`` per t for every
+    matched eigenvalues of A + tD (``oracle[t]``, one ``eig`` per t for every
     cluster): slope 2/rho for a simple gamma, else only o(t^(1/rho))."""
-    rho, pair = reduced.rho, reduced.pair
-    a_mat, d_mat = pair.a_matrix(), pair.d11
-    observed = [cl.eig(a_mat + t * d_mat) for t in ts]
+    rho, ts = reduced.rho, list(oracle)
+    observed = [cl.eig(a_plus_td) for a_plus_td in oracle.values()]
     exps, first, rows = eigenvalue_expansions(reduced), 0, []
     for ci, cb in enumerate(reduced.clusters):
         exp, first = exps[first], first + cb.count
@@ -366,13 +367,12 @@ def _eig_claims(reduced, ts):
     return rows
 
 
-def _residual_claims(reduced, ts, perturb_h1, swap_root):
+def _residual_claims(reduced, oracle, perturb_h1, swap_root):
     """Per cluster of S_rho, its root branch 0's first-order subspace
-    relation residual ||(A + tD) H - H C||, slope 2/rho, under the negative
-    controls of :func:`verify_all`; also cluster 0's selection and
-    complement, the subspace of the order tables."""
-    rho, pair = reduced.rho, reduced.pair
-    a_mat, d_mat = pair.a_matrix(), pair.d11
+    relation residual ||(A + tD) H - H C|| (``oracle[t]`` = A + tD), slope
+    2/rho, under the negative controls of :func:`verify_all`; also cluster
+    0's selection and complement, the subspace of the order tables."""
+    rho = reduced.rho
     rng = np.random.default_rng(0)
     rows = []
     for ci, cb in enumerate(reduced.clusters):
@@ -394,9 +394,9 @@ def _residual_claims(reduced, ts, perturb_h1, swap_root):
             fo = replace(fo, omega=select_subspace(reduced, near, 1).omega)
             note = _notes(note, "Omega swapped to root branch 1")
         samples = []
-        for t in ts:
+        for t, a_plus_td in oracle.items():
             h = fo.h_of(t)
-            samples.append((t, cl.frob((a_mat + t * d_mat) @ h - h @ fo.c_of(t))))
+            samples.append((t, cl.frob(a_plus_td @ h - h @ fo.c_of(t))))
         rows.append((samples, 2.0 / rho, f"subspace-resid[rho={rho},cluster={ci}]", note, DEFAULT_SLACK))
     return rows, sel0, comp0
 

@@ -22,8 +22,15 @@ the core; the display objects are built here from ``structure.w_matrix`` and
 ``structure.block``: W_rho, W_{rho+1} and W_{rho,rho+1} (``w_blocks``), each
 G^(rho)_j from its own solve with W_{rho+1} (``g_blocks``, with sub-blocks
 G_ij in ``g_sub``) and S_i = B_{rho,i} + W_{rho,rho+1} G_i (``s_blocks``).
-The residual of the reduced pencil identity (``reduced_identity_residual``)
-is read only here.
+
+The library holds the pencil only as the hatted z-coefficients of
+``ReducedPencil`` and evaluates them by Horner's rule (``ReducedPencil.at``).
+Here the pencil is formed densely at z instead: U(z) and V(z) from the
+assembled fields (``dense_pencil``), and L(z) (z mu I - (N + z^rho D11)) R(z)
+from the exponent rule alone (``scaled_problem``).  The residual of the
+reduced pencil identity (``reduced_identity_residual``) compares the
+library's evaluation with the hatted scaled problem, and the Kronecker Newton
+oracles (``kron_newton_step``, ``kron_riccati``) read the dense form.
 
 The verifier reads the exact subspace basis off one ordered Schur form of
 Theta-hat(z); ``fixed_point_subspace_basis`` finds the same invariant
@@ -148,12 +155,40 @@ def g_sub(reduced, i, j):
     return g_blocks(reduced)[j - 1][start : start + st.s(i), :]
 
 
+def dense_pencil(ap, z):
+    """(U(z), V(z)) = (U + z E_U, V + sum_e z^e V_e), dense m x m, from the
+    fields of the assembled pencil ap."""
+    vz = ap.v0.astype(np.complex128)
+    for e, coeff in ap.ev_coeffs.items():
+        vz = vz + z**e * coeff
+    return ap.u0 + z * ap.eu, vz
+
+
+def hatted_dense_pencil(reduced, z):
+    """Pi_L U(z) Pi_R G and Pi_L V(z) Pi_R G from ``dense_pencil``."""
+    return tuple(reduced.hat(mat) for mat in dense_pencil(reduced.assembled, z))
+
+
+def scaled_problem(pair, rho, z, mu):
+    """L(z) (z mu I - (N + z^rho D11)) R(z), with L(z) = z^left_exponent and
+    R(z) = z^right_exponent on each sub-row and sub-column of the block index."""
+    st, idx = pair.structure, pair.index
+    zc = np.complex128(z)
+    left, right = cl.zeros(st.dim, 1), cl.zeros(1, st.dim)
+    for i in range(1, st.k + 1):
+        for ell in range(1, i + 1):
+            left[idx.rows(i, ell)] = zc ** left_exponent(i, ell, rho)
+            right[:, idx.cols(i, ell)] = zc ** right_exponent(i, ell, rho)
+    return left * (z * mu * cl.eye(st.dim) - pair.nilpotent - z**rho * pair.d11) * right
+
+
 def reduced_identity_residual(reduced, z, mu):
-    """Residual of Pi_L L (z mu I - (N + z^rho D)) R Pi_R G = mu U-hat(z) - V-hat(z)."""
-    ap = reduced.assembled
-    lhs = reduced.hat(ap.scaled_problem(z, mu))
-    rhs = reduced.hat(mu * ap.u_of(z) - ap.v_of(z))
-    return cl.frob(lhs - rhs) / max(1.0, cl.frob(lhs))
+    """Residual of Pi_L L (z mu I - (N + z^rho D)) R Pi_R G = mu U-hat(z) - V-hat(z),
+    the left side formed densely (``scaled_problem``), the right side the
+    library's evaluation ``reduced.at(z)``."""
+    lhs = reduced.hat(scaled_problem(reduced.pair, reduced.rho, z, mu))
+    uz, vz = reduced.at(z)
+    return cl.frob(lhs - (mu * uz - vz)) / max(1.0, cl.frob(lhs))
 
 
 def eigvec_stack(reduced):
@@ -307,16 +342,15 @@ def semisimple_delta11(reduced, cluster, mu):
     return (cluster.qt @ b @ cluster.q) / (rho * mu ** (rho - 2))
 
 
-def kron_newton_step(ap, reduced, z, x1, x2):
+def kron_newton_step(reduced, z, x1, x2):
     """Newton update (dX1, dX2) of the coupling equations
 
         R1 = V(z)[g1,:] S - X1 Theta-hat,   R3 = V(z)[g3,:] S - U(z)[g3,:] S Theta-hat,
 
     with S = [X1; I; X2] and Theta-hat = V(z)[g2,:] S, linearized at (x1, x2)
     and solved as one dense system with the Jacobian in Kronecker form
-    (vec stacks columns)."""
-    uz = reduced.hat(ap.u_of(z))
-    vz = reduced.hat(ap.v_of(z))
+    (vec stacks columns), U(z) and V(z) formed densely (``dense_pencil``)."""
+    uz, vz = hatted_dense_pencil(reduced, z)
     eu = uz - reduced.u_hat
     g1, g2, g3 = reduced.g1, reduced.g2, reduced.g3
     n1, n2 = x1.shape
@@ -352,16 +386,15 @@ def kron_newton_step(ap, reduced, z, x1, x2):
     )
 
 
-def kron_riccati(ap, reduced, z, max_iter=200, start=None):
+def kron_riccati(reduced, z, max_iter=200, start=None):
     """The Newton iteration of ``solve_riccati`` (start at zero, or at the
     (X1, X2) pair ``start``; same tolerance and divergence test) driven by
-    ``kron_newton_step``.
+    ``kron_newton_step``, on the dense pencil at z (``dense_pencil``).
 
     Returns (theta_hat, iterations, iterates), the iterates being the
     (X1, X2) pairs visited; raises :class:`NoConvergence` as the library does.
     """
-    vz = reduced.hat(ap.v_of(z))
-    uz = reduced.hat(ap.u_of(z))
+    uz, vz = hatted_dense_pencil(reduced, z)
     g1, g2, g3 = reduced.g1, reduced.g2, reduced.g3
     n1, n2 = reduced.n1, reduced.n2
     tol = 1e-12 * max(1.0, np.linalg.norm(vz))
@@ -382,7 +415,7 @@ def kron_riccati(ap, reduced, z, max_iter=200, start=None):
         first = resid if first is None else first
         if not np.isfinite(resid) or resid > 1e6 * first or it == max_iter:
             raise NoConvergence(f"oracle Newton iteration fails at z={z:.3e}")
-        dx1, dx2 = kron_newton_step(ap, reduced, z, x1, x2)
+        dx1, dx2 = kron_newton_step(reduced, z, x1, x2)
         x1, x2 = x1 + dx1, x2 + dx2
 
 

@@ -32,6 +32,7 @@ from closed_forms import (
     gtilde_matrix,
     h1_by_lift,
     hatb_terms,
+    hatted_dense_pencil,
     kron_newton_step,
     kron_riccati,
     semisimple_delta11,
@@ -461,9 +462,12 @@ class TestFirstOrderExpansion:
         # once and the S_rho clusters once: one Schur form of S_rho, reordered
         # once per cluster.  Each order of the coupling series is one kernel
         # solve, made once; the cluster bases and Y are triangular Sylvester
-        # solves, which take no Schur form and do not use that kernel.
+        # solves, which take no Schur form and do not use that kernel.  The
+        # pencil is hatted only while its z-coefficients are formed: once
+        # each for U, E_U, V and every E_V coefficient, and never again by a
+        # resumed series or a Newton solve.
         cl = jordanperturb.core_linalg
-        calls = {"theta": 0, "schur": 0, "reorder": 0, "sylvester": 0}
+        calls = {"theta": 0, "schur": 0, "reorder": 0, "sylvester": 0, "hat": 0}
         schur, schur_args = scipy.linalg.schur, []
 
         def counted(name, fn):
@@ -484,8 +488,11 @@ class TestFirstOrderExpansion:
         monkeypatch.setattr(scipy.linalg.lapack, "ztrsen", counted("reorder", scipy.linalg.lapack.ztrsen))
         monkeypatch.setattr(scipy.linalg, "schur", counted_schur)
         monkeypatch.setattr(cl, "schur_sylvester", counted("sylvester", cl.schur_sylvester))
+        rp_cls = jordanperturb.pencil.ReducedPencil
+        monkeypatch.setattr(rp_cls, "hat", counted("hat", rp_cls.hat))
         pair = random_pair((0, 2), seed=1)
         rp = reduce_pencil(assemble_pencil(pair, 2))
+        n_coeffs = 3 + len(rp.assembled.ev_coeffs)  # U, E_U, V and each E_V coefficient
         for _ in range(2):
             for e in eigenvalue_expansions(rp):
                 for root in range(2):
@@ -508,6 +515,9 @@ class TestFirstOrderExpansion:
         assert calls["sylvester"] == 4 and calls["theta"] == 1
         # the resumed series keeps the terms already solved
         assert theta[1] is rp.theta_perturbation.delta_coef
+        assert calls["hat"] == n_coeffs
+        solve_riccati(rp.assembled, rp, 1e-2)
+        assert calls["hat"] == n_coeffs
 
     def test_branch_table_split_once_per_selection(self, monkeypatch):
         # (4,4,4,4,4) seed 1 over every rho: 60 selections on 5 pencils.  The
@@ -700,7 +710,7 @@ def assert_series_matches_cauchy(ap, rp, theta, label, n_pts=32):
     zs = r * np.exp(2j * np.pi * np.arange(n_pts) / n_pts)
     sols = [solve_riccati(ap, rp, z).theta_hat for z in zs]
     u = 1e4 * np.finfo(float).eps * max(
-        max(1.0, np.linalg.norm(rp.hat(ap.v_of(z)))) for z in zs
+        max(1.0, np.linalg.norm(hatted_dense_pencil(rp, z)[1])) for z in zs
     )
     for k in range(1, 5):
         t_k = sum(s * z ** (-k) for s, z in zip(sols, zs)) / n_pts
@@ -812,11 +822,10 @@ class TestRiccati:
             # the Kronecker form reads U(z)[g3,g1] from E_U; U-hat[g3,g1] is zero
             assert not np.any(rp.u_hat[rp.g3, rp.g1])
             z = 1e-3 ** (1.0 / rho)
-            newton_terms = jordanperturb.first_order._coupling(
-                rp, rp.hat(ap.v_of(z)), rp.hat(ap.u_of(z))
-            )
-            for x1, x2 in kron_riccati(ap, rp, z)[2][:-1]:
-                ref = np.vstack(kron_newton_step(ap, rp, z, x1, x2))
+            # both sides read the same dense pencil at z: this checks the step
+            newton_terms = jordanperturb.first_order._coupling(rp, *hatted_dense_pencil(rp, z))
+            for x1, x2 in kron_riccati(rp, z)[2][:-1]:
+                ref = np.vstack(kron_newton_step(rp, z, x1, x2))
                 theta_hat, res, a, b = newton_terms(np.vstack([x1, x2]))
                 t, q = scipy.linalg.schur(theta_hat, output="complex")
                 step = -jordanperturb.core_linalg.schur_sylvester(a, b, t, q, res)
@@ -837,7 +846,7 @@ class TestRiccati:
                 for t in SweepPlan.default(rho).t_values:
                     z = t ** (1.0 / rho)
                     try:
-                        theta_ref, its, _ = kron_riccati(ap, rp, z)
+                        theta_ref, its, _ = kron_riccati(rp, z)
                     except NoConvergence:
                         with pytest.raises(NoConvergence):
                             solve_riccati(ap, rp, z)
@@ -870,7 +879,7 @@ class TestRiccati:
             pair_start = None if prev is None else (prev.x1, prev.x2)
             start = None if prev is None else np.vstack(pair_start)
             try:
-                theta_ref, its, _ = kron_riccati(ap, rp, z, start=pair_start)
+                theta_ref, its, _ = kron_riccati(rp, z, start=pair_start)
             except NoConvergence:
                 with pytest.raises(NoConvergence):
                     solve_riccati(ap, rp, z, start=start)

@@ -13,13 +13,14 @@ from jordanperturb import (
     theta_spectrum,
 )
 from jordanperturb.errors import ClusterNotSeparated, SingularW
-from jordanperturb.pencil import CLUSTER_GAP_REL, check_separated, scalar_roots, sort_complex
+from jordanperturb.pencil import CLUSTER_GAP_REL, _cluster, check_separated, scalar_roots, sort_complex
 
 from closed_forms import (
     assemble_pencil_blocks,
     branch_table_by_branch,
     finite_pencil_eigs,
     g_blocks,
+    hatted_dense_pencil,
     reduced_identity_residual,
     s_blocks,
     w_blocks,
@@ -245,6 +246,22 @@ class TestReduce:
             want = s_blocks(rp)[rho - 1]
             assert rp.s_rho.shape == want.shape and rel_err(rp.s_rho, want) <= 1e-13, rho
 
+    @pytest.mark.parametrize("sizes", LADDER_SIZES)
+    def test_evaluation_against_dense_pencil(self, sizes):
+        # the hatted z-coefficients, summed by Horner's rule at real and
+        # complex z, give the hat of the dense U(z) and V(z); a coefficient
+        # that E_V(z) lacks is zero, and U-hat, V-hat are the z^0 terms
+        pair = distinct_gammas_pair(sizes, 1)
+        for rho in pair.structure.valid_rhos():
+            rp = reduce_pencil(assemble_pencil(pair, rho))
+            ev = rp.assembled.ev_coeffs
+            assert len(rp.v_coeffs) == 1 + max(ev) and max(ev) <= 2 * rho - 1
+            assert rp.u_coeffs[0] is rp.u_hat and rp.v_coeffs[0] is rp.v_hat
+            assert all(np.all(c == 0) for e, c in enumerate(rp.v_coeffs) if e and e not in ev)
+            for z in (0.3, 1e-2, 0.2 * np.exp(0.7j), 1e-3j):
+                for got, want in zip(rp.at(z), hatted_dense_pencil(rp, z)):
+                    assert rel_err(got, want) <= 1e-14, (rho, z)
+
     @pytest.mark.parametrize("sizes", SUITE_SIZES)
     def test_final_identity(self, sizes):
         pair = random_pair(sizes, seed=1)
@@ -287,6 +304,29 @@ class TestReduce:
             v33 = rp.v_hat[g3, g3]
             if v33.shape[0]:
                 assert np.linalg.cond(v33) < 1e8
+
+
+class TestOrderKey:
+    @pytest.mark.parametrize("im", [1e-17, -1e-17, 0.0])
+    def test_negative_real_sorts_last(self, im):
+        # a value on the negative real axis has argument pi whatever the sign
+        # of a rounding-level imaginary part, in every ordering of the package
+        vals = np.array([-2.0 + im * 1j, 1.0, 0.5j])
+        assert np.array_equal(sort_complex(vals).real, [1.0, 0.0, -2.0])
+        assert _cluster(vals, CLUSTER_GAP_REL * 2.0) == [[1], [2], [0]]
+
+    @pytest.mark.parametrize("gamma, rho", [(-2.0, 7), (-8.0, 3), (-1.0, 5)])
+    def test_roots_of_negative_real_gamma(self, gamma, rho):
+        # the root branches of gamma +- a rounding-level imaginary part come
+        # in one order, ending with the root on the negative real axis
+        above, below = (scalar_roots(complex(gamma, s * 1e-15), rho) for s in (1, -1))
+        assert np.abs(above - below).max() <= 1e-14 * abs(gamma)
+        assert abs(above[-1] + abs(gamma) ** (1.0 / rho)) <= 1e-14 * abs(gamma)
+
+    def test_complex_values_keep_their_order(self):
+        # away from the negative real axis the key is argument, then modulus
+        vals = np.array([-1.0 - 1e-3j, 2.0, -1.0 + 1e-3j, 1.0, 1.0j])
+        assert sort_complex(vals).tolist() == [-1.0 - 1e-3j, 1.0, 2.0, 1.0j, -1.0 + 1e-3j]
 
 
 class TestSpectra:
