@@ -251,10 +251,10 @@ def coupling_series(r: ReducedPencil, order: int, x=(), theta=(), jac=None):
     n1, n2, m = r.n1, r.n2, r.structure.dim
     gc = np.r_[0:n1, n1 + n2 : m]
     if jac is None:  # the z^0 terms and the Jacobian at z = 0
-        theta0, _, a0, b0 = _coupling(r, r.u_hat, r.v_hat)(cl.zeros(m - n2, n2))
+        theta0, _, a0, b0 = _coupling(r, r.u_coeffs[0], r.v_coeffs[0])(cl.zeros(m - n2, n2))
         x, theta, jac = [cl.zeros(m - n2, n2)], [theta0], (a0, b0, *cl.schur(theta0))
     v = list(r.v_coeffs[: order + 1]) + [cl.zeros(m, m)] * (order + 1 - len(r.v_coeffs))
-    u0, u1 = r.u_hat[gc], r.u_coeffs[1][gc]
+    u0, u1 = (u[gc] for u in r.u_coeffs)
     x, theta = list(x), list(theta)
     s = [np.vstack([xk[:n1], cl.eye(n2) * (k == 0), xk[n1:]]) for k, xk in enumerate(x)]
 
@@ -268,7 +268,7 @@ def coupling_series(r: ReducedPencil, order: int, x=(), theta=(), jac=None):
         res = vs[gc] - u0 @ s_theta(k) - u1 @ s_theta(k - 1)
         x.append(cl.schur_sylvester(*jac, -res))
         s.append(np.vstack([x[k][:n1], cl.zeros(n2, n2), x[k][n1:]]))
-        theta[k] = theta[k] + r.v_hat[r.g2, gc] @ x[k]
+        theta[k] = theta[k] + v[0][r.g2, gc] @ x[k]
     return tuple(x), tuple(theta), jac
 
 

@@ -12,8 +12,10 @@ Block row/column permutations Pi_L, Pi_R followed by one block elimination
 G reduce the z = 0 pencil to block triangular form whose middle block is the
 companion-like matrix Theta_rho; its spectrum (the rho-th roots of the
 eigenvalues of the core S_rho) drives the leading fractional splitting.
-The reduced pencil Pi_L (mu U(z) - V(z)) Pi_R G is held once per
-``ReducedPencil``, as its z-coefficients, read by the series and, at z, by Newton.
+The assembled pencil keeps only the exponent maps of L(z) and R(z); the
+reduced pencil Pi_L (mu U(z) - V(z)) Pi_R G is held once per
+``ReducedPencil``, as its z-coefficients hatted straight from N and D11,
+read by the series and, at z, by Newton.
 
 Everything here is constructed programmatically from the block index map;
 the scaling exponent rules are the primitive, and the large displayed
@@ -125,34 +127,29 @@ def right_exponent(j: int, m: int, rho: int) -> int:
 
 @dataclass(frozen=True)
 class AssembledPencil:
-    """The polynomial pencil mu(U + z E_U) - (V + E_V(z)) for one rho.
+    """The scaling exponent maps of the polynomial pencil mu U(z) - V(z) for one rho.
 
-    ``ev_coeffs`` maps each exponent e >= 1 to the coefficient matrix of
-    z^e in E_V(z).  ``left_exponents`` and ``right_exponents`` hold, per
-    row and per column, the z-exponents of the diagonal scalings L(z) and
-    R(z) (:func:`left_exponent`, :func:`right_exponent`).
+    ``left_exponents`` and ``right_exponents`` hold, per row and per column,
+    the z-exponents L_p, R_q of the diagonal scalings L(z) and R(z)
+    (:func:`left_exponent`, :func:`right_exponent`).  With N and D11 of
+    ``pair`` they fix the pencil; its coefficients are formed only in reduced
+    coordinates (:attr:`ReducedPencil.u_coeffs`, :attr:`ReducedPencil.v_coeffs`).
     """
 
     pair: CanonicalPair
     rho: int
-    u0: np.ndarray = field(repr=False)
-    eu: np.ndarray = field(repr=False)
-    v0: np.ndarray = field(repr=False)
-    ev_coeffs: dict = field(repr=False)
     left_exponents: np.ndarray = field(repr=False)
     right_exponents: np.ndarray = field(repr=False)
 
 
 def assemble_pencil(pair: CanonicalPair, rho: int) -> AssembledPencil:
-    """Build U, E_U, V and the exponent map of E_V(z) for the given rho.
-
-    The scaling exponent vectors come first: L_p = ``left_exponents[p]`` and
-    R_q = ``right_exponents[q]``, from :func:`left_exponent` and
+    """The scaling exponent vectors for the given rho: L_p = ``left_exponents[p]``
+    and R_q = ``right_exponents[q]``, from :func:`left_exponent` and
     :func:`right_exponent` at each sub-row and sub-column of the block index.
+
     Entry (p, q) of D11 scales to the z-exponent rho + L_p + R_q, the mu
-    diagonal to 1 + L_p + R_p and N to 0: exponent 0 lands in U or V, the
-    rest in E_U (exponent 1, mu part) or ``ev_coeffs``.  The pencil identity
-    holds by construction for any D11 (the test suite checks it densely).
+    diagonal to 1 + L_p + R_p and N to 0, so the pencil identity holds by
+    construction for any D11 (the test suite checks it densely).
     """
     st = pair.structure
     if not 1 <= rho <= st.k:
@@ -163,19 +160,7 @@ def assemble_pencil(pair: CanonicalPair, rho: int) -> AssembledPencil:
         for m in range(1, j + 1):
             left[pair.index.rows(j, m)] = left_exponent(j, m, rho)
             right[pair.index.cols(j, m)] = right_exponent(j, m, rho)
-
-    u0 = np.diag((1 + left + right == 0).astype(np.complex128))
-    eu = cl.eye(st.dim) - u0
-    d = pair.d11
-    exps = rho + left[:, None] + right[None, :]
-    v0 = pair.nilpotent + np.where(exps == 0, d, 0)
-    # One masked copy of D11 per exponent that carries a nonzero entry.
-    ev_coeffs = {int(e): np.where(exps == e, d, 0) for e in np.unique(exps[(exps != 0) & (d != 0)])}
-
-    return AssembledPencil(
-        pair=pair, rho=rho, u0=u0, eu=eu, v0=v0, ev_coeffs=ev_coeffs,
-        left_exponents=left, right_exponents=right,
-    )
+    return AssembledPencil(pair=pair, rho=rho, left_exponents=left, right_exponents=right)
 
 
 @dataclass(frozen=True)
@@ -251,14 +236,13 @@ class BranchTable:
         sigma = (cl.smallest_singular_value(mm), cl.frob(mm))
         phi = np.vstack([cb.q @ p for p in pw])
         psi = np.linalg.inv(mm) @ np.hstack([p @ cb.qt for p in pw[::-1]])
-        lam_root = cl.eig(root)
         s_dim = cb.q.shape[0]
         for b, w in enumerate(_branch_rotations(cb.gamma, rho)[1]):
             c = self.columns[(ci, b)]
             wj = np.repeat(w ** np.arange(rho), s_dim)  # w_b^j on block j
             self.omega[np.ix_(c, c)] = w * root
             self.phi[:, c], self.psi[c] = wj[:, None] * phi, psi / wj
-            self.lam[c] = w * lam_root
+            self.lam[c] = w * np.diag(root)  # Lambda(R): R is triangular
             self.sigma[(ci, b)] = sigma
 
     def cols(self, pairs) -> np.ndarray:
@@ -382,27 +366,24 @@ class ReducedPencil:
         return out
 
     @cached_property
-    def u_hat(self) -> np.ndarray:
-        """Pi_L U Pi_R G, the mu part of the reduced pencil at z = 0."""
-        return self.hat(self.assembled.u0)
-
-    @cached_property
-    def v_hat(self) -> np.ndarray:
-        """Pi_L V Pi_R G = [[V11, 0, 0], [V21, Theta, V23], [0, 0, V33]] at z = 0."""
-        return self.hat(self.assembled.v0)
-
-    @cached_property
     def u_coeffs(self) -> tuple[np.ndarray, np.ndarray]:
-        """(U-hat_0, U-hat_1) = (:attr:`u_hat`, Pi_L E_U Pi_R G): U-hat(z) = U-hat_0 + z U-hat_1."""
-        return self.u_hat, self.hat(self.assembled.eu)
+        """(U-hat_0, U-hat_1): U-hat(z) = U-hat_0 + z U-hat_1, with U_0 the
+        0/1 diagonal where 1 + L_p + R_p = 0 and U_1 = I - U_0."""
+        ap = self.assembled
+        u0 = np.diag((1 + ap.left_exponents + ap.right_exponents == 0).astype(np.complex128))
+        return self.hat(u0), self.hat(cl.eye(self.structure.dim) - u0)
 
     @cached_property
     def v_coeffs(self) -> tuple[np.ndarray, ...]:
-        """V-hat_e, e = 0..max(``ev_coeffs``): :attr:`v_hat`, then Pi_L V_e Pi_R G
-        for V_e the z^e coefficient of E_V(z), zero where it has none."""
-        ev, m = self.assembled.ev_coeffs, self.structure.dim
-        rest = [self.hat(ev[e]) if e in ev else cl.zeros(m, m) for e in range(1, max(ev, default=0) + 1)]
-        return (self.v_hat, *rest)
+        """V-hat_e, e = 0..e_max: the hat of N plus D11 at z-exponent 0, then of
+        D11 at each exponent e = rho + L_p + R_q (zero at an exponent with no
+        entry), e_max the largest exponent of a nonzero entry of D11.  V-hat_0
+        is [[V11, 0, 0], [V21, Theta, V23], [0, 0, V33]]."""
+        ap, d = self.assembled, self.pair.d11
+        exps = self.rho + ap.left_exponents[:, None] + ap.right_exponents[None, :]
+        top = exps[d != 0].max(initial=0)
+        v0 = self.hat(self.pair.nilpotent + np.where(exps == 0, d, 0))
+        return (v0, *(self.hat(np.where(exps == e, d, 0)) for e in range(1, top + 1)))
 
     def at(self, z: complex) -> tuple[np.ndarray, np.ndarray]:
         """(U-hat(z), V-hat(z)) from the coefficients, V-hat by Horner's rule."""
@@ -413,8 +394,8 @@ class ReducedPencil:
 
     @property
     def theta(self) -> np.ndarray:
-        """Theta_rho, the g2 x g2 block of V-hat."""
-        return self.v_hat[self.g2, self.g2]
+        """Theta_rho, the g2 x g2 block of V-hat_0."""
+        return self.v_coeffs[0][self.g2, self.g2]
 
     @cached_property
     def x0(self) -> np.ndarray:

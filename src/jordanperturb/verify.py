@@ -402,13 +402,15 @@ def _residual_claims(reduced, oracle, perturb_h1, swap_root):
 
 
 def _riccati_window(reduced) -> tuple[float, np.ndarray]:
-    """(R, z-points) of the Riccati claims: R = min(|Theta_2|/|Theta_3|,
-    (|Theta_2|/|Theta_4|)^(1/2)) in Frobenius norms from ``series(4)``, a
-    term with a zero denominator being infinite, and ``WINDOW_POINTS``
-    geometric points from z_top = min(c R, 0.1) down ``WINDOW_DECADES``
-    decades, in descending z."""
-    n2, n3, n4 = (cl.frob(th) for th in reduced.series(START_ORDER)[1][2:5])
-    radius = min(n2 / n3 if n3 else np.inf, np.sqrt(n2 / n4) if n4 else np.inf)
+    """(R, z-points) of the Riccati claims: with Theta_j the first nonzero of
+    Theta_2..Theta_4 (Frobenius norms, from ``series(4)``), R is the least
+    (|Theta_j|/|Theta_k|)^(1/(k-j)) over the nonzero Theta_k, k > j, and
+    infinite when there is none; then ``WINDOW_POINTS`` geometric points from
+    z_top = min(c R, 0.1) down ``WINDOW_DECADES`` decades, in descending z."""
+    n = [cl.frob(th) for th in reduced.series(START_ORDER)[1][2:5]]
+    j = next((i for i in range(3) if n[i]), 3)  # k - j below is 1 or 2
+    ratios = (n[j] / n[k] if k == j + 1 else np.sqrt(n[j] / n[k]) for k in range(j + 1, 3) if n[k])
+    radius = min(ratios, default=np.inf)
     top = min(WINDOW_FRACTION * radius, WINDOW_CAP)
     return radius, np.geomspace(top, top / 10.0**WINDOW_DECADES, WINDOW_POINTS)
 

@@ -10,7 +10,10 @@ that both agree.
 The pencil's exponent map is kept here in the same way:
 ``assemble_pencil_blocks`` walks every sub-block position and files each
 scaled entry under its z-exponent, where the library masks D11 by one
-exponent matrix built from the scaling vectors.
+exponent matrix built from the scaling vectors and hats each mask
+(``ReducedPencil.v_coeffs``).
+Every dense pencil here (``dense_pencil``, ``hatted_pencil_blocks``) is
+built from this filing and shares no assembly code with the library.
 
 Likewise the library forms every constant subspace term as X0 Phi from the
 pencil's constant basis ``ReducedPencil.x0``; the displayed form
@@ -26,7 +29,7 @@ G_ij in ``g_sub``) and S_i = B_{rho,i} + W_{rho,rho+1} G_i (``s_blocks``).
 The library holds the pencil only as the hatted z-coefficients of
 ``ReducedPencil`` and evaluates them by Horner's rule (``ReducedPencil.at``).
 Here the pencil is formed densely at z instead: U(z) and V(z) from the
-assembled fields (``dense_pencil``), and L(z) (z mu I - (N + z^rho D11)) R(z)
+block-by-block filing (``dense_pencil``), and L(z) (z mu I - (N + z^rho D11)) R(z)
 from the exponent rule alone (``scaled_problem``).  The residual of the
 reduced pencil identity (``reduced_identity_residual``) compares the
 library's evaluation with the hatted scaled problem, and the Kronecker Newton
@@ -155,18 +158,25 @@ def g_sub(reduced, i, j):
     return g_blocks(reduced)[j - 1][start : start + st.s(i), :]
 
 
-def dense_pencil(ap, z):
+def dense_pencil(pair, rho, z):
     """(U(z), V(z)) = (U + z E_U, V + sum_e z^e V_e), dense m x m, from the
-    fields of the assembled pencil ap."""
-    vz = ap.v0.astype(np.complex128)
-    for e, coeff in ap.ev_coeffs.items():
+    block-by-block filing ``assemble_pencil_blocks``."""
+    u0, eu, vz, ev_coeffs = assemble_pencil_blocks(pair, rho)
+    for e, coeff in ev_coeffs.items():
         vz = vz + z**e * coeff
-    return ap.u0 + z * ap.eu, vz
+    return u0 + z * eu, vz
 
 
 def hatted_dense_pencil(reduced, z):
     """Pi_L U(z) Pi_R G and Pi_L V(z) Pi_R G from ``dense_pencil``."""
-    return tuple(reduced.hat(mat) for mat in dense_pencil(reduced.assembled, z))
+    return tuple(reduced.hat(mat) for mat in dense_pencil(reduced.pair, reduced.rho, z))
+
+
+def hatted_pencil_blocks(reduced):
+    """(U-hat_0, E_U-hat, V-hat_0, {e: V-hat_e}): the hats Pi_L M Pi_R G of the
+    blocks of ``assemble_pencil_blocks``, one per exponent that carries one."""
+    u0, eu, v0, ev_coeffs = assemble_pencil_blocks(reduced.pair, reduced.rho)
+    return reduced.hat(u0), reduced.hat(eu), reduced.hat(v0), {e: reduced.hat(c) for e, c in ev_coeffs.items()}
 
 
 def scaled_problem(pair, rho, z, mu):
@@ -303,9 +313,9 @@ def closed_form_x_blocks(reduced):
 def closed_form_delta_coef(reduced, x1c, x2c):
     """delta_coef = E22 + V21 X1 + V23 X2 from given first-order X blocks."""
     g1, g2, g3 = reduced.g1, reduced.g2, reduced.g3
-    m = reduced.structure.dim
-    e22 = reduced.hat(reduced.assembled.ev_coeffs.get(1, cl.zeros(m, m)))[g2, g2]
-    return e22 + reduced.v_hat[g2, g1] @ x1c + reduced.v_hat[g2, g3] @ x2c
+    _, _, v0, ev = hatted_pencil_blocks(reduced)
+    e22 = ev[1][g2, g2] if 1 in ev else 0.0
+    return e22 + v0[g2, g1] @ x1c + v0[g2, g3] @ x2c
 
 
 def hatb_terms(reduced):
@@ -351,7 +361,6 @@ def kron_newton_step(reduced, z, x1, x2):
     and solved as one dense system with the Jacobian in Kronecker form
     (vec stacks columns), U(z) and V(z) formed densely (``dense_pencil``)."""
     uz, vz = hatted_dense_pencil(reduced, z)
-    eu = uz - reduced.u_hat
     g1, g2, g3 = reduced.g1, reduced.g2, reduced.g3
     n1, n2 = x1.shape
     eye2 = np.eye(n2)
@@ -369,7 +378,7 @@ def kron_newton_step(reduced, z, x1, x2):
     j13 = np.kron(eye2, vz[g1, g3]) - np.kron(eye2, x1 @ vz[g2, g3])
     j31 = (
         np.kron(eye2, vz[g3, g1])
-        - np.kron(th_t, eu[g3, g1])
+        - np.kron(th_t, uz[g3, g1])
         - np.kron(eye2, p3 @ vz[g2, g1])
     )
     j33 = (

@@ -8,6 +8,8 @@
   classical first-order theory holds: the eigenvalues of A + tD are exactly
   lambda0 + t Lambda(D11).
 - ``two_block_mixed_pair``: sizes (1, 2) with a fixed seeded D11.
+- ``theta2_zero_pair``: sizes (1, 1) with an integer D11 whose coupling
+  series at rho = 2 has Theta_2 = 0 but Theta_3, Theta_4 nonzero.
 """
 
 import numpy as np
@@ -43,3 +45,10 @@ def rho1_diagonal_pair():
 def two_block_mixed_pair():
     st = JordanStructure(0.0, (1, 2))
     return generate(CaseSpec(st, seed=20240229, ensure_generic=True, ensure_distinct_gammas=True))
+
+
+def theta2_zero_pair():
+    """sizes (1, 1), lambda0 = 0: sigma_min(W_1) = sigma_min(W_2) = 1, and at
+    rho = 2 the Frobenius norms of Theta_0..Theta_4 are sqrt(2), 0, 0, 2, 2."""
+    d11 = np.array([[1.0, 0.0, 2.0], [1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
+    return CanonicalPair(JordanStructure(0.0, (1, 1)), d11)

@@ -5,7 +5,7 @@ import pytest
 
 from jordanperturb.cli import canonical_json, main, matrix_to_json
 
-from known_cases import example1_pair
+from known_cases import example1_pair, theta2_zero_pair
 
 EXIT_OK, EXIT_VERIFY_FAIL, EXIT_PRECONDITION, EXIT_PARSE = 0, 1, 2, 3
 
@@ -256,10 +256,12 @@ class TestVerify:
         main(["generate", "--sizes", "0,2", "--seed", "2", "--out", str(f)])
         assert main(["verify", str(f), "--rho", "2", "--perturb-h1", "1e-3"]) == EXIT_VERIFY_FAIL
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
     def test_non_finite_sample_written_as_null(self, tmp_path):
-        # --perturb-h1 1e300 makes the residual samples overflow: both files
-        # are written and parse, with null and an empty field for each
-        # non-finite error, and the run fails verification (exit 1)
+        # --perturb-h1 1e300 makes the residual samples overflow (numpy warns
+        # of it in the norm): both files are written and parse, with null and
+        # an empty field for each non-finite error, and the run fails
+        # verification (exit 1)
         f, out_json, out_csv = tmp_path / "case.json", tmp_path / "r.json", tmp_path / "s.csv"
         main(["generate", "--sizes", "1,2", "--seed", "1", "--out", str(f)])
         code = main(
@@ -281,6 +283,17 @@ class TestVerify:
         for row, (rep, (t, e)) in zip(rows[1:], [(r, s) for r in reports for s in r["samples"]]):
             assert row[0] == rep["quantity"] and float(row[1]) == t
             assert row[2] == "" if e is None else float(row[2]) == e
+
+    def test_theta2_zero_verifies(self, tmp_path, capsys):
+        # at rho = 2 the coupling series of this pair has Theta_2 = 0: the
+        # Riccati window is read from Theta_3 and Theta_4, and every claim at
+        # both rho passes, with no traceback
+        doc = {"lambda0": [0.0, 0.0], "sizes": [1, 1], "d11": matrix_to_json(theta2_zero_pair().d11)}
+        f = tmp_path / "theta2.json"
+        f.write_text(canonical_json(doc))
+        assert main(["verify", str(f)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "riccati-delta[rho=1]" in out and "riccati-delta[rho=2]" in out and "FAIL" not in out
 
     def test_two_block_default_all_rhos(self, tmp_path):
         f = tmp_path / "mix.json"

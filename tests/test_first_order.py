@@ -33,6 +33,7 @@ from closed_forms import (
     h1_by_lift,
     hatb_terms,
     hatted_dense_pencil,
+    hatted_pencil_blocks,
     kron_newton_step,
     kron_riccati,
     semisimple_delta11,
@@ -217,17 +218,16 @@ def assert_matches_closed_form(rp, tol=1e-12):
 
 class TestFirstOrderClosedForms:
     def kron_first_order(self, rp):
-        """Independent route: solve both first-order Sylvester systems densely."""
-        ap = rp.assembled
-        m = rp.structure.dim
-        v1h = rp.hat(ap.ev_coeffs.get(1, np.zeros((m, m), dtype=complex)))
-        euh = rp.hat(ap.eu)
+        """Independent route: solve both first-order Sylvester systems densely,
+        on the hats of the block-by-block pencil."""
+        uh, euh, vh, evh = hatted_pencil_blocks(rp)
+        v1h = evh.get(1, np.zeros_like(vh))
         g1, g2, g3 = rp.g1, rp.g2, rp.g3
         theta = rp.theta
         n2 = theta.shape[0]
-        v11 = rp.v_hat[g1, g1]
-        v33 = rp.v_hat[g3, g3]
-        u33 = rp.u_hat[g3, g3]
+        v11 = vh[g1, g1]
+        v33 = vh[g3, g3]
+        u33 = uh[g3, g3]
         e12 = v1h[g1, g2]
         e32 = v1h[g3, g2]
         eu32 = euh[g3, g2]
@@ -462,10 +462,10 @@ class TestFirstOrderExpansion:
         # once and the S_rho clusters once: one Schur form of S_rho, reordered
         # once per cluster.  Each order of the coupling series is one kernel
         # solve, made once; the cluster bases and Y are triangular Sylvester
-        # solves, which take no Schur form and do not use that kernel.  The
-        # pencil is hatted only while its z-coefficients are formed: once
-        # each for U, E_U, V and every E_V coefficient, and never again by a
-        # resumed series or a Newton solve.
+        # solves, which take no Schur form and do not use that kernel.  Each
+        # z-coefficient of the reduced pencil is hatted once, when it is first
+        # read (the two of U-hat(z), then every V-hat_e), and never again by
+        # an expansion, a resumed series or a Newton solve.
         cl = jordanperturb.core_linalg
         calls = {"theta": 0, "schur": 0, "reorder": 0, "sylvester": 0, "hat": 0}
         schur, schur_args = scipy.linalg.schur, []
@@ -492,7 +492,12 @@ class TestFirstOrderExpansion:
         monkeypatch.setattr(rp_cls, "hat", counted("hat", rp_cls.hat))
         pair = random_pair((0, 2), seed=1)
         rp = reduce_pencil(assemble_pencil(pair, 2))
-        n_coeffs = 3 + len(rp.assembled.ev_coeffs)  # U, E_U, V and each E_V coefficient
+        assert calls["hat"] == 0
+        u_coeffs = rp.u_coeffs
+        assert calls["hat"] == len(u_coeffs) == 2
+        v_coeffs = rp.v_coeffs
+        n_coeffs = 2 + len(v_coeffs)
+        assert calls["hat"] == n_coeffs
         for _ in range(2):
             for e in eigenvalue_expansions(rp):
                 for root in range(2):
@@ -518,6 +523,7 @@ class TestFirstOrderExpansion:
         assert calls["hat"] == n_coeffs
         solve_riccati(rp.assembled, rp, 1e-2)
         assert calls["hat"] == n_coeffs
+        assert rp.u_coeffs is u_coeffs and rp.v_coeffs is v_coeffs
 
     def test_branch_table_split_once_per_selection(self, monkeypatch):
         # (4,4,4,4,4) seed 1 over every rho: 60 selections on 5 pencils.  The
@@ -698,8 +704,9 @@ def assert_series_matches_cauchy(ap, rp, theta, label, n_pts=32):
     """The bound of ``TestCouplingSeries.test_against_cauchy_integral`` on
     Theta_1..Theta_4 of one pencil."""
     if rp.n2 == rp.structure.dim:
+        _, _, v0h, evh = hatted_pencil_blocks(rp)
         for k in range(1, 5):
-            ref = rp.hat(ap.ev_coeffs.get(k, np.zeros_like(ap.v0)))
+            ref = evh.get(k, np.zeros_like(v0h))
             assert np.linalg.norm(theta[k] - ref) <= 1e-14 * np.linalg.norm(ref)
         return
     norms = [np.linalg.norm(t) for t in theta]
@@ -819,8 +826,8 @@ class TestRiccati:
         for rho in rhos or pair.structure.valid_rhos():
             ap = assemble_pencil(pair, rho)
             rp = reduce_pencil(ap)
-            # the Kronecker form reads U(z)[g3,g1] from E_U; U-hat[g3,g1] is zero
-            assert not np.any(rp.u_hat[rp.g3, rp.g1])
+            # U(z)[g3,g1], which the Kronecker form reads, is z E_U there alone
+            assert not np.any(rp.u_coeffs[0][rp.g3, rp.g1])
             z = 1e-3 ** (1.0 / rho)
             # both sides read the same dense pencil at z: this checks the step
             newton_terms = jordanperturb.first_order._coupling(rp, *hatted_dense_pencil(rp, z))

@@ -16,11 +16,11 @@ from jordanperturb.errors import ClusterNotSeparated, SingularW
 from jordanperturb.pencil import CLUSTER_GAP_REL, _cluster, check_separated, scalar_roots, sort_complex
 
 from closed_forms import (
-    assemble_pencil_blocks,
     branch_table_by_branch,
     finite_pencil_eigs,
     g_blocks,
     hatted_dense_pencil,
+    hatted_pencil_blocks,
     reduced_identity_residual,
     s_blocks,
     w_blocks,
@@ -88,36 +88,51 @@ class TestScalarRoots:
 
 
 class TestAssemble:
+    @pytest.mark.parametrize("sizes", [(1, 2), (2, 2, 2), (1, 0, 3)])
+    def test_holds_only_exponent_maps(self, sizes):
+        # the assembled pencil keeps no m x m array: its only array fields
+        # are the per-row and per-column scaling exponents
+        pair = random_pair(sizes, seed=1)
+        for rho in pair.structure.valid_rhos():
+            ap = assemble_pencil(pair, rho)
+            assert list(vars(ap)) == ["pair", "rho", "left_exponents", "right_exponents"]
+            arrays = {name: v for name, v in vars(ap).items() if isinstance(v, np.ndarray)}
+            assert list(arrays) == ["left_exponents", "right_exponents"]
+            assert all(v.shape == (pair.structure.dim,) and v.dtype == np.int64 for v in arrays.values())
+
     def test_example1(self):
-        pair = example1_pair()
-        ap = assemble_pencil(pair, 4)
-        assert np.array_equal(ap.u0, np.eye(4))
-        assert np.all(ap.eu == 0)
+        # one Jordan block at rho = k: Pi_L, Pi_R and G are the identity
+        rp = reduce_pencil(assemble_pencil(example1_pair(), 4))
+        assert np.array_equal(rp.u_coeffs[0], np.eye(4))
+        assert np.all(rp.u_coeffs[1] == 0)
         v_expected = np.zeros((4, 4))
         v_expected[0, 1] = v_expected[1, 2] = v_expected[2, 3] = 1.0
         v_expected[3, 0] = 1.0
-        assert np.array_equal(ap.v0.real, v_expected)
-        assert ap.ev_coeffs == {}  # E_V(z) identically zero here
+        assert np.array_equal(rp.v_coeffs[0], v_expected)
+        assert len(rp.v_coeffs) == 1  # E_V(z) identically zero here
 
     def test_zero_d11_shift_only(self):
         st = JordanStructure(0.0, (0, 2))
         pair = CanonicalPair(st, np.zeros((4, 4)))
-        ap = assemble_pencil(pair, 2)
-        assert ap.ev_coeffs == {}
-        assert int(ap.v0.real.sum()) == 2  # just the N superdiagonal
+        rp = reduce_pencil(assemble_pencil(pair, 2))
+        assert len(rp.v_coeffs) == 1
+        assert int(rp.v_coeffs[0].real.sum()) == 2  # just the N superdiagonal
 
     def test_sizes_1_1_rho1_u_split(self):
         pair = random_pair((1, 1), seed=0)
         ap = assemble_pencil(pair, 1)
-        assert np.array_equal(np.diag(ap.u0).real, [1, 0, 1])
-        assert np.array_equal(np.diag(ap.eu).real, [0, 1, 0])
+        assert np.array_equal(1 + ap.left_exponents + ap.right_exponents == 0, [True, False, True])
+        rp = reduce_pencil(ap)
+        assert np.array_equal(rp.u_coeffs[0], rp.hat(np.diag([1.0, 0.0, 1.0])))
+        assert np.array_equal(rp.u_coeffs[1], rp.hat(np.diag([0.0, 1.0, 0.0])))
 
     def test_u_plus_eu_is_identity(self):
         for sizes in SUITE_SIZES:
             pair = random_pair(sizes, seed=1)
             for rho in pair.structure.valid_rhos():
-                ap = assemble_pencil(pair, rho)
-                assert np.array_equal(ap.u0 + ap.eu, np.eye(pair.structure.dim))
+                rp = reduce_pencil(assemble_pencil(pair, rho))
+                u0, u1 = rp.u_coeffs
+                assert np.array_equal(u0 + u1, rp.hat(np.eye(pair.structure.dim)))
 
     @pytest.mark.parametrize(
         "pair",
@@ -131,22 +146,22 @@ class TestAssemble:
         ],
     )
     def test_against_block_oracle(self, pair):
-        # the exponent-matrix masks give bit for bit the block-by-block filing
+        # the exponent-matrix masks, hatted, give bit for bit the hats of the
+        # block-by-block filing; an exponent with no entry gets a zero
         for rho in pair.structure.valid_rhos():
-            ap = assemble_pencil(pair, rho)
-            u0, eu, v0, ev_coeffs = assemble_pencil_blocks(pair, rho)
-            for got, ref in ((ap.u0, u0), (ap.eu, eu), (ap.v0, v0)):
+            rp = reduce_pencil(assemble_pencil(pair, rho))
+            u0, eu, v0, ev_coeffs = hatted_pencil_blocks(rp)
+            for got, ref in zip((*rp.u_coeffs, rp.v_coeffs[0]), (u0, eu, v0)):
                 assert got.dtype == ref.dtype and np.array_equal(got, ref)
-            assert sorted(ap.ev_coeffs) == sorted(ev_coeffs)
-            for e, coeff in ev_coeffs.items():
-                assert ap.ev_coeffs[e].dtype == coeff.dtype
-                assert np.array_equal(ap.ev_coeffs[e], coeff)
+            assert len(rp.v_coeffs) == 1 + max(ev_coeffs, default=0)
+            for e, coeff in enumerate(rp.v_coeffs[1:], start=1):
+                ref = ev_coeffs.get(e, np.zeros_like(v0))
+                assert coeff.dtype == ref.dtype and np.array_equal(coeff, ref), (rho, e)
 
     def test_ev_orders_at_least_one(self):
         pair = random_pair((1, 2), seed=2)
-        ap = assemble_pencil(pair, 1)
-        assert ap.ev_coeffs and min(ap.ev_coeffs) >= 1
-        assert all(np.any(coeff != 0) for coeff in ap.ev_coeffs.values())
+        rp = reduce_pencil(assemble_pencil(pair, 1))
+        assert len(rp.v_coeffs) > 1 and np.any(rp.v_coeffs[-1] != 0)
 
 
 class TestReduce:
@@ -249,15 +264,17 @@ class TestReduce:
     @pytest.mark.parametrize("sizes", LADDER_SIZES)
     def test_evaluation_against_dense_pencil(self, sizes):
         # the hatted z-coefficients, summed by Horner's rule at real and
-        # complex z, give the hat of the dense U(z) and V(z); a coefficient
-        # that E_V(z) lacks is zero, and U-hat, V-hat are the z^0 terms
+        # complex z, give the hat of the dense block-by-block U(z) and V(z);
+        # each coefficient is the hat of its oracle block, zero where E_V(z)
+        # has no z^e term
         pair = distinct_gammas_pair(sizes, 1)
         for rho in pair.structure.valid_rhos():
             rp = reduce_pencil(assemble_pencil(pair, rho))
-            ev = rp.assembled.ev_coeffs
+            u0, eu, v0, ev = hatted_pencil_blocks(rp)
             assert len(rp.v_coeffs) == 1 + max(ev) and max(ev) <= 2 * rho - 1
-            assert rp.u_coeffs[0] is rp.u_hat and rp.v_coeffs[0] is rp.v_hat
-            assert all(np.all(c == 0) for e, c in enumerate(rp.v_coeffs) if e and e not in ev)
+            assert np.array_equal(rp.u_coeffs[0], u0) and np.array_equal(rp.u_coeffs[1], eu)
+            for e, coeff in enumerate(rp.v_coeffs):
+                assert np.array_equal(coeff, v0 if e == 0 else ev.get(e, np.zeros_like(v0))), (rho, e)
             for z in (0.3, 1e-2, 0.2 * np.exp(0.7j), 1e-3j):
                 for got, want in zip(rp.at(z), hatted_dense_pencil(rp, z)):
                     assert rel_err(got, want) <= 1e-14, (rho, z)
@@ -292,16 +309,17 @@ class TestReduce:
         for rho in (1, 2):
             rp = reduce_pencil(assemble_pencil(pair, rho))
             g1, g2, g3 = rp.g1, rp.g2, rp.g3
-            scale = max(1.0, np.linalg.norm(rp.v_hat))
-            assert np.all(rp.v_hat[g1, g2] == 0)
-            assert np.all(rp.v_hat[g1, g3] == 0)
-            assert np.all(rp.v_hat[g3, g1] == 0)
+            v_hat = rp.v_coeffs[0]
+            scale = max(1.0, np.linalg.norm(v_hat))
+            assert np.all(v_hat[g1, g2] == 0)
+            assert np.all(v_hat[g1, g3] == 0)
+            assert np.all(v_hat[g3, g1] == 0)
             # the eliminated Z block vanishes only to roundoff
-            assert np.linalg.norm(rp.v_hat[g3, g2]) <= 1e-13 * scale
-            v11 = rp.v_hat[g1, g1]
+            assert np.linalg.norm(v_hat[g3, g2]) <= 1e-13 * scale
+            v11 = v_hat[g1, g1]
             if v11.shape[0]:
                 assert np.linalg.norm(np.linalg.matrix_power(v11, v11.shape[0])) == 0
-            v33 = rp.v_hat[g3, g3]
+            v33 = v_hat[g3, g3]
             if v33.shape[0]:
                 assert np.linalg.cond(v33) < 1e8
 

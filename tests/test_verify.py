@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hst
 
 import jordanperturb.verify
@@ -16,6 +16,7 @@ from jordanperturb import (
     JordanStructure,
     SweepPlan,
     assemble_pencil,
+    check_generic,
     complement_pair,
     generate,
     match_eigenvalues,
@@ -25,12 +26,12 @@ from jordanperturb import (
     solve_riccati,
     verify_all,
 )
-from jordanperturb.errors import CardinalityMismatch, NoConvergence
+from jordanperturb.errors import CardinalityMismatch, JordanPerturbError, NoConvergence
 from jordanperturb.verify import exact_subspace_basis
 
 from closed_forms import fixed_point_subspace_basis, oracle_eigs
 from conftest import random_pair
-from known_cases import example1_pair
+from known_cases import example1_pair, theta2_zero_pair
 
 
 class TestSweepPlan:
@@ -521,12 +522,13 @@ def forced_solves(monkeypatch, fail=()):
 
 
 def window_top(reduced):
-    """(R, z_top) of the Riccati window, restated from its definition: R =
-    min(|Theta_2|/|Theta_3|, (|Theta_2|/|Theta_4|)^(1/2)) in Frobenius norms,
-    a zero denominator making its term infinite, and z_top = min(0.1 R, 0.1)."""
+    """(R, z_top) of the Riccati window, restated from its definition: with
+    Theta_j the first nonzero of Theta_2..Theta_4 in Frobenius norm, R =
+    min over the nonzero Theta_k, k > j, of (|Theta_j|/|Theta_k|)^(1/(k-j)),
+    infinite when there is none, and z_top = min(0.1 R, 0.1)."""
     th = reduced.series(4)[1]
-    n2, n3, n4 = (np.linalg.norm(th[k]) for k in (2, 3, 4))
-    radius = min(n2 / n3 if n3 else np.inf, np.sqrt(n2 / n4) if n4 else np.inf)
+    nonzero = [(k, np.linalg.norm(th[k])) for k in (2, 3, 4) if np.linalg.norm(th[k])]
+    radius = min(((nonzero[0][1] / n) ** (1.0 / (k - nonzero[0][0])) for k, n in nonzero[1:]), default=np.inf)
     return radius, min(0.1 * radius, 0.1)
 
 
@@ -660,6 +662,20 @@ class TestRiccatiWindow:
         assert sum(r.floor_limited for r in riccati) == 7
         assert not any("dropped" in r.note for r in riccati)
 
+    @pytest.mark.parametrize("rho", [1, 2])
+    def test_theta2_zero(self, monkeypatch, rho):
+        # at rho = 2 the series has Theta_2 = 0: R is read from Theta_3 and
+        # Theta_4 (|Theta_3|/|Theta_4| = 1), so the window runs from 0.1 down
+        # two decades, and every claim passes at both orders
+        calls = forced_solves(monkeypatch)
+        reports = verify_all(theta2_zero_pair(), rho)
+        radius, top = window_top(calls[0][2].reduced)
+        if rho == 2:
+            assert not np.linalg.norm(calls[0][2].reduced.series(4)[1][2])
+            assert radius == pytest.approx(1.0, rel=1e-15) and top == pytest.approx(0.1, rel=1e-15)
+        assert [z for z, _, _ in calls] == pytest.approx(np.geomspace(top, top / 100, 13), rel=1e-12)
+        assert reports and all(r.passed for r in reports), [r.quantity for r in reports if not r.passed]
+
     @given(
         hst.lists(hst.integers(0, 2), min_size=1, max_size=4).filter(lambda s: s[-1] > 0),
         hst.integers(0, 2**16),
@@ -687,6 +703,34 @@ class TestRiccatiWindow:
             for t, _ in r.samples:
                 z = t if r.quantity.startswith("riccati-delta") else t ** (1.0 / rho)
                 assert top / 100 * (1 - 1e-12) <= z <= top * (1 + 1e-12), (r.quantity, z, top)
+
+
+INTEGER_SIZES = [(1, 1), (0, 2), (1, 2), (2, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1), (0, 0, 2)]
+
+
+@hst.composite
+def generic_integer_cases(draw):
+    """(pair, rho): a generic pair on one of ``INTEGER_SIZES`` with D11
+    entries in -2..2, and one of its valid rho."""
+    st = JordanStructure(0.0, draw(hst.sampled_from(INTEGER_SIZES)))
+    entries = draw(hst.lists(hst.integers(-2, 2), min_size=st.dim**2, max_size=st.dim**2))
+    pair = CanonicalPair(st, np.reshape(entries, (st.dim, st.dim)).astype(float))
+    assume(check_generic(pair).generic)
+    return pair, draw(hst.sampled_from(st.valid_rhos()))
+
+
+@given(generic_integer_cases())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_integer_d11_raises_only_library_errors(case):
+    # integer entries make exact zeros and ties common (a vanishing series
+    # term, a repeated gamma, a singular root block): verify_all either
+    # reports or raises one of the library's errors, and nothing else.  The
+    # 200 derandomized examples include pairs with Theta_2 = 0 at rho = 2
+    pair, rho = case
+    try:
+        verify_all(pair, rho)
+    except JordanPerturbError:
+        pass
 
 
 def test_no_claims_where_no_eigenvalue_splits():
