@@ -11,12 +11,14 @@ which is reduced to canonical coordinates before any analysis.  Exactly one
 of the two forms must be present.
 
 Exit codes: 0 success / all checks passed, 1 verification failure,
-2 precondition or genericity failure, 3 parse error (of the file or of an argument value).
+2 precondition or genericity failure, 3 parse error (of the file or of an argument
+value, or an output path that cannot be written).
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 
@@ -168,6 +170,15 @@ def load_problem(path: str):
     return red.pair
 
 
+def _write(path: str, text: str, newline: str | None = None) -> None:
+    """Write an output file; a path that cannot be written is a parse error."""
+    try:
+        with open(path, "w", encoding="utf-8", newline=newline) as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
+
+
 def _check_rho(rho: int, st: JordanStructure, splitting: bool = True) -> int:
     """--rho in 1..k and, unless ``splitting`` is off (``analyze``), an order
     at which eigenvalues split: s_rho > 0."""
@@ -273,8 +284,7 @@ def cmd_expand(args) -> int:
         out.update(h1=exp.h1, delta11=exp.delta11, y=exp.y, c_hat=exp.c_hat)
     text = canonical_json(out)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -309,19 +319,18 @@ def cmd_verify(args) -> int:
                 f"(claimed {rep.claimed_slope:.3f}), r^2 {rep.r_squared:.4f}"
             )
     if args.out_json:
-        text = canonical_json([r.to_dict() for r in all_reports])
-        with open(args.out_json, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.out_json, canonical_json([r.to_dict() for r in all_reports]))
     if args.out_csv:
         import csv
 
-        with open(args.out_csv, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\r\n")
-            writer.writerow(["quantity", "t", "error"])
-            for rep in all_reports:
-                for t, e in rep.samples:
-                    err = _fmt_float(e) if np.isfinite(e) else ""  # a non-finite error fails its claim
-                    writer.writerow([rep.quantity, _fmt_float(t), err])
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\r\n")
+        writer.writerow(["quantity", "t", "error"])
+        for rep in all_reports:
+            for t, e in rep.samples:
+                err = _fmt_float(e) if np.isfinite(e) else ""  # a non-finite error fails its claim
+                writer.writerow([rep.quantity, _fmt_float(t), err])
+        _write(args.out_csv, buf.getvalue(), newline="")
     return EXIT_OK if all(r.passed for r in all_reports) else EXIT_VERIFY_FAIL
 
 
@@ -351,9 +360,7 @@ def cmd_generate(args) -> int:
         "sizes": list(sizes),
         "d11": pair.d11,
     }
-    text = canonical_json(doc)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _write(args.out, canonical_json(doc))
     print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import core_linalg as cl
-from .pencil import CLUSTER_GAP_REL, ReducedPencil, check_separated
+from .pencil import CLUSTER_GAP_REL, ReducedPencil, check_separated, scalar_roots
 from .structure import JordanStructure
 
 __all__ = [
@@ -123,12 +123,12 @@ def eigenvalue_expansions(reduced: ReducedPencil) -> list[EigenvalueExpansion]:
     rho = reduced.rho
     lam0 = reduced.structure.lambda0
     out = []
-    for cb, mus in zip(reduced.clusters, reduced.branches.roots):
+    for cb in reduced.clusters:
         simple = cb.count == 1
         exp = EigenvalueExpansion(
             rho=rho,
             gamma=cb.gamma,
-            mus=mus,
+            mus=scalar_roots(cb.gamma, rho),
             lambda0=lam0,
             simple=simple,
         )
@@ -161,10 +161,12 @@ def select_subspace(reduced: ReducedPencil, cluster, root_index=0) -> SubspaceSe
     Raises
     ------
     ClusterNotSeparated
-        If some selected root is too close to an unselected one
-        (:func:`jordanperturb.pencil.check_separated`).
+        If Lambda(Omega) of the chosen branches comes too close to that of
+        all the others (:func:`jordanperturb.pencil.check_separated`); the
+        one separation test of a selection and its complement.
     MatrixRootFailure
-        If a triangular root cannot be formed (singular S11).
+        If some cluster of the pencil has no rho-th root (a singular S11),
+        whether selected or not (:attr:`ReducedPencil.branches`).
     """
     rho = reduced.rho
     bases = reduced.clusters
@@ -192,12 +194,8 @@ def select_subspace(reduced: ReducedPencil, cluster, root_index=0) -> SubspaceSe
             chosen.append((ci, b))
 
     tab = reduced.branches
-    mask = np.zeros(tab.roots.shape, dtype=bool)
-    for ci, b in chosen:
-        mask[ci, b] = True
-    check_separated(tab.roots[mask], tab.roots[~mask], "selected and unselected Theta eigenvalues")
-
     c = tab.cols(chosen)
+    check_separated(tab.lam[c], np.delete(tab.lam, c), "selected and unselected Theta eigenvalues")
     phi = tab.phi[:, c]
     q1, omega = phi[: reduced.s_rho.shape[0]], tab.omega[np.ix_(c, c)]
     return SubspaceSelection(rho=rho, q1=q1, omega=omega, phi=phi, chosen=tuple(chosen))

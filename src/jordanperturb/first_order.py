@@ -26,16 +26,14 @@ the ordinary ones (the complement coupling Y) use ``core_linalg.solve_sylvester`
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
 from . import core_linalg as cl
 from .errors import NoConvergence, SingularNormalizer
 from .expansion import SubspaceExpansion, SubspaceSelection, subspace_expansion
-from .pencil import AssembledPencil, ReducedPencil, check_separated
+from .pencil import AssembledPencil, ReducedPencil
 
 __all__ = [
     "ComplementPair",
@@ -105,15 +103,13 @@ def complement_pair(reduced: ReducedPencil, sel: SubspaceSelection) -> Complemen
     omega^(rho-1) sum_j zeta^j = 0 (omega' = zeta omega, zeta != 1 a rho-th
     root of unity).  So the table's psi rows stack to Phi^-1.
 
-    Raises :class:`ClusterNotSeparated` when Lambda(Omega) and
-    Lambda(Omega_c) nearly meet, :class:`SingularNormalizer` when M or M_c is
-    numerically singular, and :class:`MatrixRootFailure` when a cluster has
-    no rho-th root.
+    Raises :class:`SingularNormalizer` when M or M_c is numerically
+    singular, and :class:`MatrixRootFailure` when a cluster has no rho-th
+    root.  Lambda(Omega) and Lambda(Omega_c) are separated by
+    :func:`jordanperturb.expansion.select_subspace`, which made ``sel``.
     """
     tab = reduced.branches
     c, cc, comp = tab.split(sel.chosen)
-
-    check_separated(tab.lam[c], tab.lam[cc], "Lambda(Omega) and Lambda(Omega_c)")
 
     for pairs, name in ((sel.chosen, "M"), (comp, "M_c")):
         if pairs:
@@ -130,54 +126,42 @@ def complement_pair(reduced: ReducedPencil, sel: SubspaceSelection) -> Complemen
 
 @dataclass(frozen=True)
 class ThetaPerturbation:
-    """The first-order terms of one pencil: Theta-hat(z) = Theta + z*delta_coef
-    + O(z^2), C-hat the first-order block of X2's eigenvector rows, and,
-    computed on first use over every branch of ``ReducedPencil.branches``,
-    ``delta`` and ``lift``.  Only these two need a root of every cluster, so
-    a pencil with a singular S11 still has delta_coef and c_hat.  The pencil
-    is held by a weak reference, as it caches this object."""
+    """The first-order terms of one pencil, over every branch of
+    ``ReducedPencil.branches``: Theta-hat(z) = Theta + z*delta_coef + O(z^2);
+    C-hat, the first-order block of X2's eigenvector rows; ``delta`` =
+    Psi Theta_1 Phi, of which Delta11 and Delta21 of any selection are
+    slices; and ``lift`` = (F, E), from which a selection with branch columns
+    c, complement columns cc and coupling Y reads H1 = F[:, c] + E[:, cc] Y.
+    E = X0 Phi holds the z^0 rows of Pi_R G [0; Phi; 0], and F its z^1 rows
+    plus the z^0 rows of Pi_R G [X1_1 Phi; 0; X2_1 Phi]."""
 
     delta_coef: np.ndarray = field(repr=False)
     c_hat: np.ndarray = field(repr=False)
-    pencil: weakref.ref = field(repr=False)
-
-    @cached_property
-    def delta(self) -> np.ndarray:
-        """D = Psi Theta_1 Phi, the first-order perturbation of Theta_rho in the
-        branch basis: Delta11 and Delta21 of any selection are slices of it."""
-        tab = self.pencil().branches
-        tab.cols(tab.columns)  # every cluster's entries
-        return tab.psi @ self.delta_coef @ tab.phi
-
-    @cached_property
-    def lift(self) -> tuple[np.ndarray, np.ndarray]:
-        """(F, E), the lifted bases H1 is read from: a selection with branch
-        columns c, complement columns cc and coupling Y has H1 = F[:, c] +
-        E[:, cc] Y.  With Phi = ``branches.phi`` over every branch, E = X0 Phi
-        holds the z^0 rows of Pi_R G [0; Phi; 0], and F its z^1 rows plus the
-        z^0 rows of Pi_R G [X1_1 Phi; 0; X2_1 Phi], X_1 the first-order term
-        of ``ReducedPencil.series``."""
-        r = self.pencil()
-        tab, x1, n1, n2 = r.branches, r.series(1)[0][1], r.n1, r.n2
-        tab.cols(tab.columns)  # every cluster's entries
-        f0 = r.lift(np.vstack([cl.zeros(n1, n2), tab.phi, cl.zeros(r.structure.dim - n1 - n2, n2)]))
-        f1 = r.lift(np.vstack([x1[:n1] @ tab.phi, cl.zeros(n2, n2), x1[n1:] @ tab.phi]))
-        exps = r.assembled.right_exponents[:, None]
-        return np.where(exps == 1, f0, 0.0) + np.where(exps == 0, f1, 0.0), r.x0 @ tab.phi
+    delta: np.ndarray = field(repr=False)
+    lift: tuple[np.ndarray, np.ndarray] = field(repr=False)
 
 
 def theta_perturbation(reduced: ReducedPencil) -> ThetaPerturbation:
     """First-order perturbation of Theta_rho from the k = 1 term of the coupling
     series (``ReducedPencil.series(1)``, see :func:`coupling_series`):
-    delta_coef = Theta_1, and C-hat is a block of X_1.  The pencil caches the
-    result as ``ReducedPencil.theta_perturbation``."""
-    st, rho = reduced.structure, reduced.rho
+    delta_coef = Theta_1, C-hat is a block of X_1, and ``delta`` and ``lift``
+    are formed over the branch table (:class:`MatrixRootFailure` when some
+    cluster has no rho-th root).  The pencil caches the result as
+    ``ReducedPencil.theta_perturbation``."""
+    st, rho, n1, n2 = reduced.structure, reduced.rho, reduced.n1, reduced.n2
     x, theta = reduced.series(1)
     # C-hat sits in the eigenvector rows of X2, in the second column block of
     # Theta coordinates (the first and only one when rho = 1).
     col = min(rho - 1, 1) * st.s(rho)
-    c_hat = x[1][reduced.n1 : reduced.n1 + st.shat(rho + 1), col : col + st.s(rho)]
-    return ThetaPerturbation(delta_coef=theta[1], c_hat=c_hat, pencil=weakref.ref(reduced))
+    c_hat = x[1][n1 : n1 + st.shat(rho + 1), col : col + st.s(rho)]
+    phi = reduced.branches.phi
+    f0 = reduced.lift(np.vstack([cl.zeros(n1, n2), phi, cl.zeros(st.dim - n1 - n2, n2)]))
+    f1 = reduced.lift(np.vstack([x[1][:n1] @ phi, cl.zeros(n2, n2), x[1][n1:] @ phi]))
+    exps = reduced.assembled.right_exponents[:, None]
+    return ThetaPerturbation(
+        delta_coef=theta[1], c_hat=c_hat, delta=reduced.branches.psi @ theta[1] @ phi,
+        lift=(np.where(exps == 1, f0, 0.0) + np.where(exps == 0, f1, 0.0), reduced.x0 @ phi),
+    )
 
 
 def first_order_expansion(reduced: ReducedPencil, sel: SubspaceSelection, comp: ComplementPair) -> SubspaceExpansion:

@@ -179,82 +179,66 @@ class BranchTable:
     """The biorthogonal basis of Theta_rho over every root branch.
 
     Branch (i, b), with omega = w_b R, R the principal rho-th root of the S11
-    block of ``clusters[i]`` and w_b the rotation that takes R's eigenvalues to
+    block of cluster i and w_b the rotation that takes R's eigenvalues to
     root b of :func:`scalar_roots` of gamma_i, owns the columns
     ``columns[(i, b)]``, in (cluster, branch) order, of phi_ib = [Q_i omega^j]_j
     (j = 0..rho-1) and the same rows of psi_ib = M_ib^-1 [omega^(rho-1-j) Qt_i]_j,
     with M_ib = sum_j omega^(rho-1-j) Qt_i Q_i omega^j.  ``omega`` is block
-    diagonal, ``lam`` holds Lambda(omega) under the same columns,
-    ``sigma[(i, b)]`` = (sigma_min(M_ib), ||M_ib||_F) and ``roots[i, b]`` =
-    ``scalar_roots(gamma_i, rho)[b]``; M_ib and Qt_i enter through psi alone.
-    A cluster's entries are filled in when :meth:`cols` first names its
-    branches, so a cluster with no rho-th root (a singular S11) fails only the
-    calls that need it, with :class:`MatrixRootFailure`.
+    diagonal, ``lam`` holds Lambda(omega) under the same columns and
+    ``sigma[(i, b)]`` = (sigma_min(M_ib), ||M_ib||_F); M_ib and Qt_i enter
+    through psi alone.  The table is built whole by :meth:`build`.
     """
 
-    clusters: tuple = field(repr=False)
     columns: dict = field(repr=False)
     phi: np.ndarray = field(repr=False)
     psi: np.ndarray = field(repr=False)
     omega: np.ndarray = field(repr=False)
     lam: np.ndarray = field(repr=False)
-    roots: np.ndarray = field(repr=False)
-    sigma: dict = field(default_factory=dict, repr=False)
+    sigma: dict = field(repr=False)
 
     @classmethod
     def build(cls, clusters, rho: int, s_dim: int) -> "BranchTable":
-        pairs = [(ci, b) for ci in range(len(clusters)) for b in range(rho)]
-        ends = np.cumsum([0] + [clusters[ci].count for ci, _ in pairs])
-        n = rho * s_dim
-        roots = np.array([scalar_roots(cb.gamma, rho) for cb in clusters], dtype=complex)
-        roots.flags.writeable = False
-        return cls(
-            clusters=tuple(clusters), roots=roots.reshape(-1, rho),
-            columns={p: np.arange(a, z) for p, a, z in zip(pairs, ends, ends[1:])},
-            phi=cl.zeros(n, n), psi=cl.zeros(n, n), omega=cl.zeros(n, n),
-            lam=np.zeros(n, dtype=np.complex128),
-        )
-
-    def _fill(self, ci: int):
-        """Cluster ci's branches from one power sequence of the principal root R
-        of its S11, a triangular block of an ordered Schur form, by Smith's
-        recurrence (:func:`core_linalg.triangular_root`; the scalar principal
-        root for a 1x1 block): branch b has omega = w_b R with
+        """Every cluster's branches from one power sequence of the principal
+        root R of its S11, a triangular block of an ordered Schur form, by
+        Smith's recurrence (:func:`core_linalg.triangular_root`; the scalar
+        principal root for a 1x1 block): branch b has omega = w_b R with
         |w_b| = 1, so phi_b = [w_b^j Q R^j]_j, M_b = w_b^(rho-1) M_0 and
         psi_b = M_0^-1 [w_b^-j R^(rho-1-j) Qt]_j (the Lidskii branch structure;
-        Moro, Burke & Overton, SIMAX 18, 1997)."""
-        cb, rho = self.clusters[ci], self.roots.shape[1]
-        s11 = cb.s11
-        if cl.smallest_singular_value(s11) < 1e-14 * max(1.0, cl.frob(s11)):
-            raise MatrixRootFailure("S11 is numerically singular; no invertible rho-th root")
-        root = cl.triangular_root(s11, rho)
-        res = cl.frob(np.linalg.matrix_power(root, rho) - s11) / max(1.0, cl.frob(s11))
-        if res > 1e-10:
-            raise MatrixRootFailure(f"matrix root residual {res:.3e} too large")
-        pw = [np.linalg.matrix_power(root, j) for j in range(rho)]
-        mm = sum(pw[-1 - j] @ cb.qt @ cb.q @ pw[j] for j in range(rho))
-        sigma = (cl.smallest_singular_value(mm), cl.frob(mm))
-        phi = np.vstack([cb.q @ p for p in pw])
-        psi = np.linalg.inv(mm) @ np.hstack([p @ cb.qt for p in pw[::-1]])
-        s_dim = cb.q.shape[0]
-        for b, w in enumerate(_branch_rotations(cb.gamma, rho)[1]):
-            c = self.columns[(ci, b)]
-            wj = np.repeat(w ** np.arange(rho), s_dim)  # w_b^j on block j
-            self.omega[np.ix_(c, c)] = w * root
-            self.phi[:, c], self.psi[c] = wj[:, None] * phi, psi / wj
-            self.lam[c] = w * np.diag(root)  # Lambda(R): R is triangular
-            self.sigma[(ci, b)] = sigma
+        Moro, Burke & Overton, SIMAX 18, 1997).  Raises
+        :class:`MatrixRootFailure` when some S11 has no invertible rho-th root."""
+        n = rho * s_dim
+        phi, psi, omega = cl.zeros(n, n), cl.zeros(n, n), cl.zeros(n, n)
+        lam = np.zeros(n, dtype=np.complex128)
+        columns, sigma, start = {}, {}, 0
+        for ci, cb in enumerate(clusters):
+            s11 = cb.s11
+            if cl.smallest_singular_value(s11) < 1e-14 * max(1.0, cl.frob(s11)):
+                raise MatrixRootFailure("S11 is numerically singular; no invertible rho-th root")
+            root = cl.triangular_root(s11, rho)
+            res = cl.frob(np.linalg.matrix_power(root, rho) - s11) / max(1.0, cl.frob(s11))
+            if res > 1e-10:
+                raise MatrixRootFailure(f"matrix root residual {res:.3e} too large")
+            pw = [np.linalg.matrix_power(root, j) for j in range(rho)]
+            mm = sum(pw[-1 - j] @ cb.qt @ cb.q @ pw[j] for j in range(rho))
+            norms = (cl.smallest_singular_value(mm), cl.frob(mm))
+            phi0 = np.vstack([cb.q @ p for p in pw])
+            psi0 = np.linalg.inv(mm) @ np.hstack([p @ cb.qt for p in pw[::-1]])
+            for b, w in enumerate(_branch_rotations(cb.gamma, rho)[1]):
+                c = columns[(ci, b)] = np.arange(start, start + cb.count)
+                start += cb.count
+                wj = np.repeat(w ** np.arange(rho), s_dim)  # w_b^j on block j
+                omega[np.ix_(c, c)] = w * root
+                phi[:, c], psi[c] = wj[:, None] * phi0, psi0 / wj
+                lam[c] = w * np.diag(root)  # Lambda(R): R is triangular
+                sigma[(ci, b)] = norms
+        return cls(columns=columns, phi=phi, psi=psi, omega=omega, lam=lam, sigma=sigma)
 
     def cols(self, pairs) -> np.ndarray:
-        """The columns of the branches ``pairs``, in their given order; fills in
-        the clusters they name (:class:`MatrixRootFailure` if one has no root)."""
+        """The columns of the branches ``pairs``, in their given order."""
         try:
             cols = [self.columns[p] for p in pairs]
         except KeyError as exc:
             raise ValueError(f"{exc.args[0]} is not a (cluster, branch) of Theta_rho") from None
-        for p in pairs:
-            if p not in self.sigma:
-                self._fill(p[0])
         return np.concatenate(cols + [np.zeros(0, dtype=np.intp)])
 
     def split(self, chosen) -> tuple[np.ndarray, np.ndarray, list]:
@@ -453,8 +437,8 @@ class ReducedPencil:
     @cached_property
     def branches(self) -> BranchTable:
         """The biorthogonal branch basis of Theta_rho over every (cluster,
-        branch) of :attr:`clusters`, one per pencil; each cluster's entries are
-        computed once, when a selection first needs them."""
+        branch) of :attr:`clusters`, built whole once per pencil; raises
+        :class:`MatrixRootFailure` when some cluster has no rho-th root."""
         return BranchTable.build(self.clusters, self.rho, self.s_rho.shape[0])
 
     @cached_property

@@ -40,7 +40,7 @@ class SpectralTransformation:
     xi: np.ndarray = field(repr=False)
     xi_c: np.ndarray = field(repr=False)
     a22: np.ndarray = field(repr=False)
-    structure: JordanStructure = None
+    structure: JordanStructure
 
     def __post_init__(self):
         object.__setattr__(self, "xi", cl.as_matrix(self.xi, "xi"))

@@ -438,3 +438,52 @@ def test_rho_without_splitting_exit_3(tmp_path, capsys, command):
     assert out == "" and err.startswith("parse error: --rho 2 ") and err.count("\n") == 1
     assert err.rstrip().endswith("valid orders: 1, 3")
     assert main(["verify", str(f)]) == EXIT_OK  # rho = 1 and 3 only
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--sizes", "1,2", "--seed", "1", "--out", "{out}"],
+        ["expand", "{f}", "--rho", "4", "--cluster", "idx:0", "--out", "{out}"],
+        ["verify", "{f}", "--rho", "4", "--out-json", "{out}"],
+        ["verify", "{f}", "--rho", "4", "--out-csv", "{out}"],
+    ],
+    ids=["generate_out", "expand_out", "verify_out_json", "verify_out_csv"],
+)
+def test_unwritable_output_exit_3(example1_file, tmp_path, capsys, argv):
+    # an output path in a missing directory is a one-line parse error naming
+    # the path (exit 3), as an unreadable input file is, not a traceback
+    # with the verification-failure exit code; verify prints its reports first
+    out = tmp_path / "missing" / "x"
+    assert main([a.format(f=example1_file, out=out) for a in argv]) == EXIT_PARSE
+    stdout, err = capsys.readouterr()
+    assert err.startswith(f"parse error: cannot write {out}: ") and err.count("\n") == 1
+    assert ("subspace-resid[rho=4,cluster=0]" in stdout) == (argv[0] == "verify")
+    assert not out.parent.exists()
+
+
+@pytest.fixture
+def singular_s11_file(tmp_path):
+    """sizes (2,), D11 = diag(0, 1): W_1 = S_1 is singular, and the cluster
+    gamma = 0 of S_1 has no rho-th root."""
+    doc = {"lambda0": [0.0, 0.0], "sizes": [2], "d11": matrix_to_json(np.diag([0.0, 1.0]))}
+    f = tmp_path / "singular.json"
+    f.write_text(canonical_json(doc))
+    return f
+
+
+def test_singular_s11_exit_2(singular_s11_file, capsys):
+    # a non-generic pair: analyze says so, and no branch basis is formed, so
+    # every expansion of it, even an order-0 one of the cluster gamma = 1
+    # that has a root, is a precondition failure
+    f = str(singular_s11_file)
+    assert main(["analyze", f]) == EXIT_PRECONDITION
+    assert "generic: False" in capsys.readouterr().out
+    message = "precondition failed: S11 is numerically singular; no invertible rho-th root\n"
+    for argv in (
+        ["expand", f, "--rho", "1", "--cluster", "idx:1", "--order", "0"],
+        ["expand", f, "--rho", "1", "--cluster", "idx:1", "--order", "1"],
+        ["verify", f],
+    ):
+        assert main(argv) == EXIT_PRECONDITION
+        assert capsys.readouterr() == ("", message)

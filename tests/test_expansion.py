@@ -16,7 +16,7 @@ from jordanperturb import (
 from jordanperturb import core_linalg as cl
 from jordanperturb.errors import ClusterNotSeparated, MatrixRootFailure
 from jordanperturb.expansion import h_order_table
-from jordanperturb.first_order import ComplementPair, complement_pair, first_order_expansion, theta_perturbation
+from jordanperturb.first_order import complement_pair, theta_perturbation
 from jordanperturb.pencil import sort_complex
 from jordanperturb.verify import exact_subspace_basis
 
@@ -183,9 +183,9 @@ class TestSelectSubspace:
         gap = "separated by only 6.325e-07"
         with pytest.raises(ClusterNotSeparated, match="^selected and unselected Theta eigenvalues " + gap):
             select_subspace(rp, lambda g: g == rp.clusters[0].gamma, 0)
-        # complement_pair reads only the selection's branches
-        with pytest.raises(ClusterNotSeparated, match=r"^Lambda\(Omega\) and Lambda\(Omega_c\) " + gap):
-            complement_pair(rp, SimpleNamespace(chosen=((0, 0),)))
+        # the selection makes the one separation test: complement_pair, handed
+        # branches no selection would give, checks only the normalizers
+        assert complement_pair(rp, SimpleNamespace(chosen=((0, 0),))).omega_c.shape == (3, 3)
         # Theta-hat = diag(1, 1 + 9e-7) in the basis [e1, e2], e1 selected
         eye = np.eye(2, dtype=complex)
         ric = SimpleNamespace(theta_hat=np.diag([1.0, 1.0 + 9e-7]).astype(complex))
@@ -196,38 +196,25 @@ class TestSelectSubspace:
             exact_subspace_basis(ric, sel, comp)
 
     def test_matrix_root_failure_on_singular(self):
-        # S_1 = diag(0, 1): only calls that need the singular cluster's root
-        # fail, whether or not the pencil's branch table was tried first
+        # S_1 = diag(0, 1): cluster 0 has no root, so the branch table, built
+        # whole, fails, and with it every call on a branch basis, whichever
+        # cluster it names; the roots mu and the coupling series need none
         st = JordanStructure(0.0, (2,))
         pair = CanonicalPair(st, np.diag([0.0, 1.0]))
         rp = reduce_pencil(assemble_pencil(pair, 1))
-        with pytest.raises(MatrixRootFailure):
-            select_subspace(rp, lambda g: abs(g) < 0.5, 0)
-        assert len(eigenvalue_expansions(rp)) == 2
-        sel = select_subspace(rp, lambda g: abs(g - 1) < 0.5, 0)
-        assert np.allclose(sel.omega, [[1.0]])
-        assert subspace_expansion(rp, sel).h0.shape == (2, 1)
-        assert eigenvector_term(rp, 1, 0).h0.shape == (2, 1)
-        # the complement of a selection takes every cluster, the singular one too
-        with pytest.raises(MatrixRootFailure):
-            complement_pair(rp, sel)
-        with pytest.raises(MatrixRootFailure):
-            select_subspace(rp, lambda g: abs(g) < 0.5, 0)
-        assert np.allclose(select_subspace(rp, lambda g: abs(g - 1) < 0.5, 0).phi, sel.phi)
-        # Theta_1 needs no root; the branch-basis terms, and so the first-order
-        # expansion, need every cluster's, whatever complement it is handed
-        tp = theta_perturbation(rp)
-        assert tp.delta_coef.shape == (2, 2) and np.all(np.isfinite(tp.delta_coef))
-        for name in ("delta", "lift"):
+        with pytest.raises(MatrixRootFailure, match="^S11 is numerically singular"):
+            rp.branches
+        for target in (0.0, 1.0):
             with pytest.raises(MatrixRootFailure):
-                getattr(tp, name)
-        cols = rp.branches.columns
-        comp = ComplementPair(
-            omega_c=np.zeros((1, 1)), psi=np.zeros((1, 2)), psi_c=np.zeros((1, 2)),
-            phi_c=np.zeros((2, 1)), cols=cols[(1, 0)], cols_c=cols[(0, 0)],
-        )
+                select_subspace(rp, lambda g, target=target: abs(g - target) < 0.5, 0)
         with pytest.raises(MatrixRootFailure):
-            first_order_expansion(rp, sel, comp)
+            complement_pair(rp, SimpleNamespace(chosen=((1, 0),)))
+        with pytest.raises(MatrixRootFailure):
+            theta_perturbation(rp)
+        exps = eigenvalue_expansions(rp)
+        assert [e.mus.tolist() for e in exps] == [[0j], [1 + 0j]]
+        x, theta = rp.series(1)
+        assert theta[1].shape == (2, 2) and np.all(np.isfinite(theta[1])) and len(x) == 2
 
     def test_cluster_roots_computed_once(self, monkeypatch):
         # selecting and complementing every (cluster, branch) of one pencil

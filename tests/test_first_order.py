@@ -1,3 +1,6 @@
+import functools
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -21,7 +24,7 @@ from jordanperturb import (
 import jordanperturb.core_linalg
 import jordanperturb.first_order
 import jordanperturb.pencil
-from jordanperturb.errors import NoConvergence, SingularNormalizer
+from jordanperturb.errors import MatrixRootFailure, NoConvergence, SingularNormalizer
 from jordanperturb.expansion import subspace_expansion
 
 from closed_forms import (
@@ -143,7 +146,6 @@ class TestComplementPair:
         for rho in pair.structure.valid_rhos():
             rp = reduce_pencil(assemble_pencil(pair, rho))
             tab = rp.branches
-            tab.split(())  # every cluster's entries
             n = tab.phi.shape[0]
             tol = 2 * rho * n * np.finfo(float).eps * np.linalg.cond(tab.phi)
             dc = rp.theta_perturbation.delta_coef
@@ -295,10 +297,12 @@ class TestFirstOrderClosedForms:
         st = JordanStructure(0.0, (0, 0, 0, 1))
         pair = CanonicalPair(st, np.zeros((4, 4)))
         rp = reduce_pencil(assemble_pencil(pair, 4))  # rho = k needs no inversion
-        tp = theta_perturbation(rp)
-        assert np.all(tp.delta_coef == 0)
-        assert np.all(rp.series(1)[0][1] == 0)
-        assert np.all(tp.c_hat == 0)
+        # Theta_1 and X_1, of which C-hat is a block, vanish; S_4 = 0 has no
+        # invertible root, so the branch-basis terms cannot be formed
+        x, theta = rp.series(1)
+        assert np.all(theta[1] == 0) and np.all(x[1] == 0)
+        with pytest.raises(MatrixRootFailure):
+            theta_perturbation(rp)
 
 
 class TestFirstOrderExpansion:
@@ -525,12 +529,26 @@ class TestFirstOrderExpansion:
         assert calls["hat"] == n_coeffs
         assert rp.u_coeffs is u_coeffs and rp.v_coeffs is v_coeffs
 
+    def test_theta_perturbation_holds_plain_fields(self):
+        # the first-order terms are formed whole by theta_perturbation: plain
+        # fields, no reference back to the pencil, nothing computed on read
+        pair = random_pair((1, 2), seed=1)
+        for rho in pair.structure.valid_rhos():
+            rp = reduce_pencil(assemble_pencil(pair, rho))
+            tp = rp.theta_perturbation
+            assert list(vars(tp)) == ["delta_coef", "c_hat", "delta", "lift"]
+            assert not any(isinstance(v, weakref.ref) for v in vars(tp).values())
+            assert not any(isinstance(v, functools.cached_property) for v in vars(type(tp)).values())
+            n, m = rp.branches.phi.shape[0], pair.structure.dim
+            assert tp.delta.shape == (n, n)
+            assert [a.shape for a in tp.lift] == [(m, n), (m, n)]
+
     def test_branch_table_split_once_per_selection(self, monkeypatch):
         # (4,4,4,4,4) seed 1 over every rho: 60 selections on 5 pencils.  The
         # complement splits the table once per selection and the expansion
-        # reuses its columns.  The first-order terms Delta and the lift fill
-        # every cluster through ``cols`` and split nothing: 60 calls, where
-        # two more per pencil (70) were made when they split the table.
+        # reuses its columns.  The first-order terms Delta and the lift read
+        # the whole table and split nothing: 60 calls, where two more per
+        # pencil (70) were made when they split the table.
         tab_cls = jordanperturb.pencil.BranchTable
         split, calls = tab_cls.split, []
 

@@ -427,7 +427,6 @@ class TestBranchTable:
         for rho in pair.structure.valid_rhos():
             rp = reduce_pencil(assemble_pencil(pair, rho))
             tab = rp.branches
-            tab.split(())
             oracle = branch_table_by_branch(rp)
             assert oracle.keys() == tab.columns.keys() == tab.sigma.keys()
             for key, want in oracle.items():
@@ -442,6 +441,22 @@ class TestBranchTable:
                     assert rel_err(got[name], want[name]) <= 1e-13, (rho, key, name)
             n = tab.phi.shape[0]
             assert np.linalg.norm(tab.psi @ tab.phi - np.eye(n)) <= 1e-13 * n
+
+    @pytest.mark.parametrize("sizes", [(1, 2), (2, 2, 2), (0, 4)])
+    def test_built_whole(self, sizes):
+        # the pencil's first read builds every (cluster, branch); the table
+        # keeps only its arrays and index maps, and reading columns writes
+        # nothing
+        pair = distinct_gammas_pair(sizes, 1)
+        for rho in pair.structure.valid_rhos():
+            rp = reduce_pencil(assemble_pencil(pair, rho))
+            tab = rp.branches
+            assert list(vars(tab)) == ["columns", "phi", "psi", "omega", "lam", "sigma"]
+            every = [(ci, b) for ci in range(len(rp.clusters)) for b in range(rho)]
+            assert list(tab.columns) == list(tab.sigma) == every
+            before = {name: getattr(tab, name).copy() for name in ("phi", "psi", "omega", "lam")}
+            tab.split(every[:1])
+            assert all(np.array_equal(getattr(tab, name), a) for name, a in before.items())
 
 
 class TestCheckSeparated:

@@ -123,6 +123,12 @@ class TestReduce:
         with pytest.raises(InvalidTransformation, match=r"^d must be 3x3 to match the transformation$"):
             reduce(a, np.zeros(shape), trans)
 
+    def test_structure_is_required(self):
+        # the structure fixes the shapes checked on construction: it has no default
+        _, trans = j2_plus_scalar()
+        with pytest.raises(TypeError, match="structure"):
+            SpectralTransformation(xi=trans.xi, xi_c=trans.xi_c, a22=trans.a22)
+
     def test_invalid_lambda0_in_a22(self):
         st = JordanStructure(5.0, (1,))
         a = np.diag([5.0, 5.0 + 1e-9]).astype(complex)

@@ -18,6 +18,7 @@ from jordanperturb import (
     assemble_pencil,
     check_generic,
     complement_pair,
+    first_order_expansion,
     generate,
     match_eigenvalues,
     reduce_pencil,
@@ -26,7 +27,7 @@ from jordanperturb import (
     solve_riccati,
     verify_all,
 )
-from jordanperturb.errors import CardinalityMismatch, JordanPerturbError, NoConvergence
+from jordanperturb.errors import CardinalityMismatch, JordanPerturbError, MatrixRootFailure, NoConvergence
 from jordanperturb.verify import exact_subspace_basis
 
 from closed_forms import fixed_point_subspace_basis, oracle_eigs
@@ -709,17 +710,18 @@ INTEGER_SIZES = [(1, 1), (0, 2), (1, 2), (2, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)
 
 
 @hst.composite
-def generic_integer_cases(draw):
-    """(pair, rho): a generic pair on one of ``INTEGER_SIZES`` with D11
-    entries in -2..2, and one of its valid rho."""
+def integer_cases(draw, generic=True):
+    """(pair, rho): a pair on one of ``INTEGER_SIZES`` with D11 entries in
+    -2..2, generic when ``generic``, and one of its valid rho."""
     st = JordanStructure(0.0, draw(hst.sampled_from(INTEGER_SIZES)))
     entries = draw(hst.lists(hst.integers(-2, 2), min_size=st.dim**2, max_size=st.dim**2))
     pair = CanonicalPair(st, np.reshape(entries, (st.dim, st.dim)).astype(float))
-    assume(check_generic(pair).generic)
+    if generic:
+        assume(check_generic(pair).generic)
     return pair, draw(hst.sampled_from(st.valid_rhos()))
 
 
-@given(generic_integer_cases())
+@given(integer_cases())
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_integer_d11_raises_only_library_errors(case):
     # integer entries make exact zeros and ties common (a vanishing series
@@ -731,6 +733,35 @@ def test_integer_d11_raises_only_library_errors(case):
         verify_all(pair, rho)
     except JordanPerturbError:
         pass
+
+
+@given(integer_cases(generic=False))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_integer_d11_branch_calls_raise_only_library_errors(case):
+    # generic or not: selecting, complementing and expanding every (cluster,
+    # branch) raises only the library's errors, and a cluster with no rho-th
+    # root (a singular S11, common here) fails the pencil's branch table
+    # itself, so every selection, whichever cluster it names
+    pair, rho = case
+    try:
+        reduced = reduce_pencil(assemble_pencil(pair, rho))
+        clusters = reduced.clusters
+    except JordanPerturbError:
+        return
+    try:
+        reduced.branches
+        rootless = False
+    except MatrixRootFailure:
+        rootless = True
+    for cb in clusters:
+        for b in range(rho):
+            try:
+                sel = select_subspace(reduced, lambda g, cb=cb: g == cb.gamma, b)
+                first_order_expansion(reduced, sel, complement_pair(reduced, sel))
+            except JordanPerturbError as exc:
+                assert isinstance(exc, MatrixRootFailure) == rootless
+            else:
+                assert not rootless
 
 
 def test_no_claims_where_no_eigenvalue_splits():
