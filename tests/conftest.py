@@ -37,6 +37,13 @@ def kron_sylvester(a, b, c):
     return x.reshape((na, nb), order="F")
 
 
+def failing_zgees(select, a, lwork, **kwargs):
+    """Stand-in for zgees whose QR iteration fails (info = 1) after a valid
+    workspace query; scipy.linalg.schur raises LinAlgError on it."""
+    work = np.array([2.0 * len(a) + 0j])
+    return a, 0, np.diag(a), np.eye(len(a)), work, 0 if lwork == -1 else 1
+
+
 def random_pair(sizes, seed, scale=1.0):
     st = JordanStructure(0.0, sizes)
     return generate(CaseSpec(st, seed=seed, scale=scale, ensure_generic=True,

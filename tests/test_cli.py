@@ -5,6 +5,7 @@ import pytest
 
 from jordanperturb.cli import canonical_json, main, matrix_to_json
 
+from conftest import failing_zgees
 from known_cases import example1_pair, theta2_zero_pair
 
 EXIT_OK, EXIT_VERIFY_FAIL, EXIT_PRECONDITION, EXIT_PARSE = 0, 1, 2, 3
@@ -250,6 +251,19 @@ class TestVerify:
         assert all(len(row) == 3 for row in rows[1:])
         for row in rows[1:]:
             float(row[1]), float(row[2])  # numeric columns parse
+
+    def test_schur_failure_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a QR failure in the Schur form (zgees info > 0) is NoConvergence:
+        # exit 2 with an error line, no traceback and no reports
+        from jordanperturb import core_linalg as cl
+
+        f = tmp_path / "case.json"
+        main(["generate", "--sizes", "1,2", "--seed", "1", "--out", str(f)])
+        capsys.readouterr()
+        monkeypatch.setattr(cl._lapack(), "zgees", failing_zgees)
+        assert main(["verify", str(f)]) == EXIT_PRECONDITION
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: Schur form did not converge (zgees info 1)\n"
 
     def test_negative_control_fails(self, tmp_path):
         f = tmp_path / "case.json"

@@ -4,10 +4,10 @@ import scipy.linalg
 
 from jordanperturb import CanonicalPair, JordanStructure, assemble_pencil, reduce_pencil
 from jordanperturb import core_linalg as cl
-from jordanperturb.errors import SpectraOverlap
+from jordanperturb.errors import NoConvergence, SpectraOverlap
 
 from closed_forms import principal_root
-from conftest import kron_sylvester
+from conftest import failing_zgees, kron_sylvester
 
 
 def rand_complex(rng, n, m=None):
@@ -64,6 +64,14 @@ class TestEig:
 
 
 class TestOrderedSchur:
+    def test_qr_failure_raises_no_convergence(self, monkeypatch):
+        monkeypatch.setattr(cl._lapack(), "zgees", failing_zgees)
+        m = rand_complex(np.random.default_rng(0), 4)
+        with pytest.raises(NoConvergence, match="zgees info 1"):
+            cl.schur(m)
+        with pytest.raises(NoConvergence):
+            cl.ordered_schur(m, lambda diag: diag.real > 0)
+
     def test_select_all(self):
         rng = np.random.default_rng(0)
         m = rand_complex(rng, 4)
@@ -106,7 +114,7 @@ class TestOrderedSchur:
         t, q = cl.schur(m)
         assert np.linalg.norm(q @ t @ q.conj().T - m) < 1e-13 * np.linalg.norm(m)
         want = cl.ordered_schur(m, lambda diag: diag.real > 0)
-        monkeypatch.setattr(scipy.linalg, "schur", refuse)
+        monkeypatch.setattr(cl._lapack(), "zgees", refuse)
         got = cl.ordered_schur(t, lambda diag: diag.real > 0, q)
         assert got[2] == want[2] > 0
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
@@ -166,7 +174,7 @@ class TestSolveSylvester:
         b = rand_complex(rng, nb) - 3 * np.eye(nb)
         if kind == "triangular":
             a, b = np.triu(a), np.triu(b)
-            monkeypatch.setattr(scipy.linalg, "schur", refuse)
+            monkeypatch.setattr(cl._lapack(), "zgees", refuse)
         c = rand_complex(rng, na, nb)
         monkeypatch.setattr(cl, "eig", refuse)
         x = cl.solve_sylvester(a, b, c)
