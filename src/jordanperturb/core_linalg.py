@@ -2,7 +2,9 @@
 
 Thin, contract-checked wrappers around LAPACK for the operations the
 perturbation pipeline needs: eigenvalues (never eigenvectors; numpy's
-``geev``), complex Schur forms, ordered or not, singular values (numpy's
+``geev``, of one matrix or of each matrix of a stack in one call), complex
+Schur forms, ordered or not (``zgees``' workspace queried once per order and
+cached), singular values (numpy's
 ``gesdd``: scipy's ``svdvals``, like its ``solve``, wakes a BLAS worker
 thread even at 4x4) and the principal p-th root of a triangular matrix
 (Smith's recurrence, no LAPACK call).
@@ -115,26 +117,33 @@ def frob(m) -> float:
 
 
 def eig(m) -> np.ndarray:
-    """Eigenvalues of a square complex matrix; no eigenvectors are computed.
+    """Eigenvalues of a square complex matrix, or of each matrix of a stack;
+    no eigenvectors are computed.
 
     Parameters
     ----------
-    m : (n, n) array_like
+    m : (n, n) or (k, n, n) array_like
 
     Returns
     -------
-    w : (n,) complex ndarray
+    w : (n,) or (k, n) complex ndarray
+        A stack takes one numpy call, which runs LAPACK ``zgeev`` on each
+        matrix in turn: row i is ``eig(m[i])``, bit for bit.
 
     Raises
     ------
     NoConvergence
         If the underlying QR iteration fails to converge.
     """
-    m = as_matrix(m, "m")
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"eig needs a square matrix, got {m.shape}")
-    if m.shape[0] == 0:
-        return np.zeros(0, dtype=np.complex128)
+    m = np.asarray(m, dtype=np.complex128)
+    if m.ndim != 3:
+        m = as_matrix(m, "m")
+    elif not np.isfinite(m).all():
+        raise ValueError("m contains NaN or Inf entries")
+    if m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"eig needs square matrices, got {m.shape}")
+    if m.size == 0:
+        return np.zeros(m.shape[:-1], dtype=np.complex128)
     try:
         w = np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
@@ -156,6 +165,7 @@ def schur(m) -> tuple[np.ndarray, np.ndarray]:
 
 
 _STRICT_LOWER = {}  # n -> flat indices of the strict lower triangle of an n x n matrix
+_ZGEES_LWORK = {}  # n -> zgees' workspace for an n x n matrix, from its query, which reads only n
 
 
 def _triangular(m) -> bool:  # a checked square matrix is upper triangular
@@ -172,8 +182,9 @@ def _schur(m):  # schur of a checked square matrix, q = None when it is triangul
     if _triangular(m):
         return m, None
     zgees = _lapack().zgees  # called as scipy.linalg.schur calls it: workspace query, then no sort
-    lwork = int(zgees(_no_sort, m, lwork=-1)[-2][0].real)
-    t, _, _, q, _, info = zgees(_no_sort, m, lwork=lwork, overwrite_a=False, sort_t=0)
+    if len(m) not in _ZGEES_LWORK:
+        _ZGEES_LWORK[len(m)] = int(zgees(_no_sort, m, lwork=-1)[-2][0].real)
+    t, _, _, q, _, info = zgees(_no_sort, m, lwork=_ZGEES_LWORK[len(m)], overwrite_a=False, sort_t=0)
     if info > 0:
         raise NoConvergence(f"Schur form did not converge (zgees info {info})")
     return t, q

@@ -21,11 +21,21 @@ and residual, and each pencil's window with R, its ends, the total Newton
 iterations and the dropped count.  A sweep point where the Riccati solve
 raises :class:`NoConvergence` is left out of those fits, logged at INFO,
 and counted in the note of each report fitted without it.
+
+Each sweep is evaluated as arrays over its points.  A + tD is one
+(points, m, m) stack, whose eigenvalues are one ``eig`` call and whose
+residual claims are stacked products; the exact bases of the kept Riccati
+points are formed together (:func:`_exact_bases`), after one Riccati solve
+per point, with one ordered Schur form per point.  Each sample is the one a
+loop over the points would give, bit for bit: numpy runs the same LAPACK
+and BLAS call on each matrix of a stack, and the Frobenius norms are still
+taken one matrix at a time.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -153,8 +163,8 @@ def match_eigenvalues(predicted, observed):
     observed value is left unmatched when a finite assignment exists.
 
     Several assignments can attain the least sum, and which one is returned
-    is unspecified.  The repeated predictions of
-    ``np.repeat(exp.predict(t), count)`` in :func:`verify_all` are such a
+    is unspecified.  The repeated predictions of a cluster in
+    :func:`verify_all` (``np.repeat`` of its branches' values) are such a
     tie: the copies of a value can trade their observed partners, which
     permutes the distances among them and leaves their multiset, and so
     max_error, the same.
@@ -165,29 +175,49 @@ def match_eigenvalues(predicted, observed):
         raise CardinalityMismatch(f"{p.size} predictions vs only {o.size} observations")
     if p.size == 0:
         return [], 0.0
-    cost = np.abs(p[:, None] - o[None, :])
+    cols, dist = _matched_distances(p, o)
+    return list(enumerate(cols.tolist())), float(dist.max())
+
+
+def _matched_distances(p, o):
+    """(columns, distances) of a minimum-sum assignment of predictions p to
+    observations o, 1-D or stacked row by row as (k, p) against (k, o)."""
+    cost = np.abs(p[..., :, None] - o[..., None, :])
     if np.isnan(cost).any():
         raise ValueError("eigenvalue matching got a NaN value")
     cols = _min_sum_assignment(cost)
-    return list(enumerate(cols.tolist())), float(cost[np.arange(p.size), cols].max())
+    return cols, np.take_along_axis(cost, cols[..., None], axis=-1)[..., 0]
 
 
 def _min_sum_assignment(cost) -> np.ndarray:
     """Distinct column of each row in a minimum-sum assignment of a (p, o)
-    cost matrix with nonnegative entries and p <= o.
+    cost matrix with nonnegative entries and p <= o, or of each matrix of a
+    (k, p, o) stack.
 
     Finite row minima in distinct columns are optimal at once: no sum is lower
-    (JV's row reduction).  Otherwise each row in turn is added by a shortest
-    augmenting path over reduced costs, with row and column potentials u and v
-    kept so that u_i + v_j <= cost_ij, with equality on assigned pairs and
-    v_j = 0 on free columns (Jonker & Volgenant 1987, Computing 38; the
-    rectangular form of Crouse 2016, IEEE Trans. Aerosp. Electron. Syst. 52),
-    each step of the path search vectorised over the columns.
+    (JV's row reduction).  A matrix whose minima collide goes to
+    :func:`_augmenting_paths`.
+    """
+    col = cost.argmin(axis=-1)
+    least = np.take_along_axis(cost, col[..., None], axis=-1)[..., 0]
+    ordered = np.sort(col, axis=-1)
+    collide = ~np.isfinite(least).all(axis=-1) | (ordered[..., 1:] == ordered[..., :-1]).any(axis=-1)
+    flat_cost, flat_col = cost.reshape(-1, *cost.shape[-2:]), col.reshape(-1, cost.shape[-2])
+    for i in np.flatnonzero(collide):
+        flat_col[i] = _augmenting_paths(flat_cost[i])
+    return col
+
+
+def _augmenting_paths(cost) -> np.ndarray:
+    """Minimum-sum assignment of a (p, o) cost matrix, p <= o: each row in
+    turn is added by a shortest augmenting path over reduced costs, with row
+    and column potentials u and v kept so that u_i + v_j <= cost_ij, with
+    equality on assigned pairs and v_j = 0 on free columns (Jonker & Volgenant
+    1987, Computing 38; the rectangular form of Crouse 2016, IEEE Trans.
+    Aerosp. Electron. Syst. 52), each step of the path search vectorised over
+    the columns.
     """
     p, o = cost.shape
-    col = cost.argmin(axis=1)
-    if np.isfinite(cost[np.arange(p), col]).all() and (np.bincount(col, minlength=o) <= 1).all():
-        return col
     u, v = np.zeros(p), np.zeros(o)
     col = np.full(p, -1)
     owner = np.full(o, -1)  # row assigned to each column
@@ -250,7 +280,7 @@ def slope_fit(
 
     if len(samples) < MIN_SAMPLES:
         return report(nan, nan, False)
-    bad = [f"{e} at t={t:.3e}" for t, e in samples if not np.isfinite(e)]
+    bad = [f"{e} at t={t:.3e}" for t, e in samples if not math.isfinite(e)]
     if bad:
         return report(nan, nan, False, extra="non-finite error " + ", ".join(bad))
     floor = FLOOR_FACTOR * cl.EPS * scale
@@ -281,23 +311,36 @@ def exact_subspace_basis(ric, sel, comp):
     Schur form tt U = U T, Y = U2 U1^-1 and rep = t11 + t12 Y.  Raises
     :class:`ClusterNotSeparated` when a selected and an unselected eigenvalue
     of tt lie within ``CLUSTER_GAP_REL`` max|Lambda(tt)|
-    (:func:`jordanperturb.pencil.check_separated`).
+    (:func:`jordanperturb.pencil.check_separated`).  The one-point entry of
+    :func:`_exact_bases`, which gives the same bits at each of its points.
     """
-    tt = np.vstack([comp.psi, comp.psi_c]) @ ric.theta_hat @ np.hstack([sel.phi, comp.phi_c])
-    r = sel.r
+    _, h, rep = _exact_bases([ric], sel, comp)
+    return h[0], rep[0]
 
-    def continues_omega(diag):
-        blocks = np.concatenate([cl.eig(tt[:r, :r]), cl.eig(tt[r:, r:])])
-        mask = np.zeros(diag.size, dtype=bool)
-        mask[_min_sum_assignment(np.abs(blocks[:, None] - diag[None, :]))[:r]] = True
-        return mask
 
-    u, t, _ = cl.ordered_schur(tt, continues_omega)
-    w = np.diag(t)
-    check_separated(w[:r], w[r:], "Theta-hat eigenvalues continuing Omega")
-    y = np.linalg.solve(u[:r, :r].T, u[r:, :r].T).T  # U2 U1^-1
-    h = ric.invariant_matrix() @ (sel.phi + comp.phi_c @ y)
-    return h, tt[:r, :r] + tt[:r, r:] @ y
+def _exact_bases(sols, sel, comp):
+    """(X-tilde, H, rep) of :func:`exact_subspace_basis` at each of the
+    Riccati solutions ``sols``, as (points, ., .) stacks: tt, its diagonal
+    blocks' eigenvalues, Y's solve and the products over all points at
+    once, and one ordered Schur form per point."""
+    r, left, right = sel.r, np.vstack([comp.psi, comp.psi_c]), np.hstack([sel.phi, comp.phi_c])
+    tt = left @ np.array([ric.theta_hat for ric in sols]) @ right
+    blocks = np.concatenate([cl.eig(tt[:, :r, :r]), cl.eig(tt[:, r:, r:])], axis=1)
+    us = []
+    for tk, bk in zip(tt, blocks):
+        def continues_omega(diag, bk=bk):
+            mask = np.zeros(diag.size, dtype=bool)
+            mask[_min_sum_assignment(np.abs(bk[:, None] - diag[None, :]))[:r]] = True
+            return mask
+
+        u, t, _ = cl.ordered_schur(tk, continues_omega)
+        w = np.diag(t)
+        check_separated(w[:r], w[r:], "Theta-hat eigenvalues continuing Omega")
+        us.append(u)
+    u = np.array(us)
+    y = np.linalg.solve(u[:, :r, :r].mT, u[:, r:, :r].mT).mT  # U2 U1^-1
+    xt = np.array([ric.invariant_matrix() for ric in sols])
+    return xt, xt @ (sel.phi + comp.phi_c @ y), tt[:, :r, :r] + tt[:, :r, r:] @ y
 
 
 def verify_all(
@@ -316,7 +359,8 @@ def verify_all(
     run on ``plan``'s t-values (``SweepPlan.default(rho)`` when None), the
     last two on the Riccati z-window of :func:`_riccati_window`, which no
     argument sets.  An order rho with s_rho = 0 splits no eigenvalue and has
-    no claims: the list is empty.
+    no claims: the list is empty.  A ``plan`` built for another order raises
+    ``ValueError``: its t-values are bounded by that order's floor.
 
     ``perturb_h1`` and ``swap_root`` are negative-control hooks: they
     corrupt H1 with noise of the given relative norm, or pair the subspace
@@ -325,7 +369,9 @@ def verify_all(
     """
     if plan is None:
         plan = SweepPlan.default(rho)
-    ts = list(plan.t_values)
+    if plan.rho != rho:
+        raise ValueError(f"the sweep plan was built for rho={plan.rho}, not for rho={rho}")
+    ts = plan.t_values
     scale = 1.0 + cl.frob(pair.d11)
 
     if cl.frob(pair.d11) == 0.0:
@@ -337,9 +383,9 @@ def verify_all(
     if not reduced.clusters:  # s_rho = 0
         return []
     a_mat = pair.a_matrix()
-    oracle = {t: a_mat + t * pair.d11 for t in ts}  # A + tD, formed once per t
-    rows = _eig_claims(reduced, oracle)
-    resid_rows, sel0, comp0 = _residual_claims(reduced, oracle, perturb_h1, swap_root)
+    oracle = np.array([a_mat + t * pair.d11 for t in ts])  # A + tD, one stacked matrix per t
+    rows = _eig_claims(reduced, ts, oracle)
+    resid_rows, sel0, comp0 = _residual_claims(reduced, ts, oracle, perturb_h1, swap_root)
     rows += resid_rows + _riccati_claims(reduced, sel0, comp0)
     return [
         slope_fit(samples, claimed, scale, slack, quantity, note)
@@ -347,18 +393,18 @@ def verify_all(
     ]
 
 
-def _eig_claims(reduced, oracle):
+def _eig_claims(reduced, ts, oracle):
     """Per cluster of S_rho, the largest distance from its predicted to its
-    matched eigenvalues of A + tD (``oracle[t]``, one ``eig`` per t for every
-    cluster): slope 2/rho for a simple gamma, else only o(t^(1/rho))."""
-    rho, ts = reduced.rho, list(oracle)
-    observed = [cl.eig(a_plus_td) for a_plus_td in oracle.values()]
+    matched eigenvalues of A + tD (``oracle``, stacked over ``ts``, whose
+    eigenvalues are one ``eig`` call for every t and cluster): slope 2/rho
+    for a simple gamma, else only o(t^(1/rho))."""
+    rho = reduced.rho
+    observed = cl.eig(oracle)
     exps, first, rows = eigenvalue_expansions(reduced), 0, []
     for ci, cb in enumerate(reduced.clusters):
         exp, first = exps[first], first + cb.count
-        samples = [
-            (t, match_eigenvalues(np.repeat(exp.predict(t), cb.count), obs)[1]) for t, obs in zip(ts, observed)
-        ]
+        predicted = np.repeat([exp.predict(t) for t in ts], cb.count, axis=1)
+        samples = list(zip(ts, _matched_distances(predicted, observed)[1].max(axis=1).tolist()))
         quantity = f"eig[rho={rho},cluster={ci}]"
         if exp.simple:
             rows.append((samples, 2.0 / rho, quantity, "", DEFAULT_SLACK))
@@ -367,11 +413,12 @@ def _eig_claims(reduced, oracle):
     return rows
 
 
-def _residual_claims(reduced, oracle, perturb_h1, swap_root):
+def _residual_claims(reduced, ts, oracle, perturb_h1, swap_root):
     """Per cluster of S_rho, its root branch 0's first-order subspace
-    relation residual ||(A + tD) H - H C|| (``oracle[t]`` = A + tD), slope
-    2/rho, under the negative controls of :func:`verify_all`; also cluster
-    0's selection and complement, the subspace of the order tables."""
+    relation residual ||(A + tD) H - H C|| (``oracle``, A + tD stacked over
+    ``ts``), slope 2/rho, under the negative controls of :func:`verify_all`;
+    also cluster 0's selection and complement, the subspace of the order
+    tables."""
     rho = reduced.rho
     rng = np.random.default_rng(0) if perturb_h1 else None  # one stream across the clusters
     rows = []
@@ -393,10 +440,9 @@ def _residual_claims(reduced, oracle, perturb_h1, swap_root):
                 raise ValueError("swap_root needs rho >= 2 (a single branch cannot be swapped)")
             fo = replace(fo, omega=select_subspace(reduced, near, 1).omega)
             note = _notes(note, "Omega swapped to root branch 1")
-        samples = []
-        for t, a_plus_td in oracle.items():
-            h = fo.h_of(t)
-            samples.append((t, cl.frob(a_plus_td @ h - h @ fo.c_of(t))))
+        h = np.array([fo.h_of(t) for t in ts])
+        resid = oracle @ h - h @ np.array([fo.c_of(t) for t in ts])
+        samples = [(t, cl.frob(e)) for t, e in zip(ts, resid)]
         rows.append((samples, 2.0 / rho, f"subspace-resid[rho={rho},cluster={ci}]", note, DEFAULT_SLACK))
     return rows, sel0, comp0
 
@@ -438,35 +484,32 @@ def _riccati_claims(reduced, sel, comp):
             rho, z, ric.iterations, ric.residual,
         )
         iterations += ric.iterations
-        points.append((z, ric, exact_subspace_basis(ric, sel, comp)[0]))
+        points.append((z, ric))
     dropped = len(window) - len(points)
     _log.debug(
         "rho=%d: Riccati window R=%.6g, z from %.6g down to %.6g, %d Newton iterations, %d of %d points dropped",
         rho, radius, window[0], window[-1], iterations, dropped, len(window),
     )
     drop_note = f"{dropped} of {len(window)} sweep points dropped (NoConvergence)" if dropped else ""
-    base = reduced.x0
-    # the explicit terms Q1 Omega^(l-1) of block rho, subtracted from H at z^(l-1)
-    explicit = [
-        (idx.rows(rho, ell), ell - 1, sel.q1 @ np.linalg.matrix_power(sel.omega, ell - 1))
-        for ell in range(2, rho + 1)
-    ]
-    devs = {"X": [], "H": []}
-    for z, ric, h in points:
-        devs["X"].append(ric.invariant_matrix() - base)
-        hrow = h - base @ sel.phi
-        for rows, power, term in explicit:
-            hrow[rows, :] -= z**power * term
-        devs["H"].append(hrow)
-    claims = []
+    devs = {"X": (), "H": ()}
+    if points:  # the exact bases of all kept points at once, X-tilde formed once per point
+        base = reduced.x0
+        xt, h, _ = _exact_bases([ric for _, ric in points], sel, comp)
+        devs = {"X": xt - base, "H": h - base @ sel.phi}
+        # the explicit terms Q1 Omega^(l-1) of block rho, subtracted from H at z^(l-1)
+        for ell in range(2, rho + 1):
+            term = sel.q1 @ np.linalg.matrix_power(sel.omega, ell - 1)
+            powers = np.array([z ** (ell - 1) for z, _ in points])[:, None, None]
+            devs["H"][:, idx.rows(rho, ell), :] -= powers * term
+    claims, ts = [], [z**rho for z, _ in points]
     for name, full in (("X", True), ("H", False)):
         for entry in h_order_table(reduced.structure, rho, full=full):
             rows = idx.rows(entry.block, entry.subrow)
-            samples = [(z**rho, cl.frob(dev[rows, :])) for (z, _, _), dev in zip(points, devs[name])]
+            samples = [(t, cl.frob(dev[rows, :])) for t, dev in zip(ts, devs[name])]
             quantity = f"{name}[rho={rho},i={entry.block},l={entry.subrow}]"
             note = _notes(entry.note, drop_note)
             claims.append((samples, float(entry.exponent), quantity, note, DEFAULT_SLACK))
     delta_coef = reduced.theta_perturbation.delta_coef
-    samples = [(z, cl.frob(ric.theta_hat - reduced.theta - z * delta_coef)) for z, ric, _ in points]
+    samples = [(z, cl.frob(ric.theta_hat - reduced.theta - z * delta_coef)) for z, ric in points]
     note = _notes("error measured against z", drop_note)
     return claims + [(samples, 2.0, f"riccati-delta[rho={rho}]", note, DEFAULT_SLACK)]

@@ -63,6 +63,60 @@ class TestEig:
             cl.eig(np.array([[np.nan, 0], [0, 1]]))
 
 
+    def test_stack_rows_bit_identical(self):
+        # one call on a (k, n, n) stack: row i is eig(stack[i]) bit for bit
+        rng = np.random.default_rng(5)
+        stack = rng.normal(size=(13, 20, 20)) + 1j * rng.normal(size=(13, 20, 20))
+        w = cl.eig(stack)
+        assert w.shape == (13, 20) and w.dtype == np.complex128
+        for wk, mk in zip(w, stack):
+            assert np.array_equal(wk, cl.eig(mk))
+
+    def test_stack_empty_dimensions(self):
+        assert cl.eig(np.zeros((3, 0, 0))).shape == (3, 0)
+        assert cl.eig(np.zeros((0, 4, 4))).shape == (0, 4)
+
+    def test_stack_rejects_nan_and_non_square(self):
+        stack = np.zeros((2, 3, 3))
+        stack[1, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            cl.eig(stack)
+        with pytest.raises(ValueError, match="square"):
+            cl.eig(np.zeros((2, 3, 4)))
+
+
+class TestSchurWorkspace:
+    def test_queried_once_per_order(self, monkeypatch):
+        # zgees' workspace depends only on n: two Schur forms of one size make
+        # one query and two factorizations, and a new size queries again
+        lapack, calls = cl._lapack(), []
+        zgees = lapack.zgees
+
+        def counted(select, a, *args, lwork, **kwargs):
+            calls.append((len(a), lwork == -1))
+            return zgees(select, a, *args, lwork=lwork, **kwargs)
+
+        monkeypatch.setattr(cl, "_ZGEES_LWORK", {})
+        monkeypatch.setattr(lapack, "zgees", counted)
+        rng = np.random.default_rng(2)
+        cl.schur(rand_complex(rng, 7))
+        cl.schur(rand_complex(rng, 7))
+        assert calls == [(7, True), (7, False), (7, False)]
+        cl.schur(rand_complex(rng, 9))
+        assert calls[3:] == [(9, True), (9, False)]
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 16, 33, 60])
+    def test_cached_workspace_bit_identical_to_scipy(self, n):
+        # every Schur form after the first of its size reuses the workspace
+        # and still equals scipy.linalg.schur's, which queries each time
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            m = rand_complex(rng, n)
+            t, q = cl.schur(m)
+            t_ref, q_ref = scipy.linalg.schur(m, output="complex")
+            assert np.array_equal(t, t_ref) and np.array_equal(q, q_ref)
+
+
 class TestOrderedSchur:
     def test_qr_failure_raises_no_convergence(self, monkeypatch):
         monkeypatch.setattr(cl._lapack(), "zgees", failing_zgees)

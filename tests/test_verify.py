@@ -535,16 +535,17 @@ def window_top(reduced):
 
 def recorded_run(pair, rho):
     """verify_all's reports and the (ric, sel, comp, (h, rep)) of every sweep
-    point it keeps."""
+    point it keeps, read from its one ``verify._exact_bases`` call per pencil."""
     kept = []
+    exact_bases = jordanperturb.verify._exact_bases
 
-    def recording(ric, sel, comp):
-        out = exact_subspace_basis(ric, sel, comp)
-        kept.append((ric, sel, comp, out))
+    def recording(sols, sel, comp):
+        out = exact_bases(sols, sel, comp)
+        kept.extend((ric, sel, comp, (h, rep)) for ric, h, rep in zip(sols, out[1], out[2]))
         return out
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(jordanperturb.verify, "exact_subspace_basis", recording)
+        mp.setattr(jordanperturb.verify, "_exact_bases", recording)
         reports = verify_all(pair, rho)
     return reports, kept
 
