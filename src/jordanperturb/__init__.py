@@ -35,7 +35,7 @@ from .first_order import (
     solve_riccati,
     theta_perturbation,
 )
-from .verify import ConvergenceReport, SweepPlan, match_eigenvalues, slope_fit, verify_all
+from .verify import ConvergenceReport, match_eigenvalues, slope_fit, verify_all
 from .generator import CaseSpec, generate
 
 __version__ = "0.1.0"
@@ -68,7 +68,6 @@ __all__ = [
     "theta_perturbation",
     "first_order_expansion",
     "solve_riccati",
-    "SweepPlan",
     "ConvergenceReport",
     "match_eigenvalues",
     "slope_fit",

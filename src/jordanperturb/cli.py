@@ -11,8 +11,8 @@ which is reduced to canonical coordinates before any analysis.  Exactly one
 of the two forms must be present.
 
 Exit codes: 0 success / all checks passed, 1 verification failure,
-2 precondition or genericity failure, 3 parse error (of the file or of an argument
-value, or an output path that cannot be written).
+2 precondition or genericity failure, 3 parse error (of the file, of the
+command line or an argument value, or an output path that cannot be written).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .generator import CaseSpec, generate
 from .pencil import assemble_pencil, reduce_pencil, sort_complex, theta_spectrum
 from .reduction import SpectralTransformation, reduce
 from .structure import CanonicalPair, JordanStructure, check_generic
-from .verify import SweepPlan, verify_all
+from .verify import verify_all
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -298,16 +298,11 @@ def cmd_verify(args) -> int:
         raise ParseError(f"--perturb-h1 {args.perturb_h1} is not finite")
     if args.swap_root and 1 in rhos:
         raise ParseError("--swap-root needs rho >= 2: rho = 1 has a single root branch")
-    all_reports = []
-    for rho in rhos:
-        try:
-            plan = SweepPlan.default(rho, tmax=args.tmax, tmin=args.tmin, points=args.points)
-        except ValueError as exc:
-            raise ParseError(f"bad sweep (--tmax, --tmin, --points): {exc}") from exc
-        reports = verify_all(
-            pair, rho, plan, perturb_h1=args.perturb_h1, swap_root=args.swap_root
-        )
-        all_reports.extend(reports)
+    all_reports = [
+        rep
+        for rho in rhos
+        for rep in verify_all(pair, rho, perturb_h1=args.perturb_h1, swap_root=args.swap_root)
+    ]
     for rep in all_reports:
         status = "PASS" if rep.passed else "FAIL"
         if rep.floor_limited:
@@ -365,8 +360,16 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A usage error is a :class:`ParseError` (exit 3), not argparse's exit 2,
+    which is the precondition code.  Subparsers are built from this class too."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="jordanperturb",
         description="Fractional-order perturbation expansions for matrices with Jordan blocks.",
     )
@@ -389,9 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="oracle t-sweep and slope fits")
     p.add_argument("file")
     p.add_argument("--rho", type=int, default=None)
-    p.add_argument("--tmin", type=float, default=1e-8)
-    p.add_argument("--tmax", type=float, default=1e-2)
-    p.add_argument("--points", type=int, default=13)
     p.add_argument("--out-json", default=None)
     p.add_argument("--out-csv", default=None)
     p.add_argument("--perturb-h1", type=float, default=0.0,
@@ -411,8 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -46,4 +46,5 @@ class GenerationExhausted(JordanPerturbError):
 
 
 class ParseError(JordanPerturbError):
-    """A problem file could not be parsed or fails schema validation."""
+    """A problem file or the command line could not be parsed, or fails
+    validation."""

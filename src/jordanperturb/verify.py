@@ -1,6 +1,9 @@
 """Brute-force verification of every claimed fractional order.
 
-The oracle is a dense eigensolve of ``A + tD`` over a geometric t-sweep.
+The oracle is a dense eigensolve of ``A + tD`` over a geometric t-sweep,
+fixed in code for each splitting order rho (:func:`_oracle_sweep`), as the
+Riccati z-window is: no argument of :func:`verify_all` or of the CLI sets a
+window, so no verdict depends on a caller's choice of one.
 Each theoretical claim ``error = O(t^c)`` is one row of error samples, and
 :func:`slope_fit` is the one rule that turns a row into a report: failed,
 floor-limited or fitted.  :func:`verify_all` gathers the rows of three
@@ -48,7 +51,6 @@ from .pencil import assemble_pencil, check_separated, reduce_pencil
 from .structure import CanonicalPair
 
 __all__ = [
-    "SweepPlan",
     "ConvergenceReport",
     "match_eigenvalues",
     "slope_fit",
@@ -70,8 +72,8 @@ MIN_SAMPLES = 5
 # a step or two meets the residual test; K = 4 is the order the estimate of
 # R already reads, so the start costs no further series term.  The cap 0.1
 # bounds t = z^rho by 0.1^rho when R is large.  Two decades of z are 2 rho
-# decades of t, and 13 points (the oracle's default count) leave 8 to drop
-# before a claim has fewer than MIN_SAMPLES.
+# decades of t, and 13 points leave 8 to drop before a claim has fewer than
+# MIN_SAMPLES; the oracle's t-sweep has as many.
 WINDOW_FRACTION = 0.1
 WINDOW_CAP = 0.1
 WINDOW_DECADES = 2
@@ -85,38 +87,11 @@ def _resolvable_floor(rho: int) -> float:
     return 10.0 * cl.EPS ** (rho / (rho + 1))
 
 
-@dataclass(frozen=True)
-class SweepPlan:
-    """Geometric t-sweep of the oracle claims for one splitting order rho: at
-    least ``MIN_SAMPLES`` finite, strictly decreasing t values, all above the
-    resolvability floor."""
-
-    t_values: tuple
-    rho: int
-
-    def __post_init__(self):
-        ts = tuple(float(t) for t in self.t_values)
-        object.__setattr__(self, "t_values", ts)
-        if len(ts) < MIN_SAMPLES:
-            raise ValueError(f"a sweep needs at least {MIN_SAMPLES} t values, got {len(ts)}")
-        if not all(np.isfinite(ts)):  # NaN passes every comparison below
-            raise ValueError("t values must be finite")
-        if any(b >= a for a, b in zip(ts, ts[1:])):
-            raise ValueError("t_values must be strictly decreasing")
-        floor = _resolvable_floor(self.rho)
-        if any(t <= floor for t in ts):
-            raise ValueError(
-                f"t values below {floor:.3e} cannot resolve t^(1/{self.rho}) effects"
-            )
-
-    @classmethod
-    def default(cls, rho: int, tmax: float = 1e-2, tmin: float = 1e-8, points: int = 13):
-        """13 geometric points from 1e-2 down to 1e-8, with tmin clamped to
-        the resolvability floor for the given rho."""
-        tmin = max(tmin, 1.01 * _resolvable_floor(rho))
-        with np.errstate(invalid="ignore"):  # a non-finite bound gives t values that __post_init__ rejects
-            ts = np.geomspace(tmax, tmin, points)
-        return cls(t_values=tuple(ts), rho=rho)
+def _oracle_sweep(rho: int) -> tuple:
+    """The t-values of the oracle claims for order rho: ``WINDOW_POINTS``
+    geometric points from 1e-2 down to 1e-8, the bottom raised to just above
+    :func:`_resolvable_floor` where that is higher (rho = 1)."""
+    return tuple(np.geomspace(1e-2, max(1e-8, 1.01 * _resolvable_floor(rho)), WINDOW_POINTS).tolist())
 
 
 @dataclass(frozen=True)
@@ -346,7 +321,6 @@ def _exact_bases(sols, sel, comp):
 def verify_all(
     pair: CanonicalPair,
     rho: int,
-    plan: SweepPlan | None = None,
     *,
     perturb_h1: float = 0.0,
     swap_root: bool = False,
@@ -356,22 +330,17 @@ def verify_all(
     against ``lambda0 + t^(1/rho) mu``; per cluster, the first-order subspace
     relation residual; the per-block order tables of the exact bases; the
     exact Theta-hat(z) against its first-order model.  The first two families
-    run on ``plan``'s t-values (``SweepPlan.default(rho)`` when None), the
-    last two on the Riccati z-window of :func:`_riccati_window`, which no
-    argument sets.  An order rho with s_rho = 0 splits no eigenvalue and has
-    no claims: the list is empty.  A ``plan`` built for another order raises
-    ``ValueError``: its t-values are bounded by that order's floor.
+    run on the oracle t-sweep of :func:`_oracle_sweep`, the last two on the
+    Riccati z-window of :func:`_riccati_window`; both are fixed in code, and
+    no argument sets either.  An order rho with s_rho = 0 splits no
+    eigenvalue and has no claims: the list is empty.
 
     ``perturb_h1`` and ``swap_root`` are negative-control hooks: they
     corrupt H1 with noise of the given relative norm, or pair the subspace
     with a rotated root branch, and are expected to make the first-order
     residual fit fail.
     """
-    if plan is None:
-        plan = SweepPlan.default(rho)
-    if plan.rho != rho:
-        raise ValueError(f"the sweep plan was built for rho={plan.rho}, not for rho={rho}")
-    ts = plan.t_values
+    ts = _oracle_sweep(rho)
     scale = 1.0 + cl.frob(pair.d11)
 
     if cl.frob(pair.d11) == 0.0:

@@ -24,9 +24,9 @@ from jordanperturb.verify import (
     DEFAULT_SLACK,
     START_ORDER,
     ConvergenceReport,
-    SweepPlan,
     _min_sum_assignment,
     _notes,
+    _oracle_sweep,
     _riccati_window,
     match_eigenvalues,
     slope_fit,
@@ -52,11 +52,9 @@ def reference_exact_subspace_basis(ric, sel, comp):
     return h, tt[:r, :r] + tt[:r, r:] @ y
 
 
-def reference_verify_all(pair, rho, plan=None, *, perturb_h1=0.0, swap_root=False):
+def reference_verify_all(pair, rho, *, perturb_h1=0.0, swap_root=False):
     """``verify_all`` with every sweep point evaluated on its own."""
-    if plan is None:
-        plan = SweepPlan.default(rho)
-    ts = list(plan.t_values)
+    ts = list(_oracle_sweep(rho))
     scale = 1.0 + cl.frob(pair.d11)
     if cl.frob(pair.d11) == 0.0:
         nan, samples = float("nan"), tuple((t, 0.0) for t in ts)

@@ -397,30 +397,47 @@ class TestGeneralFormProblem:
         ["verify", "{f}", "--rho", "7"],
         ["verify", "{f}", "--rho", "0"],
         ["analyze", "{f}", "--rho", "0"],
-        ["verify", "{f}", "--tmax", "1e-9"],
-        ["verify", "{f}", "--points", "4"],
         ["generate", "--sizes", "1,x", "--out", "{f}"],
         ["generate", "--sizes", "1,0", "--out", "{f}"],
         ["verify", "{f}", "--swap-root"],
         ["verify", "{f}", "--rho", "1", "--swap-root"],
         ["verify", "{f}", "--rho", "2", "--perturb-h1", "nan"],
+        # usage errors that argparse finds
+        ["verify", "{f}", "--rho", "abc"],
+        ["expand", "{f}", "--rho", "2", "--cluster", "idx:0", "--order", "2"],
+        ["verify", "{f}", "--bogus"],
+        ["expand", "{f}", "--rho", "2"],
+        [],
+        # the oracle t-sweep is fixed in code: its former options are unknown
+        ["verify", "{f}", "--tmax", "1e-9"],
+        ["verify", "{f}", "--points", "4"],
         ["verify", "{f}", "--tmax", "nan"],
         ["verify", "{f}", "--tmax", "inf"],
         ["verify", "{f}", "--tmin", "nan"],
         ["verify", "{f}", "--tmin", "inf"],
     ],
-    ids=["root_5", "root_-1", "expand_rho_7", "verify_rho_7", "verify_rho_0", "analyze_rho_0", "tmax", "points_4", "sizes_x", "sizes_0",
-         "swap_root_all_rhos", "swap_root_rho_1", "perturb_h1_nan", "tmax_nan", "tmax_inf", "tmin_nan", "tmin_inf"],
+    ids=["root_5", "root_-1", "expand_rho_7", "verify_rho_7", "verify_rho_0", "analyze_rho_0", "sizes_x", "sizes_0",
+         "swap_root_all_rhos", "swap_root_rho_1", "perturb_h1_nan", "rho_abc", "order_2", "unknown_flag",
+         "missing_cluster", "no_command", "tmax", "points_4", "tmax_nan", "tmax_inf", "tmin_nan", "tmin_inf"],
 )
 def test_bad_argument_value_exit_3(tmp_path, capsys, argv):
-    # a value the library rejects is a parse error (one line, exit 3), not a
-    # traceback with the verification-failure exit code
+    # a value the library rejects, or a usage error, is a parse error (one
+    # line, exit 3), not a traceback, a usage block or argparse's exit 2
     f = tmp_path / "p.json"
     assert main(["generate", "--sizes", "1,2", "--seed", "1", "--out", str(f)]) == EXIT_OK
     capsys.readouterr()
     assert main([a.format(f=f) for a in argv]) == EXIT_PARSE
     err = capsys.readouterr().err
     assert err.startswith("parse error:") and err.count("\n") == 1
+    if {"--tmin", "--tmax", "--points"} & set(argv):
+        assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]], ids=["help", "verify_help"])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage:")
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,6 @@ from jordanperturb import (
     CanonicalPair,
     CaseSpec,
     JordanStructure,
-    SweepPlan,
     assemble_pencil,
     complement_pair,
     eigenvalue_expansions,
@@ -26,6 +25,7 @@ import jordanperturb.first_order
 import jordanperturb.pencil
 from jordanperturb.errors import MatrixRootFailure, NoConvergence, SingularNormalizer
 from jordanperturb.expansion import subspace_expansion
+from jordanperturb.verify import _oracle_sweep
 
 from closed_forms import (
     closed_form_delta_coef,
@@ -870,7 +870,7 @@ class TestRiccati:
             for rho in pair.structure.valid_rhos():
                 ap = assemble_pencil(pair, rho)
                 rp = reduce_pencil(ap)
-                for t in SweepPlan.default(rho).t_values:
+                for t in _oracle_sweep(rho):
                     z = t ** (1.0 / rho)
                     try:
                         theta_ref, its, _ = kron_riccati(rp, z)
@@ -901,7 +901,7 @@ class TestRiccati:
         ap = assemble_pencil(pair, rho)
         rp = reduce_pencil(ap)
         prev, solved = None, 0
-        for t in reversed(SweepPlan.default(rho).t_values):
+        for t in reversed(_oracle_sweep(rho)):
             z = t ** (1.0 / rho)
             pair_start = None if prev is None else (prev.x1, prev.x2)
             start = None if prev is None else np.vstack(pair_start)

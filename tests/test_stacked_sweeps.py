@@ -8,7 +8,6 @@ import jordanperturb.verify as jv
 from jordanperturb import (
     CaseSpec,
     JordanStructure,
-    SweepPlan,
     assemble_pencil,
     complement_pair,
     generate,
@@ -148,14 +147,3 @@ def test_one_riccati_solve_per_window_point(monkeypatch):
             assert ap is rp.assembled and rpk is rp and z == zk
             assert set(kwargs) == {"start"}
             assert np.array_equal(kwargs["start"], sum(xs[k] * zk**k for k in range(1, 5)))
-
-
-def test_plan_for_another_rho_is_refused():
-    # SweepPlan.default(2) runs down to t = 1e-8, below rho = 1's resolvable
-    # floor of 1.5e-7, which SweepPlan(rho=1) refuses
-    pair = ladder_pair((1, 2))
-    with pytest.raises(ValueError, match="rho=2, not for rho=1"):
-        verify_all(pair, 1, SweepPlan.default(2))
-    with pytest.raises(ValueError, match="rho=1, not for rho=2"):
-        verify_all(pair, 2, SweepPlan.default(1))
-    assert verify_all(pair, 1, SweepPlan.default(1))

@@ -2,7 +2,6 @@ import logging
 import os
 import subprocess
 import sys
-import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from jordanperturb import (
     CanonicalPair,
     CaseSpec,
     JordanStructure,
-    SweepPlan,
     assemble_pencil,
     check_generic,
     complement_pair,
@@ -28,7 +26,7 @@ from jordanperturb import (
     verify_all,
 )
 from jordanperturb.errors import CardinalityMismatch, JordanPerturbError, MatrixRootFailure, NoConvergence
-from jordanperturb.verify import exact_subspace_basis
+from jordanperturb.verify import _oracle_sweep, exact_subspace_basis
 
 from closed_forms import fixed_point_subspace_basis, oracle_eigs
 from conftest import random_pair
@@ -36,46 +34,20 @@ from known_cases import example1_pair, theta2_zero_pair
 
 
 class TestSweepPlan:
+    """The oracle's t-sweep, fixed in code for each rho (``_oracle_sweep``)."""
+
     def test_default_geometric(self):
-        plan = SweepPlan.default(2)
-        assert len(plan.t_values) == 13
-        assert plan.t_values[0] == pytest.approx(1e-2)
-        assert plan.t_values[-1] == pytest.approx(1e-8)
-        ratios = np.diff(np.log(plan.t_values))
+        ts = _oracle_sweep(2)
+        assert len(ts) == 13 and all(type(t) is float for t in ts)
+        assert ts[0] == pytest.approx(1e-2)
+        assert ts[-1] == pytest.approx(1e-8)
+        ratios = np.diff(np.log(ts))
         assert np.allclose(ratios, ratios[0])
 
     def test_default_clamps_rho1_floor(self):
-        plan = SweepPlan.default(1)
+        ts = _oracle_sweep(1)
         floor = 10 * np.finfo(float).eps ** 0.5
-        assert all(t > floor for t in plan.t_values)
-
-    @pytest.mark.parametrize(
-        "t_values, rho, reason",
-        [
-            (np.geomspace(1e-8, 1e-2, 5), 2, "strictly decreasing"),
-            (np.geomspace(1e-2, 1e-12, 5), 1, "cannot resolve"),
-            (np.geomspace(1e-2, 1e-8, 4), 2, "at least 5"),
-            ((1e-2, 1e-3, np.nan, 1e-5, 1e-6), 2, "finite"),
-            ((np.inf, 1e-3, 1e-4, 1e-5, 1e-6), 2, "finite"),
-        ],
-        ids=["increasing", "below_floor", "too_few", "nan", "inf"],
-    )
-    def test_rejects(self, t_values, rho, reason):
-        with pytest.raises(ValueError, match=reason):
-            SweepPlan(t_values=tuple(t_values), rho=rho)
-
-    @pytest.mark.parametrize(
-        "bounds",
-        [dict(tmax=np.nan), dict(tmax=np.inf), dict(tmin=np.nan), dict(tmin=np.inf)],
-        ids=["tmax_nan", "tmax_inf", "tmin_nan", "tmin_inf"],
-    )
-    def test_default_rejects_non_finite_bounds(self, bounds):
-        # a NaN passes every ordering and floor comparison, so it has to be
-        # named; geomspace's own invalid-value warning is not raised
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="finite"):
-                SweepPlan.default(2, **bounds)
+        assert all(t > floor for t in ts)
 
 
 class TestOracleEigs:
@@ -333,6 +305,21 @@ class TestVerifyAll:
         reports = verify_all(pair, 2, perturb_h1=1e-3)
         resid = [r for r in reports if r.quantity.startswith("subspace-resid")]
         assert resid and all(not r.passed for r in resid)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="the perturb_h1 control is blind at rho >= 3 (its FOUND line in CHANGES.md): the "
+        "noise adds a term of order t^(1/rho) to a residual claimed O(t^(2/rho)), and over the "
+        "oracle t-sweep the t^(2/rho) term carries most samples, so the fit stays within the 0.1 slack",
+    )
+    @pytest.mark.parametrize("sizes", [(2, 2, 2), (3, 3, 3, 3)], ids=str)
+    def test_negative_control_perturb_h1_at_rho_k(self, sizes):
+        # seed-1 ladder at rho = k with 1% noise in H1: at least one subspace
+        # claim should fail, as it does for (1, 2) at rho = 2
+        reports = verify_all(ladder_pair(sizes), len(sizes), perturb_h1=0.01)
+        resid = [r for r in reports if r.quantity.startswith("subspace-resid")]
+        assert resid and not all(r.passed for r in resid)
 
     def test_non_finite_perturb_h1_fails(self):
         # NaN H1 gives NaN residuals, which must fail, not pass as floor-limited
@@ -598,7 +585,7 @@ class TestExactSubspaceBasis:
         gamma = rp.clusters[0].gamma
         sel = select_subspace(rp, lambda lam: lam == gamma, 0)
         comp = complement_pair(rp, sel)
-        ts = SweepPlan.default(3).t_values
+        ts = _oracle_sweep(3)
         start, solved = None, []
         for t in reversed(ts):
             ric = solve_riccati(rp.assembled, rp, t ** (1.0 / 3), start=start)
